@@ -12,7 +12,7 @@ and the library evaluates, audits, certifies, and attacks the inequality
 
 Submodules: geometry (construction, metrics, sampling), kernel (evaluation
 paths and identity/inequality audits), interval (outward-rounded enclosure
-arithmetic), certify (branch-and-bound lower-bound certificates), search
+arithmetic), certifier (branch-and-bound lower-bound certificates), search
 (multi-start counterexample search), cli (command-line front door).
 """
 
@@ -63,8 +63,6 @@ from .interval import (  # noqa: E402
     Interval,
     IntervalError,
     NegativeSqrtDomain,
-    arith,
-    elem,
     iatan2,
     icos,
     isin,

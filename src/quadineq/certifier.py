@@ -98,20 +98,31 @@ class Certificate:
                 box_doc = entry["box"]
                 box = tuple((float(box_doc[d][0]), float(box_doc[d][1]))
                             for d in _DIMS)
-                leaves.append(Leaf(box=box, lower_bound=float(entry["lower_bound"])))
+                leaves.append(Leaf(box=box,
+                                   lower_bound=_finite(entry["lower_bound"])))
+            split_rule = str(doc.get("split_rule", SPLIT_RULE))
+            if split_rule != SPLIT_RULE:
+                raise ValueError(f"unknown split rule {split_rule!r}")
             return Certificate(
                 version=str(doc["version"]),
-                margin=float(doc["margin"]),
+                margin=_finite(doc["margin"]),
                 gauge=str(doc["gauge"]),
-                target=float(doc["target"]),
+                target=_finite(doc["target"]),
                 complete=bool(doc["complete"]),
-                c_star=float(doc["c_star"]),
+                c_star=_finite(doc["c_star"]),
                 box_count=int(doc.get("box_count", len(leaves))),
-                split_rule=str(doc.get("split_rule", SPLIT_RULE)),
+                split_rule=split_rule,
                 leaves=leaves,
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedCertificate(f"bad certificate structure: {exc}") from exc
+
+
+def _finite(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"non-finite number {value!r}")
+    return out
 
 
 def _root_box(margin: float) -> Box:
@@ -188,8 +199,8 @@ def _split(box: Box) -> tuple:
     return lower, upper
 
 
-def certify(margin: float, target: float = 0.0, max_boxes: int = 1_000_000,
-            chunk: int = _EVAL_CHUNK) -> Certificate:
+def certify(margin: float, target: float = 0.0,
+            max_boxes: int = 1_000_000) -> Certificate:
     """Certify residual >= target over the margin-truncated domain.
 
     Returns a complete certificate when every leaf bound clears the target
@@ -218,7 +229,7 @@ def certify(margin: float, target: float = 0.0, max_boxes: int = 1_000_000,
     complete = True
     while heap:
         room = (max_boxes - evaluated) // 2
-        n_pop = min(chunk, len(heap), room)
+        n_pop = min(_EVAL_CHUNK, len(heap), room)
         if n_pop == 0:
             complete = False
             break
@@ -322,10 +333,11 @@ def verify_certificate(cert) -> bool:
 
     recomputed = _evaluate([leaf.box for leaf in cert.leaves], cert.margin)
     recorded = np.array([leaf.lower_bound for leaf in cert.leaves])
-    if np.any(recomputed < recorded):
+    # comparisons are written so that a NaN on either side rejects
+    if np.any(~(recomputed >= recorded)):
         return False
     if float(np.min(recorded)) != cert.c_star:
         return False
-    if cert.complete and np.any(recorded < cert.target):
+    if cert.complete and np.any(~(recorded >= cert.target)):
         return False
     return True

@@ -17,6 +17,12 @@ mechanism itself.
 Endpoints may be scalars or same-shape numpy arrays; a batch of boxes is
 just an Interval with array endpoints, which is what the branch-and-bound
 certifier feeds through `residual_enclosure`.
+
+The certified enclosure (path "both") is the intersection of exactly two
+forms of the same residual: the mean-value form of the edge expressions
+(itself intersected with their natural evaluation) and the factored trig
+form, whose sin X and sin Y factors are intersected with their
+area-quotient forms.
 """
 
 from __future__ import annotations
@@ -89,14 +95,6 @@ class Interval:
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         return Interval(x, x)
 
-    @staticmethod
-    def from_endpoints(lo, hi) -> "Interval":
-        lo = np.asarray(lo, dtype=float) if np.ndim(lo) else float(lo)
-        hi = np.asarray(hi, dtype=float) if np.ndim(hi) else float(hi)
-        if np.any(lo > hi):
-            raise IntervalError("lower endpoint above upper endpoint")
-        return Interval(lo, hi)
-
     # -- queries ----------------------------------------------------------
 
     @property
@@ -106,9 +104,6 @@ class Interval:
     @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x):
-        return (self.lo <= x) & (x <= self.hi)
 
     def subset_of(self, other: "Interval"):
         return (other.lo <= self.lo) & (self.hi <= other.hi)
@@ -170,19 +165,6 @@ PI = Interval(_down(math.pi), _up(math.pi))
 ONE = Interval.point(1.0)
 
 
-def arith(x: Interval, y: Interval, op: str) -> Interval:
-    """Named dispatch for the four basic operations."""
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op in ("*", "x"):
-        return x * y
-    if op == "/":
-        return x / y
-    raise IntervalError(f"unknown operation {op!r}")
-
-
 def isqr(x: Interval) -> Interval:
     """Tight enclosure of x**2 (exploits the sign structure)."""
     a = x.lo * x.lo
@@ -242,21 +224,6 @@ def iatan2(s: Interval, c: Interval) -> Interval:
     lo = _down(np.arctan2(lo_s, c.hi), _TRANS_ULPS)
     hi = _up(np.arctan2(hi_s, c.lo), _TRANS_ULPS)
     return Interval(lo, hi)
-
-
-def elem(x: Interval, fn: str, second: Interval | None = None) -> Interval:
-    """Named dispatch for elementary enclosures."""
-    if fn == "sin":
-        return isin(x)
-    if fn == "cos":
-        return icos(x)
-    if fn == "sqrt":
-        return isqrt(x)
-    if fn == "atan2":
-        if second is None:
-            raise IntervalError("atan2 needs the cosine-part interval")
-        return iatan2(x, second)
-    raise IntervalError(f"unknown elementary function {fn!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +311,8 @@ class FrameBox:
 
     Enclosure claims apply to the points of the box satisfying the gauge
     p1+p2+p3+p4 = 1, so a box is only meaningful if it intersects the
-    margin-truncated simplex.  `from_free` builds the p4 interval from the
-    other three via the gauge; the certifier instead carries p4 as its own
-    dimension and clips every coordinate against the gauge plane.
+    margin-truncated simplex.  p4 is a dimension of its own: the certifier
+    clips every coordinate against the gauge plane before building a box.
     """
 
     p1: Interval
@@ -355,20 +321,6 @@ class FrameBox:
     p4: Interval
     w: Interval
     margin: float
-
-    @staticmethod
-    def from_free(p1: Interval, p2: Interval, p3: Interval, w: Interval,
-                  margin: float) -> "FrameBox":
-        raw = ONE - p1 - p2 - p3
-        lo = np.maximum(raw.lo, margin)
-        hi = np.minimum(raw.hi, 1.0 - 3.0 * margin)
-        if np.any(lo > hi):
-            raise IntervalError("box does not intersect the gauge simplex")
-        return FrameBox(p1, p2, p3, Interval(lo, hi), w, float(margin))
-
-    def intervals(self) -> dict:
-        return {"p1": self.p1, "p2": self.p2, "p3": self.p3,
-                "p4": self.p4, "w": self.w}
 
 
 def _lengths_core(p1, p2, p3, p4, cos_w, one, sqr, sqrt) -> dict:
@@ -408,20 +360,11 @@ def _areas_core(p1, p2, p3, p4, sin_w) -> dict:
     }
 
 
-def _frame_lengths(box: FrameBox, sin_w: Interval, cos_w: Interval) -> dict:
-    return _lengths_core(box.p1, box.p2, box.p3, box.p4, cos_w, ONE, isqr, isqrt)
-
-
-def _frame_areas(box: FrameBox, sin_w: Interval) -> dict:
-    return _areas_core(box.p1, box.p2, box.p3, box.p4, sin_w)
-
-
 def _frame_angles(box: FrameBox, sin_w: Interval, cos_w: Interval) -> dict:
     # split angles via atan2 of (opposite segment * sin w, adjacent
     # projection); the common positive factor 1/length cancels inside atan2,
     # and every split angle provably lies in (0, pi)
     p1, p2, p3, p4 = box.p1, box.p2, box.p3, box.p4
-    pi_hi = float(np.max(np.asarray(PI.hi)))
     ang = {
         "alpha1": iatan2(p2 * sin_w, p1 - p2 * cos_w),
         "beta1": iatan2(p4 * sin_w, p1 + p4 * cos_w),
@@ -432,7 +375,7 @@ def _frame_angles(box: FrameBox, sin_w: Interval, cos_w: Interval) -> dict:
         "alpha4": iatan2(p1 * sin_w, p4 + p1 * cos_w),
         "beta4": iatan2(p3 * sin_w, p4 - p3 * cos_w),
     }
-    return {name: iv.clamp(0.0, pi_hi) for name, iv in ang.items()}
+    return {name: iv.clamp(0.0, PI.hi) for name, iv in ang.items()}
 
 
 def frame_quantities(box: FrameBox) -> dict:
@@ -440,9 +383,10 @@ def frame_quantities(box: FrameBox) -> dict:
     containment-fuzz tests."""
     sin_w = isin(box.w).clamp(0.0, 1.0)
     cos_w = icos(box.w)
+    p = (box.p1, box.p2, box.p3, box.p4)
     out = {}
-    out.update(_frame_lengths(box, sin_w, cos_w))
-    out.update(_frame_areas(box, sin_w))
+    out.update(_lengths_core(*p, cos_w, ONE, isqr, isqrt))
+    out.update(_areas_core(*p, sin_w))
     ang = _frame_angles(box, sin_w, cos_w)
     out.update(ang)
     out["X"] = ((ang["alpha2"] + ang["beta1"]) - (ang["alpha4"] + ang["beta3"])).half()
@@ -474,10 +418,6 @@ def _edge_residual_core(lengths: dict, areas: dict):
     return ((E12 + E23) + (E34 + E41)) - (E13 + E24)
 
 
-def _edge_residual(lengths: dict, areas: dict) -> Interval:
-    return _edge_residual_core(lengths, areas)
-
-
 def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     """Edge-path residual with partial-derivative enclosures with respect to
     (p1, p2, p3, p4, w) over the box."""
@@ -497,26 +437,22 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
     form loses a constant factor to operand dependency."""
     di = edge_residual_with_gradient(box)
     coords = (box.p1, box.p2, box.p3, box.p4, box.w)
-    mids = [c.mid for c in coords]
-    center = FrameBox(Interval.point(mids[0]), Interval.point(mids[1]),
-                      Interval.point(mids[2]), Interval.point(mids[3]),
-                      Interval.point(mids[4]), box.margin)
-    sin_c = isin(center.w).clamp(0.0, 1.0)
-    cos_c = icos(center.w).clamp(-1.0, 1.0)
-    total = _edge_residual(_frame_lengths(center, sin_c, cos_c),
-                           _frame_areas(center, sin_c))
+    mids = [Interval.point(c.mid) for c in coords]
+    sin_c = isin(mids[4]).clamp(0.0, 1.0)
+    cos_c = icos(mids[4]).clamp(-1.0, 1.0)
+    total = _edge_residual_core(_lengths_core(*mids[:4], cos_c, ONE, isqr, isqrt),
+                                _areas_core(*mids[:4], sin_c))
     for coord, mid, grad in zip(coords, mids, di.grad):
-        total = total + grad * (coord - Interval.point(mid))
+        total = total + grad * (coord - mid)
     return total.intersect(di.val)
 
 
-def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict | None = None,
-                        sin_w: Interval | None = None) -> dict:
+def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
+                        sin_w: Interval) -> dict:
     """Enclosures of the angular factors entering the factored group forms
     and the closed multiplicity-two expression.
 
-    When lengths and sin_w are supplied, sin X and sin Y are additionally
-    intersected with their exact area-quotient forms
+    sin X and sin Y are intersected with their exact area-quotient forms
     sin X = s (p3 p4 - p1 p2) / (a d) and sin Y = s (p2 p3 - p1 p4) / (c f),
     which are free of angle-chain dependency."""
     alpha1, alpha2 = angles["alpha1"], angles["alpha2"]
@@ -546,14 +482,11 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict | None = None
     diff14 = (alpha1 - beta4).intersect(alpha3 - beta2)
     diff12 = (beta1 - alpha2).intersect(beta3 - alpha4)
 
-    sin_X = isin(X)
-    sin_Y = isin(Y)
-    if lengths is not None and sin_w is not None:
-        p1, p2, p3, p4 = box.p1, box.p2, box.p3, box.p4
-        quot_x = ((p3 * p4 - p1 * p2) * sin_w) / (lengths["a"] * lengths["d"])
-        quot_y = ((p2 * p3 - p1 * p4) * sin_w) / (lengths["c"] * lengths["f"])
-        sin_X = sin_X.intersect(quot_x.clamp(-1.0, 1.0))
-        sin_Y = sin_Y.intersect(quot_y.clamp(-1.0, 1.0))
+    p1, p2, p3, p4 = box.p1, box.p2, box.p3, box.p4
+    quot_x = ((p3 * p4 - p1 * p2) * sin_w) / (lengths["a"] * lengths["d"])
+    quot_y = ((p2 * p3 - p1 * p4) * sin_w) / (lengths["c"] * lengths["f"])
+    sin_X = isin(X).intersect(quot_x.clamp(-1.0, 1.0))
+    sin_Y = isin(Y).intersect(quot_y.clamp(-1.0, 1.0))
     sin_W = isin(W).clamp(0.0, 1.0)
     sin_hW = isin(W.half()).clamp(0.0, 1.0)
     sin_hWp = isin(Wp.half()).clamp(0.0, 1.0)
@@ -578,43 +511,12 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict | None = None
     }
 
 
-def _group_poly_parts(box: FrameBox, lengths: dict, areas: dict,
-                      sin_w: Interval) -> dict:
-    """The same group sums through their area-factored polynomial forms.
-
-    Each multiplicity-one group collapses onto a common area difference:
-
-        X group: (bc A234 + ce A134 - bf A124 - ef A123) (A134 - A124)
-        Y group: (bd A234 + de A123 - ab A124 - ae A134) (A123 - A124)
-        W group: (af A124 + df A123 + cd A234 + ac A134) (A123 + A134)
-
-    with A134 - A124 = s (p3 p4 - p1 p2)/2 and A123 - A124 =
-    s (p2 p3 - p1 p4)/2 evaluated directly from the frame coordinates, and
-    the raw multiplicity-two sum of area products.  No angle chains enter,
-    which makes these forms tight on boxes where the trig forms suffer
-    operand dependency.
-    """
-    p1, p2, p3, p4 = box.p1, box.p2, box.p3, box.p4
-    a, b, c = lengths["a"], lengths["b"], lengths["c"]
-    d, e, f = lengths["d"], lengths["e"], lengths["f"]
-    A123, A124 = areas["A123"], areas["A124"]
-    A134, A234 = areas["A134"], areas["A234"]
-    diff_x = ((p3 * p4 - p1 * p2) * sin_w).half()
-    diff_y = ((p2 * p3 - p1 * p4) * sin_w).half()
-    total_area = (b * e * sin_w).half()
-    mult2 = ((b * e * (A123 * A134 + A124 * A234)
-              - a * d * (A123 * A234 + A124 * A134))
-             - c * f * (A124 * A123 + A134 * A234)).double()
-    return {
-        "group_x": (b * c * A234 + c * e * A134 - b * f * A124 - e * f * A123) * diff_x,
-        "group_y": (b * d * A234 + d * e * A123 - a * b * A124 - a * e * A134) * diff_y,
-        "group_w": (a * f * A124 + d * f * A123 + c * d * A234 + a * c * A134) * total_area,
-        "mult2": mult2,
-    }
-
-
-def _lemma_residual(box: FrameBox, lengths: dict, angles: dict) -> Interval:
-    factors = _group_trig_factors(box, angles)
+def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
+                    cos_w: Interval) -> Interval:
+    # the trig factors are summed first and scaled once by abcdef, which
+    # keeps interval sub-distributivity on our side
+    factors = _group_trig_factors(box, _frame_angles(box, sin_w, cos_w),
+                                  lengths, sin_w)
     K = ((lengths["a"] * lengths["b"]) * (lengths["c"] * lengths["d"])) \
         * (lengths["e"] * lengths["f"])
     angular = ((factors["group_x"] + factors["group_y"]) + factors["group_w"]) \
@@ -622,47 +524,25 @@ def _lemma_residual(box: FrameBox, lengths: dict, angles: dict) -> Interval:
     return K * angular
 
 
-def _combined_residual(box: FrameBox, lengths: dict, areas: dict,
-                       angles: dict, sin_w: Interval) -> Interval:
-    """Intersection of the trig and polynomial group forms.
-
-    Each total is computed in its tightest association (the trig factors
-    summed first, then scaled once by abcdef, to keep interval
-    sub-distributivity on our side); the per-group mixed intersection is a
-    third valid enclosure of the same residual.
-    """
-    trig = _group_trig_factors(box, angles, lengths, sin_w)
-    poly = _group_poly_parts(box, lengths, areas, sin_w)
-    K = ((lengths["a"] * lengths["b"]) * (lengths["c"] * lengths["d"])) \
-        * (lengths["e"] * lengths["f"])
-    keys = ("group_x", "group_y", "group_w", "mult2")
-    trig_total = K * (((trig[keys[0]] + trig[keys[1]]) + trig[keys[2]])
-                      + trig[keys[3]])
-    poly_total = ((poly[keys[0]] + poly[keys[1]]) + poly[keys[2]]) + poly[keys[3]]
-    mixed_total = None
-    for key in keys:
-        piece = (K * trig[key]).intersect(poly[key])
-        mixed_total = piece if mixed_total is None else mixed_total + piece
-    return trig_total.intersect(poly_total).intersect(mixed_total)
-
-
 def residual_enclosure(box: FrameBox, path: str = "edge") -> Interval:
     """Certified enclosure of the inequality residual over a frame box.
 
     The value enclosed is the raw length^6 residual at the gauge
-    p1+p2+p3+p4 = 1.  Every path encloses the same function, so the
-    intersection (path="both": edge, lemma, and the edge mean-value form)
-    is also a valid, tighter enclosure.
+    p1+p2+p3+p4 = 1.  Paths: "edge" is the natural evaluation of the six
+    edge expressions; "lemma" is the factored trig form (group factors times
+    abcdef); "both" intersects the edge mean-value form with the lemma form.
+    Every path encloses the same function, so the intersection is also a
+    valid, tighter enclosure.
     """
     sin_w = isin(box.w).clamp(0.0, 1.0)
     cos_w = icos(box.w)
-    lengths = _frame_lengths(box, sin_w, cos_w)
+    p = (box.p1, box.p2, box.p3, box.p4)
+    lengths = _lengths_core(*p, cos_w, ONE, isqr, isqrt)
     if path == "edge":
-        return _edge_residual(lengths, _frame_areas(box, sin_w))
+        return _edge_residual_core(lengths, _areas_core(*p, sin_w))
     if path == "lemma":
-        return _lemma_residual(box, lengths, _frame_angles(box, sin_w, cos_w))
+        return _lemma_residual(box, lengths, sin_w, cos_w)
     if path == "both":
-        combined = _combined_residual(box, lengths, _frame_areas(box, sin_w),
-                                      _frame_angles(box, sin_w, cos_w), sin_w)
-        return edge_mean_value_enclosure(box).intersect(combined)
+        lemma = _lemma_residual(box, lengths, sin_w, cos_w)
+        return edge_mean_value_enclosure(box).intersect(lemma)
     raise IntervalError(f"unknown enclosure path {path!r}")

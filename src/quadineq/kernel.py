@@ -39,6 +39,9 @@ MULT1_GROUPS = ("X", "Y", "W")
 # fall out of the filter through angle roundoff.
 _HYPOTHESIS_SLACK = 1e-12
 
+# frame-uniform audits are evaluated in batches of this many rows
+_AUDIT_CHUNK = 200_000
+
 
 def _abcdef(m: QuadMetrics):
     return m.a * m.b * m.c * m.d * m.e * m.f
@@ -512,8 +515,7 @@ def audit(q, tol: float = 1e-9, ineq_tol: float = 1e-12) -> AuditReport:
 
 def audit_samples(seed: int, samples: int, tol: float = 1e-9,
                   ineq_tol: float = 1e-12, margin: float = 0.01,
-                  strategy: str = "frame-uniform",
-                  chunk: int = 200_000) -> AuditReport:
+                  strategy: str = "frame-uniform") -> AuditReport:
     """Audit over a seeded batch of random convex quadrilaterals.
 
     frame-uniform batches are evaluated vectorized in chunks; the slower
@@ -524,7 +526,7 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
         done = 0
         part = 0
         while done < samples:
-            n = min(chunk, samples - done)
+            n = min(_AUDIT_CHUNK, samples - done)
             p, w = sample_frames([seed, part], n, margin)
             _accumulate_checks(acc, metrics_from_frames(p, w))
             done += n

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from quadineq import certifier
 from quadineq.certifier import (
     Certificate,
     MalformedCertificate,
@@ -83,6 +84,39 @@ def test_malformed_document_raises(cert):
     doc["leaves"][0]["box"]["p1"] = [0.3, 0.3]  # zero-width tile
     with pytest.raises(MalformedCertificate):
         verify_certificate(doc)
+
+
+def test_non_finite_number_is_malformed(cert):
+    for field in ("margin", "target", "c_star", "lower_bound"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            doc = json.loads(dumps(cert.to_json_dict()))
+            owner = doc["leaves"][0] if field == "lower_bound" else doc
+            owner[field] = value
+            with pytest.raises(MalformedCertificate):
+                Certificate.from_json_dict(doc)
+
+
+def test_unknown_split_rule_is_malformed(cert):
+    doc = json.loads(dumps(cert.to_json_dict()))
+    doc["split_rule"] = "bisect-longest:w,p4,p3,p2,p1"
+    with pytest.raises(MalformedCertificate):
+        Certificate.from_json_dict(doc)
+
+
+def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
+    monkeypatch.setattr(certifier, "_evaluate",
+                        lambda boxes, margin: np.full(len(boxes), np.nan))
+    assert not verify_certificate(cert)
+
+
+def test_margin_015_tree_is_pinned():
+    # the box count, leaf count and c* of a mid-size run: any change to
+    # the enclosures or the split rule that moves the tree shows here
+    pinned = certify(margin=0.15)
+    assert pinned.complete
+    assert pinned.box_count == 23_581
+    assert len(pinned.leaves) == 11_683
+    assert pinned.c_star == pytest.approx(2.6668503652384494e-08, rel=1e-9)
 
 
 def test_absurd_target_returns_partial_certificate():

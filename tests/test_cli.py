@@ -103,6 +103,19 @@ def test_certify_and_check_cert_round_trip(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
+def test_check_cert_rejects_nan_target(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    doc["target"] = float("nan")
+    bad_path = tmp_path / "nan_target.json"
+    bad_path.write_text(json.dumps(doc))  # writes the bare literal NaN
+    assert "NaN" in bad_path.read_text()
+    code, _, err = run(capsys, ["check-cert", str(bad_path)])
+    assert code == 2 and "malformed certificate" in err
+
+
 def test_check_cert_missing_file(capsys):
     code, _, err = run(capsys, ["check-cert", "/nonexistent/cert.json"])
     assert code == 2 and "cannot read" in err

@@ -13,10 +13,8 @@ from quadineq.interval import (
     Interval,
     IntervalError,
     NegativeSqrtDomain,
-    arith,
     edge_mean_value_enclosure,
     edge_residual_with_gradient,
-    elem,
     frame_quantities,
     iatan2,
     icos,
@@ -42,28 +40,28 @@ def rand_interval(rng, lo=-5.0, hi=5.0):
 # ---------------------------------------------------------------------------
 
 def test_exact_addition_keeps_endpoints():
-    out = arith(Interval(1.0, 2.0), Interval(3.0, 4.0), "+")
+    out = Interval(1.0, 2.0) + Interval(3.0, 4.0)
     assert (out.lo, out.hi) == (4.0, 6.0)
 
 
 def test_inexact_addition_widens_outward():
-    out = arith(Interval(0.1, 0.1), Interval(0.2, 0.2), "+")
+    out = Interval(0.1, 0.1) + Interval(0.2, 0.2)
     assert out.lo < 0.1 + 0.2 < out.hi
     assert out.hi - out.lo <= 4 * np.finfo(float).eps
 
 
 def test_multiplication_covers_sign_cases():
-    out = arith(Interval(-1.0, 2.0), Interval(3.0, 4.0), "*")
+    out = Interval(-1.0, 2.0) * Interval(3.0, 4.0)
     assert out.lo <= -4.0 <= out.hi and out.lo <= 8.0
     assert -4.0 - out.lo <= 1e-14 and out.hi - 8.0 <= 1e-14
-    out = arith(Interval(-2.0, -1.0), Interval(-4.0, 3.0), "*")
+    out = Interval(-2.0, -1.0) * Interval(-4.0, 3.0)
     assert contains(out, 8.0) and contains(out, -6.0)
 
 
 def test_division_by_zero_interval_raises():
     with pytest.raises(DivisionByZeroInterval):
-        arith(Interval(1.0, 1.0), Interval(0.0, 1.0), "/")
-    out = arith(Interval(1.0, 2.0), Interval(2.0, 4.0), "/")
+        Interval(1.0, 1.0) / Interval(0.0, 1.0)
+    out = Interval(1.0, 2.0) / Interval(2.0, 4.0)
     assert contains(out, 0.25) and contains(out, 1.0)
 
 
@@ -88,7 +86,7 @@ def test_sqrt_monotone_and_domain():
 
 
 def test_sin_monotone_piece():
-    out = elem(Interval(0.0, math.pi / 2), "sin")
+    out = isin(Interval(0.0, math.pi / 2))
     assert out.lo <= 0.0 and out.hi >= 1.0
     assert -out.lo <= 1e-14 and out.hi - 1.0 <= 1e-14
 
@@ -100,14 +98,14 @@ def test_sin_spanning_extremum():
 
 
 def test_cos_spanning_full_range():
-    out = elem(Interval(0.0, math.pi), "cos")
+    out = icos(Interval(0.0, math.pi))
     assert (out.lo, out.hi) == (-1.0, 1.0)
 
 
 def test_atan2_upper_halfplane():
     out = iatan2(Interval(1.0, 1.0), Interval(-1.0, 1.0))
     assert contains(out, math.pi / 4) and contains(out, 3 * math.pi / 4)
-    out = elem(Interval(0.5, 2.0), "atan2", Interval(1.0, 1.0))
+    out = iatan2(Interval(0.5, 2.0), Interval(1.0, 1.0))
     assert contains(out, math.atan2(0.5, 1.0)) and contains(out, math.atan2(2.0, 1.0))
     with pytest.raises(IntervalError):
         iatan2(Interval(-1.0, 1.0), Interval(1.0, 1.0))
@@ -170,6 +168,15 @@ def test_residual_enclosure_containment_fuzz():
     for path in ("edge", "lemma", "both"):
         enc = residual_enclosure(box, path)
         assert np.all((enc.lo <= r) & (r <= enc.hi)), path
+
+
+def test_both_is_mean_value_intersected_with_lemma():
+    rng = np.random.default_rng(4096)
+    box, _, _ = _random_boxes(rng, 20_000, width_scale=0.1)
+    both = residual_enclosure(box, "both")
+    expect = edge_mean_value_enclosure(box).intersect(residual_enclosure(box, "lemma"))
+    assert np.array_equal(both.lo, expect.lo)
+    assert np.array_equal(both.hi, expect.hi)
 
 
 def test_gradient_containment_by_finite_differences():
@@ -260,31 +267,21 @@ def test_width_convergence_under_halving():
 # ---------------------------------------------------------------------------
 
 def test_degenerate_box_at_square_frame():
-    box = FrameBox.from_free(Interval.point(0.25), Interval.point(0.25),
-                             Interval.point(0.25), Interval.point(math.pi / 2),
-                             0.1)
+    quarter = Interval.point(0.25)
+    box = FrameBox(quarter, quarter, quarter, quarter,
+                   Interval.point(math.pi / 2), 0.1)
     enc = residual_enclosure(box, "both")
     expect = 2.0 * (math.sqrt(2.0) / 4.0) ** 6  # exactly 1/256
     assert contains(enc, expect)
     assert enc.width <= 1e-9
 
 
-def test_from_free_derives_p4():
-    box = FrameBox.from_free(Interval(0.2, 0.3), Interval(0.2, 0.3),
-                             Interval(0.2, 0.3), Interval(1.0, 1.2), 0.1)
-    assert box.p4.lo >= 0.1 and box.p4.hi <= 0.7
-    assert box.p4.lo <= 0.4 <= box.p4.hi
-    with pytest.raises(IntervalError):
-        FrameBox.from_free(Interval(0.6, 0.7), Interval(0.6, 0.7),
-                           Interval(0.6, 0.7), Interval(1.0, 1.2), 0.1)
-
-
 def test_whole_domain_enclosure_contains_samples():
     margin = 0.1
-    box = FrameBox.from_free(Interval(margin, 0.7), Interval(margin, 0.7),
-                             Interval(margin, 0.7),
-                             Interval(margin * math.pi, (1 - margin) * math.pi),
-                             margin)
+    # the p4 interval the gauge leaves for p1, p2, p3 in [margin, 0.7]
+    p_range = Interval(margin, 0.7)
+    box = FrameBox(p_range, p_range, p_range, p_range,
+                   Interval(margin * math.pi, (1 - margin) * math.pi), margin)
     enc = residual_enclosure(box, "both")
     p, w = sample_frames(1234, 1000, margin=margin)
     r = residual(metrics_from_frames(p, w), "edge")
