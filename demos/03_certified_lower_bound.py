@@ -3,9 +3,10 @@
 
 Branch-and-bound tiles the margin-truncated frame domain with boxes whose
 interval residual enclosures are certified nonnegative.  The certificate
-is a plain JSON document; an independent replay re-derives every leaf bound
-and the tiling, and any tampering (an inflated bound, a missing tile, a
-doctored global bound) is caught.
+is a plain JSON document: the bisection tree as one code per node in level
+order, plus every leaf's bound.  An independent replay regenerates every
+box from the tree, recomputes every leaf bound, and catches any tampering
+(an inflated bound, a missing bound, a flipped node code).
 
 A coarse margin keeps this demo quick; `quadineq certify --margin 0.1`
 reproduces the full desk-scale run.
@@ -38,7 +39,11 @@ def main():
 
     gap = json.loads(dumps(cert.to_json_dict()))
     del gap["leaves"][1]
-    print(f"missing tile:        verified={verify_certificate(gap)}")
+    print(f"missing leaf bound:  verified={verify_certificate(gap)}")
+
+    flipped = json.loads(dumps(cert.to_json_dict()))
+    flipped["tree"] = flipped["tree"].replace(".", "L", 1)
+    print(f"flipped node code:   verified={verify_certificate(flipped)}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ arithmetic), certifier (branch-and-bound lower-bound certificates), search
 (multi-start counterexample search), cli (command-line front door).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .geometry import (  # noqa: E402
     DiagonalFrame,

@@ -10,22 +10,25 @@ independently under splitting.  Before evaluation each box is clipped to
 the gauge (p_i intersected with 1 minus the sum of the others); a box whose
 interval p-sum cannot reach 1 holds no domain point and is discarded.
 
-Boxes are bisected along their widest dimension (ties broken in the order
-p1, p2, p3, p4, w), worst lower bound first, until every leaf's certified
-residual enclosure clears the target.  The certificate records every leaf
-with its bound and is replayed independently by `verify_certificate`.
+The search runs level by level from the whole domain: each box whose
+certified residual lower bound misses the target is bisected along its
+widest dimension (ties broken in the order p1, p2, p3, p4, w), and the
+halves form the next level.  As a box is split exactly when its bound misses
+the target, a completed run builds the same tree in any visiting order.
+When the box budget or `_MAX_DEPTH` stops a run, unsplit boxes stay leaves
+and the certificate is flagged incomplete.
 
-Runs are fully deterministic: the queue is ordered by (bound, creation
-index), children are numbered in processing order, and recorded bounds are
-nudged two ulps down so replays tolerate last-ulp libm wobble without
-weakening the bound.
+The certificate is the tree, one code per node in level order ('S' split,
+'L' leaf, '.' infeasible), plus each leaf's bound in the same order.
+`verify_certificate` regenerates every box from the root, so a decoded tree
+tiles the domain by construction.  Recorded bounds are nudged two ulps down
+so replays tolerate last-ulp libm wobble without weakening the bound.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,31 +37,22 @@ from .interval import FrameBox, Interval, _down, residual_enclosure
 
 GAUGE = "psum1"
 SPLIT_RULE = "bisect-widest:p1,p2,p3,p4,w"
-_DIMS = ("p1", "p2", "p3", "p4", "w")
-_EVAL_CHUNK = 4096
+_EVAL_CHUNK = 8192
 _MAX_DEPTH = 200
+_SPLIT, _LEAF, _EMPTY = b"SL."
 
 
 class MalformedCertificate(ValueError):
     """Certificate document is structurally invalid."""
 
 
-# a box is the 5-tuple ((p1lo,p1hi), ..., (p4lo,p4hi), (wlo,whi))
-Box = tuple
-
-
 @dataclass(frozen=True)
 class Leaf:
-    """One tile of the certified domain with its residual lower bound."""
+    """One tile ((p1lo, p1hi), ..., (wlo, whi)) of the certified domain, as
+    the tree places it, with its residual lower bound."""
 
-    box: Box
+    box: tuple
     lower_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "box": {dim: list(pair) for dim, pair in zip(_DIMS, self.box)},
-            "lower_bound": self.lower_bound,
-        }
 
 
 @dataclass
@@ -73,46 +67,40 @@ class Certificate:
     c_star: float
     box_count: int
     split_rule: str
+    tree: str
     leaves: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "margin": self.margin,
-            "gauge": self.gauge,
-            "target": self.target,
-            "complete": self.complete,
-            "c_star": self.c_star,
-            "box_count": self.box_count,
-            "split_rule": self.split_rule,
-            "leaves": [leaf.to_json_dict() for leaf in self.leaves],
-        }
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc["leaves"] = [{"lower_bound": leaf.lower_bound} for leaf in self.leaves]
+        return doc
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Certificate":
         if not isinstance(doc, dict):
             raise MalformedCertificate("certificate must be a JSON object")
+        if doc.get("version") != __version__:
+            raise MalformedCertificate(
+                f"certificate version {doc.get('version')!r} is not {__version__!r}, "
+                "the version this verifier reads")
         try:
-            leaves = []
-            for entry in doc["leaves"]:
-                box_doc = entry["box"]
-                box = tuple((float(box_doc[d][0]), float(box_doc[d][1]))
-                            for d in _DIMS)
-                leaves.append(Leaf(box=box,
-                                   lower_bound=_finite(entry["lower_bound"])))
-            split_rule = str(doc.get("split_rule", SPLIT_RULE))
+            split_rule = doc.get("split_rule", SPLIT_RULE)
             if split_rule != SPLIT_RULE:
                 raise ValueError(f"unknown split rule {split_rule!r}")
+            margin = _finite(doc["margin"])
+            tree = _typed(doc, "tree", str)
             return Certificate(
-                version=str(doc["version"]),
-                margin=_finite(doc["margin"]),
+                version=__version__,
+                margin=margin,
                 gauge=str(doc["gauge"]),
                 target=_finite(doc["target"]),
-                complete=bool(doc["complete"]),
+                complete=_typed(doc, "complete", bool),
                 c_star=_finite(doc["c_star"]),
-                box_count=int(doc.get("box_count", len(leaves))),
-                split_rule=split_rule,
-                leaves=leaves,
+                box_count=_typed(doc, "box_count", int),
+                split_rule=SPLIT_RULE,
+                tree=tree,
+                leaves=_leaves(tree, margin, [_finite(entry["lower_bound"])
+                                              for entry in doc["leaves"]]),
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedCertificate(f"bad certificate structure: {exc}") from exc
@@ -125,10 +113,25 @@ def _finite(value) -> float:
     return out
 
 
-def _root_box(margin: float) -> Box:
+def _typed(doc: dict, key: str, kind: type):
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be of type {kind.__name__}, not {value!r}")
+    return value
+
+
+def _leaves(tree: str, margin: float, bounds: list) -> list:
+    """Pair each leaf bound with the box the tree places it in.  A bound
+    count that differs from the tree's leaf count fails verification rather
+    than parsing, so surplus bounds get no box."""
+    boxes = [tuple(map(tuple, box)) for box in _decode(tree, margin)[0].tolist()]
+    boxes += [None] * (len(bounds) - len(boxes))
+    return [Leaf(box, lb) for box, lb in zip(boxes, bounds)]
+
+
+def _root_level(margin: float) -> np.ndarray:
     p_range = (margin, 1.0 - 3.0 * margin)
-    return (p_range, p_range, p_range, p_range,
-            (margin * math.pi, (1.0 - margin) * math.pi))
+    return np.array([[p_range] * 4 + [(margin * math.pi, (1.0 - margin) * math.pi)]])
 
 
 def _gauge_clip(arr: np.ndarray, margin: float):
@@ -153,50 +156,66 @@ def _gauge_clip(arr: np.ndarray, margin: float):
         lo = np.maximum(p[i].lo, allowed.lo)
         hi = np.minimum(p[i].hi, allowed.hi)
         feasible &= lo <= hi
-        clipped.append((lo, hi))
-    # empty coordinates only matter for infeasible rows; collapse them so the
-    # Interval constructor stays happy
-    ivs = [Interval(np.where(feasible, lo, 0.0), np.where(feasible, hi, 0.0))
-           for lo, hi in clipped]
-    return ivs, w, feasible
+        clipped.append(Interval(lo, hi))
+    return clipped, w, feasible
 
 
-def _feasible_mask(boxes: list, margin: float) -> np.ndarray:
-    arr = np.array(boxes, dtype=float)
-    _, _, feasible = _gauge_clip(arr, margin)
-    return feasible
+def _evaluate(arr: np.ndarray, margin: float) -> np.ndarray:
+    """Certified lower bounds for feasible boxes (shape (n, 5, 2)), computed
+    in chunks of `_EVAL_CHUNK` boxes."""
+    out = np.empty(len(arr))
+    for start in range(0, len(arr), _EVAL_CHUNK):
+        chunk = slice(start, start + _EVAL_CHUNK)
+        (p1, p2, p3, p4), w, feasible = _gauge_clip(arr[chunk], margin)
+        if not np.all(feasible):
+            raise ValueError("evaluate called with an infeasible box")
+        enc = residual_enclosure(FrameBox(p1, p2, p3, p4, w, margin), "both")
+        # two extra downward ulps: replays recompute the same enclosure but may
+        # wobble in the last ulp of the libm calls
+        out[chunk] = _down(np.asarray(enc.lo, dtype=float), 2)
+    return out
 
 
-def _feasible(box: Box, margin: float) -> bool:
-    return bool(_feasible_mask([box], margin)[0])
+def _split(arr: np.ndarray) -> np.ndarray:
+    """Bisect boxes (shape (n, 5, 2)) along their widest dimension, ties
+    broken toward p1.  Returns the (2n, 5, 2) children, each lower child
+    right before its upper sibling."""
+    rows = np.arange(len(arr))
+    dim = np.argmax(arr[:, :, 1] - arr[:, :, 0], axis=1)
+    mid = 0.5 * (arr[rows, dim, 0] + arr[rows, dim, 1])
+    children = np.repeat(arr, 2, axis=0)
+    children[2 * rows, dim, 1] = mid
+    children[2 * rows + 1, dim, 0] = mid
+    return children
 
 
-def _evaluate(boxes: list, margin: float) -> np.ndarray:
-    """Vectorized certified lower bounds for a list of feasible boxes."""
-    arr = np.array(boxes, dtype=float)
-    (p1, p2, p3, p4), w, feasible = _gauge_clip(arr, margin)
-    if not np.all(feasible):
-        raise ValueError("evaluate called with an infeasible box")
-    fb = FrameBox(p1, p2, p3, p4, w, margin)
-    enc = residual_enclosure(fb, "both")
-    # two extra downward ulps: replays recompute the same enclosure but may
-    # wobble in the last ulp of the libm calls
-    return _down(np.asarray(enc.lo, dtype=float), 2)
+def _decode(tree: str, margin: float) -> tuple:
+    """Regenerate the boxes of a level-order tree code from the root.
 
-
-def _split_dim(box: Box) -> tuple:
-    widths = tuple(hi - lo for lo, hi in box)
-    dim = max(range(5), key=lambda i: (widths[i], -i))
-    lo, hi = box[dim]
-    return dim, 0.5 * (lo + hi)
-
-
-def _split(box: Box) -> tuple:
-    dim, mid = _split_dim(box)
-    lo, hi = box[dim]
-    lower = tuple((lo, mid) if i == dim else box[i] for i in range(5))
-    upper = tuple((mid, hi) if i == dim else box[i] for i in range(5))
-    return lower, upper
+    Returns (leaf boxes, infeasible-node boxes), both (n, 5, 2) in level
+    order.  Raises MalformedCertificate on an unknown code, a level deeper
+    than `_MAX_DEPTH`, or a code string that ends before or after the tree.
+    """
+    codes = np.frombuffer(tree.encode(), dtype=np.uint8)
+    if not np.all((codes == _SPLIT) | (codes == _LEAF) | (codes == _EMPTY)):
+        raise MalformedCertificate("tree holds a code other than 'S', 'L' and '.'")
+    level = _root_level(margin)
+    leaves, empties = [], []
+    pos = depth = 0
+    while len(level):
+        if depth > _MAX_DEPTH:
+            raise MalformedCertificate(f"tree is deeper than {_MAX_DEPTH} levels")
+        node = codes[pos:pos + len(level)]
+        if len(node) < len(level):
+            raise MalformedCertificate("tree code ends inside a level")
+        pos += len(level)
+        leaves.append(level[node == _LEAF])
+        empties.append(level[node == _EMPTY])
+        level = _split(level[node == _SPLIT])
+        depth += 1
+    if pos != len(codes):
+        raise MalformedCertificate("tree code continues past its last level")
+    return np.concatenate(leaves), np.concatenate(empties)
 
 
 def certify(margin: float, target: float = 0.0,
@@ -204,8 +223,9 @@ def certify(margin: float, target: float = 0.0,
     """Certify residual >= target over the margin-truncated domain.
 
     Returns a complete certificate when every leaf bound clears the target
-    within the box budget, otherwise a partial certificate flagged
-    incomplete whose c_star is the best bound established so far.
+    within the box budget and the depth limit, otherwise a partial
+    certificate flagged incomplete whose c_star is the best bound
+    established so far.
     """
     if not (0.0 < margin <= 0.2):
         raise ValueError("margin must lie in (0, 0.2]")
@@ -214,104 +234,45 @@ def certify(margin: float, target: float = 0.0,
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
 
-    root = _root_box(margin)
-    lb0 = float(_evaluate([root], margin)[0])
-    evaluated = 1
-    next_id = 1
-
-    leaves: list[Leaf] = []
-    heap: list = []
-    if lb0 >= target:
-        leaves.append(Leaf(root, lb0))
-    else:
-        heapq.heappush(heap, (lb0, 0, root))
-
+    level = _root_level(margin)
+    codes, leaf_bounds = [], []
+    evaluated = depth = 0
     complete = True
-    while heap:
-        room = (max_boxes - evaluated) // 2
-        n_pop = min(_EVAL_CHUNK, len(heap), room)
-        if n_pop == 0:
+    while len(level):
+        feasible = _gauge_clip(level, margin)[2]
+        bounds = np.full(len(level), np.nan)
+        bounds[feasible] = _evaluate(level[feasible], margin)
+        evaluated += int(np.count_nonzero(feasible))
+        split = feasible & ~(bounds >= target)
+        pending = np.flatnonzero(split)
+        room = (max_boxes - evaluated) // 2 if depth < _MAX_DEPTH else 0
+        if len(pending) > room:
+            # out of boxes or depth: the rest stay leaves of a partial result
+            split[pending[room:]] = False
             complete = False
-            break
-        popped = [heapq.heappop(heap) for _ in range(n_pop)]
-        candidates = []
-        for _, _, box in popped:
-            candidates.extend(_split(box))
-        mask = _feasible_mask(candidates, margin)
-        children = [child for child, ok in zip(candidates, mask) if ok]
-        if children:
-            lbs = _evaluate(children, margin)
-            evaluated += len(children)
-            for i, child in enumerate(children):
-                lb = float(lbs[i])
-                if lb >= target:
-                    leaves.append(Leaf(child, lb))
-                else:
-                    heapq.heappush(heap, (lb, next_id, child))
-                next_id += 1
+        code = np.full(len(level), _EMPTY, dtype=np.uint8)
+        code[feasible] = _LEAF
+        code[split] = _SPLIT
+        codes.append(code.tobytes())
+        leaf_bounds.append(bounds[feasible & ~split])
+        level = _split(level[split])
+        depth += 1
 
-    # budget exhausted: unfinished boxes become leaves of the partial result
-    for lb, _, box in heap:
-        leaves.append(Leaf(box, float(lb)))
-
-    leaves.sort(key=lambda leaf: leaf.box)
-    c_star = min(leaf.lower_bound for leaf in leaves)
+    tree = b"".join(codes).decode("ascii")
+    bounds = np.concatenate(leaf_bounds).tolist()
     return Certificate(
         version=__version__, margin=margin, gauge=GAUGE, target=target,
-        complete=complete, c_star=c_star, box_count=evaluated,
-        split_rule=SPLIT_RULE, leaves=leaves,
+        complete=complete, c_star=min(bounds), box_count=evaluated,
+        split_rule=SPLIT_RULE, tree=tree, leaves=_leaves(tree, margin, bounds),
     )
 
 
-def _check_coverage(cert: Certificate) -> bool:
-    """Leaves must tile the feasible part of the root box: recursive descent
-    along the deterministic split rule, allowing uncovered regions only when
-    they provably miss the gauge simplex."""
-    margin = cert.margin
-    root = _root_box(margin)
-    seen = set()
-    for leaf in cert.leaves:
-        if leaf.box in seen:
-            return False  # duplicate tile
-        seen.add(leaf.box)
-        for (lo, hi), (rlo, rhi) in zip(leaf.box, root):
-            if lo < rlo or hi > rhi:
-                return False  # tile leaks outside the domain
-
-    stack = [(root, list(range(len(cert.leaves))), 0)]
-    while stack:
-        region, idxs, depth = stack.pop()
-        if depth > _MAX_DEPTH:
-            return False
-        if not idxs:
-            if _feasible(region, margin):
-                return False  # feasible gap
-            continue
-        if len(idxs) == 1 and cert.leaves[idxs[0]].box == region:
-            continue
-        dim, mid = _split_dim(region)
-        lo, hi = region[dim]
-        if not (lo < mid < hi):
-            return False  # width underflow: cannot be a bisection tree
-        lower, upper = _split(region)
-        low_side, high_side = [], []
-        for i in idxs:
-            leaf_lo, leaf_hi = cert.leaves[i].box[dim]
-            if leaf_hi <= mid:
-                low_side.append(i)
-            elif leaf_lo >= mid:
-                high_side.append(i)
-            else:
-                return False  # tile straddles the cut
-        stack.append((lower, low_side, depth + 1))
-        stack.append((upper, high_side, depth + 1))
-    return True
-
-
 def verify_certificate(cert) -> bool:
-    """Recompute every claim of a certificate: tiling of the domain, each
-    leaf's residual lower bound, the global bound, and the completeness flag.
-    Accepts a Certificate or its JSON dict; returns True iff all claims hold.
+    """Replay a certificate: regenerate every box from its tree, check each
+    node's code against the box's feasibility, and recompute the box count,
+    each leaf's residual lower bound, the global bound and the completeness
+    flag.  Accepts a Certificate or its JSON dict; returns True iff all
+    claims hold.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_dict(cert)
@@ -319,20 +280,18 @@ def verify_certificate(cert) -> bool:
         raise MalformedCertificate(f"cannot verify {type(cert)!r}")
     if not (0.0 < cert.margin <= 0.2) or cert.gauge != GAUGE or not cert.leaves:
         raise MalformedCertificate("bad margin, gauge, or empty leaf set")
-    for leaf in cert.leaves:
-        if len(leaf.box) != 5 or any(not (lo < hi) for lo, hi in leaf.box) \
-                or any(not math.isfinite(v) for pair in leaf.box for v in pair):
-            raise MalformedCertificate("degenerate or non-finite leaf box")
 
-    feasible = _feasible_mask([leaf.box for leaf in cert.leaves], cert.margin)
-    if not np.all(feasible):
-        return False  # a recorded tile misses the domain entirely
-
-    if not _check_coverage(cert):
+    leaves, empties = _decode(cert.tree, cert.margin)
+    recorded = np.array([leaf.lower_bound for leaf in cert.leaves])
+    if len(leaves) != len(recorded) \
+            or cert.box_count != len(cert.tree) - cert.tree.count("."):
+        return False
+    # each code must match its box: '.' misses the gauge plane, 'L' meets it
+    if np.any(_gauge_clip(empties, cert.margin)[2]) \
+            or not np.all(_gauge_clip(leaves, cert.margin)[2]):
         return False
 
-    recomputed = _evaluate([leaf.box for leaf in cert.leaves], cert.margin)
-    recorded = np.array([leaf.lower_bound for leaf in cert.leaves])
+    recomputed = _evaluate(leaves, cert.margin)
     # comparisons are written so that a NaN on either side rejects
     if np.any(~(recomputed >= recorded)):
         return False

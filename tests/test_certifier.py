@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from quadineq import certifier
+from quadineq import __version__, certifier
 from quadineq.certifier import (
     Certificate,
     MalformedCertificate,
@@ -18,6 +18,23 @@ from quadineq.ioutil import dumps
 from quadineq.kernel import residual
 
 MARGIN = 0.16  # coarse domain keeps unit-test runs fast
+
+
+def _fresh(cert):
+    return json.loads(dumps(cert.to_json_dict()))
+
+
+def _rejected(doc):
+    """A certificate is rejected when it fails to parse or to verify."""
+    try:
+        return not verify_certificate(doc)
+    except MalformedCertificate:
+        return True
+
+
+def _leaf_index(tree, pos):
+    """Index into the leaf bounds of the node at `pos`, had it been a leaf."""
+    return tree.count("L", 0, pos)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +82,15 @@ def test_verify_rejects_tampered_c_star(cert):
     assert not verify_certificate(doc)
 
 
+def test_verify_rejects_changed_target_or_margin(cert):
+    doc = _fresh(cert)
+    doc["target"] = 2.0 * doc["c_star"]  # a complete claim the leaves miss
+    assert verify_certificate(doc) is False
+    doc = _fresh(cert)
+    doc["margin"] = MARGIN - 0.01  # the same tree over a wider domain
+    assert verify_certificate(doc) is False
+
+
 def test_verify_rejects_duplicate_leaf(cert):
     doc = json.loads(dumps(cert.to_json_dict()))
     doc["leaves"].append(doc["leaves"][0])
@@ -72,16 +98,54 @@ def test_verify_rejects_duplicate_leaf(cert):
 
 
 def test_verify_rejects_out_of_domain_leaf(cert):
-    doc = json.loads(dumps(cert.to_json_dict()))
-    doc["leaves"][0]["box"]["w"][0] = 0.0
-    assert not verify_certificate(doc)
+    # an infeasible node recoded as a leaf, with a bound of its own, so only
+    # the leaf's position outside the domain is wrong
+    doc = _fresh(cert)
+    pos = doc["tree"].index(".")
+    doc["leaves"].insert(_leaf_index(doc["tree"], pos), {"lower_bound": 1.0})
+    doc["tree"] = doc["tree"][:pos] + "L" + doc["tree"][pos + 1:]
+    doc["box_count"] += 1
+    assert verify_certificate(doc) is False
+
+
+def test_verify_rejects_feasible_node_coded_infeasible(cert):
+    doc = _fresh(cert)
+    pos = doc["tree"].index("L")
+    del doc["leaves"][_leaf_index(doc["tree"], pos)]
+    doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
+    doc["c_star"] = min(leaf["lower_bound"] for leaf in doc["leaves"])
+    doc["box_count"] -= 1
+    assert verify_certificate(doc) is False
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda t: t.replace("L", "S", 1),
+    lambda t: t[::-1].replace("L", "S", 1)[::-1],
+    lambda t: t.replace("S", "L", 1),
+    lambda t: t[::-1].replace("S", "L", 1)[::-1],
+    lambda t: t.replace(".", "L", 1),
+], ids=["L-to-S-first", "L-to-S-last", "S-to-L-first", "S-to-L-last", "empty-to-L"])
+def test_verify_rejects_flipped_node_code(cert, tamper):
+    doc = _fresh(cert)
+    doc["tree"] = tamper(doc["tree"])
+    assert _rejected(doc)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda t: t[:-1], lambda t: t + "L", lambda t: t.replace("L", "X", 1),
+], ids=["truncated", "appended", "unknown-code"])
+def test_tree_that_does_not_parse_is_malformed(cert, tamper):
+    doc = _fresh(cert)
+    doc["tree"] = tamper(doc["tree"])
+    with pytest.raises(MalformedCertificate):
+        Certificate.from_json_dict(doc)
 
 
 def test_malformed_document_raises(cert):
     with pytest.raises(MalformedCertificate):
         verify_certificate({"not": "a certificate"})
-    doc = json.loads(dumps(cert.to_json_dict()))
-    doc["leaves"][0]["box"]["p1"] = [0.3, 0.3]  # zero-width tile
+    doc = _fresh(cert)
+    doc["tree"] = doc["tree"][:1]  # a root split with no children
     with pytest.raises(MalformedCertificate):
         verify_certificate(doc)
 
@@ -101,6 +165,60 @@ def test_unknown_split_rule_is_malformed(cert):
     doc["split_rule"] = "bisect-longest:w,p4,p3,p2,p1"
     with pytest.raises(MalformedCertificate):
         Certificate.from_json_dict(doc)
+
+
+def test_non_boolean_complete_is_malformed(cert):
+    for value in ("false", 0, None):
+        doc = _fresh(cert)
+        doc["complete"] = value
+        with pytest.raises(MalformedCertificate):
+            Certificate.from_json_dict(doc)
+
+
+def test_wrong_box_count_is_rejected(cert):
+    for value in (-5, cert.box_count + 1, cert.box_count - 1):
+        doc = _fresh(cert)
+        doc["box_count"] = value
+        assert verify_certificate(doc) is False
+    for value in (float(cert.box_count), str(cert.box_count), True):
+        doc = _fresh(cert)
+        doc["box_count"] = value
+        with pytest.raises(MalformedCertificate):
+            Certificate.from_json_dict(doc)
+
+
+def test_other_version_is_malformed(cert):
+    doc = _fresh(cert)
+    doc["version"] = "0.1.0"
+    with pytest.raises(MalformedCertificate, match=f"'0.1.0'.*'{__version__}'"):
+        Certificate.from_json_dict(doc)
+
+
+def test_depth_limit_is_shared(monkeypatch):
+    monkeypatch.setattr(certifier, "_MAX_DEPTH", 3)
+    shallow = certify(margin=0.15)
+    assert not shallow.complete
+    assert verify_certificate(_fresh(shallow))
+    monkeypatch.setattr(certifier, "_MAX_DEPTH", 4)
+    deeper = certify(margin=0.15)
+    monkeypatch.setattr(certifier, "_MAX_DEPTH", 3)
+    with pytest.raises(MalformedCertificate, match="deeper"):
+        verify_certificate(deeper)
+
+
+def test_incomplete_certificate_round_trips_and_verifies():
+    part = certify(margin=0.15, max_boxes=10_000)
+    assert not part.complete and part.box_count <= 10_000
+    doc = _fresh(part)
+    assert doc["complete"] is False
+    assert verify_certificate(doc) is True
+
+
+def test_canonical_json_round_trip_is_byte_identical(cert):
+    text = dumps(cert.to_json_dict())
+    rebuilt = Certificate.from_json_dict(json.loads(text))
+    assert dumps(rebuilt.to_json_dict()) == text
+    assert rebuilt.leaves == cert.leaves
 
 
 def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
@@ -169,12 +287,12 @@ def test_soundness_spot_check(cert):
 
 def test_split_bisects_widest_dimension():
     box = ((0.1, 0.2), (0.1, 0.5), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
-    lower, upper = _split(box)
-    assert lower[1] == (0.1, 0.3) and upper[1] == (0.3, 0.5)
+    lower, upper = _split(np.array([box]))
+    assert tuple(lower[1]) == (0.1, 0.3) and tuple(upper[1]) == (0.3, 0.5)
     # ties break toward the earliest dimension
     box = ((0.1, 0.3), (0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
-    lower, upper = _split(box)
-    assert lower[0] == (0.1, 0.2) and upper[0] == (0.2, 0.3)
+    lower, upper = _split(np.array([box]))
+    assert tuple(lower[0]) == (0.1, 0.2) and tuple(upper[0]) == (0.2, 0.3)
 
 
 def test_parameter_validation():
@@ -192,10 +310,11 @@ def test_certificate_schema_fields(cert):
     doc = cert.to_json_dict()
     assert doc["gauge"] == "psum1"
     assert set(doc) >= {"version", "margin", "gauge", "target", "complete",
-                        "c_star", "leaves"}
-    leaf = doc["leaves"][0]
-    assert set(leaf) == {"box", "lower_bound"}
-    assert set(leaf["box"]) == {"p1", "p2", "p3", "p4", "w"}
+                        "c_star", "box_count", "tree", "leaves"}
+    assert set(doc["tree"]) <= set("SL.")
+    assert doc["box_count"] == len(doc["tree"]) - doc["tree"].count(".")
+    assert doc["tree"].count("L") == len(doc["leaves"])
+    assert all(set(leaf) == {"lower_bound"} for leaf in doc["leaves"])
     rebuilt = Certificate.from_json_dict(json.loads(dumps(doc)))
     assert rebuilt.c_star == cert.c_star
     assert len(rebuilt.leaves) == len(cert.leaves)

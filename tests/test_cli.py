@@ -116,6 +116,21 @@ def test_check_cert_rejects_nan_target(tmp_path, capsys):
     assert code == 2 and "malformed certificate" in err
 
 
+def test_check_cert_rejects_old_version(tmp_path, capsys):
+    from quadineq import __version__
+    # the 0.1.0 format listed every leaf box instead of the tree
+    box = {dim: [0.2, 0.4] for dim in ("p1", "p2", "p3", "p4")}
+    box["w"] = [0.6283185307179586, 2.5132741228718345]
+    doc = {"version": "0.1.0", "margin": 0.2, "gauge": "psum1", "target": 0.0,
+           "complete": False, "c_star": -0.5, "box_count": 1,
+           "split_rule": "bisect-widest:p1,p2,p3,p4,w",
+           "leaves": [{"box": box, "lower_bound": -0.5}]}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and "'0.1.0'" in err and f"'{__version__}'" in err
+
+
 def test_check_cert_missing_file(capsys):
     code, _, err = run(capsys, ["check-cert", "/nonexistent/cert.json"])
     assert code == 2 and "cannot read" in err
