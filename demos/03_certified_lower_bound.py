@@ -25,7 +25,7 @@ def main():
     t1 = time.perf_counter()
     print(f"certify(margin=0.15): complete={cert.complete}  "
           f"c*={cert.c_star:.3e}  boxes={cert.box_count}  "
-          f"leaves={len(cert.leaves)}  [{t1 - t0:.1f} s]")
+          f"leaves={len(cert.bounds)}  [{t1 - t0:.1f} s]")
 
     doc = json.loads(dumps(cert.to_json_dict()))
     t0 = time.perf_counter()

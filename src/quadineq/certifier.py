@@ -19,10 +19,13 @@ When the box budget or `_MAX_DEPTH` stops a run, unsplit boxes stay leaves
 and the certificate is flagged incomplete.
 
 The certificate is the tree, one code per node in level order ('S' split,
-'L' leaf, '.' infeasible), plus each leaf's bound in the same order.
+'L' leaf, '.' infeasible), plus each leaf's bound in the same order; the
+in-memory `Certificate` holds exactly that document.  Boxes are derived:
 `verify_certificate` regenerates every box from the root, so a decoded tree
-tiles the domain by construction.  Recorded bounds are nudged two ulps down
-so replays tolerate last-ulp libm wobble without weakening the bound.
+tiles the domain by construction, and `Certificate.leaves` pairs the decoded
+leaf boxes with their bounds for callers that want both.  Recorded bounds
+are nudged two ulps down so replays tolerate last-ulp libm wobble without
+weakening the bound.
 """
 
 from __future__ import annotations
@@ -68,11 +71,19 @@ class Certificate:
     box_count: int
     split_rule: str
     tree: str
-    leaves: list
+    bounds: list  # leaf lower bounds in level order
+
+    @property
+    def leaves(self) -> list:
+        """Each leaf box the tree places, paired with its bound.  Decoded
+        anew on every access; the verifier reads `tree` and `bounds`."""
+        boxes = _decode(self.tree, self.margin)[0].tolist()
+        return [Leaf(tuple(map(tuple, box)), lb)
+                for box, lb in zip(boxes, self.bounds)]
 
     def to_json_dict(self) -> dict:
         doc = {field.name: getattr(self, field.name) for field in fields(self)}
-        doc["leaves"] = [{"lower_bound": leaf.lower_bound} for leaf in self.leaves]
+        doc["leaves"] = [{"lower_bound": lb} for lb in doc.pop("bounds")]
         return doc
 
     @staticmethod
@@ -89,6 +100,7 @@ class Certificate:
                 raise ValueError(f"unknown split rule {split_rule!r}")
             margin = _finite(doc["margin"])
             tree = _typed(doc, "tree", str)
+            _decode(tree, margin)  # an unparsable tree is malformed, not false
             return Certificate(
                 version=__version__,
                 margin=margin,
@@ -99,8 +111,7 @@ class Certificate:
                 box_count=_typed(doc, "box_count", int),
                 split_rule=SPLIT_RULE,
                 tree=tree,
-                leaves=_leaves(tree, margin, [_finite(entry["lower_bound"])
-                                              for entry in doc["leaves"]]),
+                bounds=[_finite(entry["lower_bound"]) for entry in doc["leaves"]],
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedCertificate(f"bad certificate structure: {exc}") from exc
@@ -118,15 +129,6 @@ def _typed(doc: dict, key: str, kind: type):
     if type(value) is not kind:
         raise TypeError(f"{key} must be of type {kind.__name__}, not {value!r}")
     return value
-
-
-def _leaves(tree: str, margin: float, bounds: list) -> list:
-    """Pair each leaf bound with the box the tree places it in.  A bound
-    count that differs from the tree's leaf count fails verification rather
-    than parsing, so surplus bounds get no box."""
-    boxes = [tuple(map(tuple, box)) for box in _decode(tree, margin)[0].tolist()]
-    boxes += [None] * (len(bounds) - len(boxes))
-    return [Leaf(box, lb) for box, lb in zip(boxes, bounds)]
 
 
 def _root_level(margin: float) -> np.ndarray:
@@ -258,12 +260,11 @@ def certify(margin: float, target: float = 0.0,
         level = _split(level[split])
         depth += 1
 
-    tree = b"".join(codes).decode("ascii")
     bounds = np.concatenate(leaf_bounds).tolist()
     return Certificate(
         version=__version__, margin=margin, gauge=GAUGE, target=target,
         complete=complete, c_star=min(bounds), box_count=evaluated,
-        split_rule=SPLIT_RULE, tree=tree, leaves=_leaves(tree, margin, bounds),
+        split_rule=SPLIT_RULE, tree=b"".join(codes).decode("ascii"), bounds=bounds,
     )
 
 
@@ -278,11 +279,11 @@ def verify_certificate(cert) -> bool:
         cert = Certificate.from_json_dict(cert)
     if not isinstance(cert, Certificate):
         raise MalformedCertificate(f"cannot verify {type(cert)!r}")
-    if not (0.0 < cert.margin <= 0.2) or cert.gauge != GAUGE or not cert.leaves:
+    if not (0.0 < cert.margin <= 0.2) or cert.gauge != GAUGE or not cert.bounds:
         raise MalformedCertificate("bad margin, gauge, or empty leaf set")
 
     leaves, empties = _decode(cert.tree, cert.margin)
-    recorded = np.array([leaf.lower_bound for leaf in cert.leaves])
+    recorded = np.array(cert.bounds, dtype=float)
     if len(leaves) != len(recorded) \
             or cert.box_count != len(cert.tree) - cert.tree.count("."):
         return False

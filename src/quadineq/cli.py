@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .ioutil import dumps
 from .kernel import RESIDUAL_PATHS, audit, audit_samples, edge_terms, residual
-from .search import boundary_trend, minimize_residual
+from .search import boundary_trend
 
 _SIGN_PROBE_SAMPLES = 256
 
@@ -160,7 +160,7 @@ def _cmd_certify(args) -> int:
         "complete": cert.complete,
         "c_star": cert.c_star,
         "box_count": cert.box_count,
-        "leaves": len(cert.leaves),
+        "leaves": len(cert.bounds),
         "sign_resolution": _sign_probe(0),
     }
     if not args.out:
@@ -194,7 +194,7 @@ def _cmd_check_cert(args) -> int:
         "margin": cert.margin,
         "c_star": cert.c_star,
         "complete": cert.complete,
-        "leaves": len(cert.leaves),
+        "leaves": len(cert.bounds),
         "sign_resolution": _sign_probe(0),
     }
     _emit(report, args)
@@ -202,17 +202,12 @@ def _cmd_check_cert(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    margins = args.margin
-    if len(margins) == 1:
-        results = [minimize_residual(args.seed, starts=args.starts,
-                                     margin=margins[0], budget=args.budget)]
-    else:
-        results = boundary_trend(args.seed, args.starts, margins, args.budget)
+    results = boundary_trend(args.seed, args.starts, args.margin, args.budget)
     report = {
         "version": __version__,
         "command": "search",
         "config": _config_dict(args, ("seed", "starts", "budget", "format")),
-        "margins": list(margins),
+        "margins": list(args.margin),
         "runs": [r.to_json_dict() for r in results],
         "best_values": [r.best_value for r in results],
         "counterexample_candidates": sum(len(r.candidates) for r in results),

@@ -383,14 +383,10 @@ def sample(seed, strategy: str = "frame-uniform", margin: float = 0.05,
     margin = _check_margin(margin)
     if strategy not in _VALID_STRATEGIES:
         raise GeometryError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
     if strategy == "point-rejection":
-        return _sample_point_rejection(rng, max_tries)
-    simplex = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    p = margin + (1.0 - 4.0 * margin) * simplex
-    w = rng.uniform(margin * math.pi, (1.0 - margin) * math.pi)
-    frame = DiagonalFrame(p[0], p[1], p[2], p[3], float(w), normalized=True)
-    return quad_from_frame(frame)
+        return _sample_point_rejection(np.random.default_rng(seed), max_tries)
+    p, w = sample_frames(seed, 1, margin)
+    return quad_from_frame(DiagonalFrame(*p[0], float(w[0]), normalized=True))
 
 
 # ---------------------------------------------------------------------------

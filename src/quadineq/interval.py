@@ -233,72 +233,69 @@ def iatan2(s: Interval, c: Interval) -> Interval:
 @dataclass(frozen=True, eq=False)
 class DiffInterval:
     """Interval value together with interval enclosures of its partial
-    derivatives with respect to the five frame coordinates."""
+    derivatives with respect to the five frame coordinates.
+
+    `grad` is one Interval whose endpoints carry a leading axis of length 5
+    (d/dp1..d/dp4, d/dw) ahead of the value's shape, so each operator is a
+    single broadcast expression; the scalar Interval(0.0, 0.0) serves as a
+    zero gradient.  The five coordinates of a box share one endpoint shape.
+    """
 
     val: Interval
-    grad: tuple  # five Intervals: d/dp1..d/dp4, d/dw
+    grad: Interval
 
     def __add__(self, other: "DiffInterval") -> "DiffInterval":
-        return DiffInterval(self.val + other.val,
-                            tuple(a + b for a, b in zip(self.grad, other.grad)))
+        return DiffInterval(self.val + other.val, self.grad + other.grad)
 
     def __neg__(self) -> "DiffInterval":
-        return DiffInterval(-self.val, tuple(-g for g in self.grad))
+        return DiffInterval(-self.val, -self.grad)
 
     def __sub__(self, other: "DiffInterval") -> "DiffInterval":
         return self + (-other)
 
     def __mul__(self, other: "DiffInterval") -> "DiffInterval":
-        grad = tuple(self.val * gb + other.val * ga
-                     for ga, gb in zip(self.grad, other.grad))
-        return DiffInterval(self.val * other.val, grad)
+        return DiffInterval(self.val * other.val,
+                            self.val * other.grad + other.val * self.grad)
 
     def half(self) -> "DiffInterval":
-        return DiffInterval(self.val.half(), tuple(g.half() for g in self.grad))
+        return DiffInterval(self.val.half(), self.grad.half())
 
     def double(self) -> "DiffInterval":
-        return DiffInterval(self.val.double(), tuple(g.double() for g in self.grad))
+        return DiffInterval(self.val.double(), self.grad.double())
 
     def clamp(self, lo: float, hi: float) -> "DiffInterval":
         # tightening the value range by a proven bound leaves partials alone
         return DiffInterval(self.val.clamp(lo, hi), self.grad)
 
 
-def _d_zero_grad(like: Interval) -> Interval:
-    zero = np.zeros_like(np.asarray(like.lo, dtype=float))
-    if np.ndim(zero) == 0:
-        return Interval(0.0, 0.0)
-    return Interval(zero, zero.copy())
+def _grad_along(index: int, partial: Interval, like: Interval) -> Interval:
+    # gradient whose only nonzero partial is the one along coordinate `index`
+    lo = np.zeros((5,) + np.shape(like.lo))
+    hi = np.zeros((5,) + np.shape(like.lo))
+    lo[index], hi[index] = partial.lo, partial.hi
+    return Interval(lo, hi)
 
 
 def d_sqr(x: DiffInterval) -> DiffInterval:
-    return DiffInterval(isqr(x.val), tuple((x.val * g).double() for g in x.grad))
+    return DiffInterval(isqr(x.val), (x.val * x.grad).double())
 
 
 def d_sqrt(x: DiffInterval) -> DiffInterval:
     root = isqrt(x.val)
-    inv = ONE / root.double()
-    return DiffInterval(root, tuple(inv * g for g in x.grad))
+    return DiffInterval(root, (ONE / root.double()) * x.grad)
 
 
 def d_sin_w(w: Interval) -> DiffInterval:
     # sin of the w coordinate itself: d/dw = cos w, other partials zero
-    zero = _d_zero_grad(w)
-    return DiffInterval(isin(w), (zero, zero, zero, zero, icos(w)))
+    return DiffInterval(isin(w), _grad_along(4, icos(w), w))
 
 
 def d_cos_w(w: Interval) -> DiffInterval:
-    zero = _d_zero_grad(w)
-    return DiffInterval(icos(w), (zero, zero, zero, zero, -isin(w)))
+    return DiffInterval(icos(w), _grad_along(4, -isin(w), w))
 
 
 def d_coordinate(iv: Interval, index: int) -> DiffInterval:
-    zero = _d_zero_grad(iv)
-    one = Interval(np.ones_like(np.asarray(iv.lo, dtype=float)),
-                   np.ones_like(np.asarray(iv.lo, dtype=float))) \
-        if np.ndim(iv.lo) else Interval(1.0, 1.0)
-    grad = tuple(one if i == index else zero for i in range(5))
-    return DiffInterval(iv, grad)
+    return DiffInterval(iv, _grad_along(index, ONE, iv))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +421,7 @@ def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     p = [d_coordinate(getattr(box, f"p{i + 1}"), i) for i in range(4)]
     sin_w = d_sin_w(box.w).clamp(0.0, 1.0)
     cos_w = d_cos_w(box.w).clamp(-1.0, 1.0)
-    one = DiffInterval(ONE, tuple(_d_zero_grad(box.w) for _ in range(5)))
+    one = DiffInterval(ONE, Interval(0.0, 0.0))
     lengths = _lengths_core(p[0], p[1], p[2], p[3], cos_w, one, d_sqr, d_sqrt)
     areas = _areas_core(p[0], p[1], p[2], p[3], sin_w)
     return _edge_residual_core(lengths, areas)
@@ -442,8 +439,8 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
     cos_c = icos(mids[4]).clamp(-1.0, 1.0)
     total = _edge_residual_core(_lengths_core(*mids[:4], cos_c, ONE, isqr, isqrt),
                                 _areas_core(*mids[:4], sin_c))
-    for coord, mid, grad in zip(coords, mids, di.grad):
-        total = total + grad * (coord - mid)
+    for j, (coord, mid) in enumerate(zip(coords, mids)):
+        total = total + Interval(di.grad.lo[j], di.grad.hi[j]) * (coord - mid)
     return total.intersect(di.val)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DiagonalFrame, metrics_from_frames, quad_from_frame
+from .geometry import (DiagonalFrame, metrics_from_frames, quad_from_frame,
+                       sample_frames)
 from .kernel import audit, normalized_residual
 
 COUNTEREXAMPLE_THRESHOLD = -1e-12
@@ -109,10 +110,8 @@ def _objective(x: np.ndarray) -> np.ndarray:
 def _initial_points(seed: int, starts: int, margin: float) -> np.ndarray:
     points = np.empty((starts, _N_COORDS))
     for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        simplex = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-        points[k, :4] = margin + (1.0 - 4.0 * margin) * simplex
-        points[k, 4] = rng.uniform(margin * math.pi, (1.0 - margin) * math.pi)
+        p, w = sample_frames([seed, k], 1, margin)
+        points[k, :4], points[k, 4] = p[0], w[0]
     return points
 
 

@@ -140,7 +140,7 @@ def test_acceptance_5_certification():
 
     assert certify_time + verify_time < 600.0
     print(f"\nACCEPTANCE 5: PASS - margin 0.1 certified: c*={cert.c_star:.3e} > 0, "
-          f"{cert.box_count} boxes <= 1e6, {len(cert.leaves)} leaves, "
+          f"{cert.box_count} boxes <= 1e6, {len(cert.bounds)} leaves, "
           f"certify {certify_time:.0f} s + replay {verify_time:.0f} s; "
           f"mutated certificate rejected")
 

@@ -9,6 +9,7 @@ from quadineq import __version__, certifier
 from quadineq.certifier import (
     Certificate,
     MalformedCertificate,
+    _decode,
     _split,
     certify,
     verify_certificate,
@@ -221,6 +222,16 @@ def test_canonical_json_round_trip_is_byte_identical(cert):
     assert rebuilt.leaves == cert.leaves
 
 
+def test_certificate_holds_bounds_and_derives_leaf_boxes(cert):
+    rebuilt = Certificate.from_json_dict(_fresh(cert))
+    assert rebuilt.bounds == cert.bounds
+    boxes = _decode(cert.tree, cert.margin)[0]
+    leaves = rebuilt.leaves
+    assert len(leaves) == len(boxes) == len(cert.bounds)
+    assert [leaf.lower_bound for leaf in leaves] == cert.bounds
+    assert all(np.array_equal(leaf.box, box) for leaf, box in zip(leaves, boxes))
+
+
 def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
     monkeypatch.setattr(certifier, "_evaluate",
                         lambda boxes, margin: np.full(len(boxes), np.nan))
@@ -270,8 +281,8 @@ def test_monotonicity_in_margin():
 
 def test_soundness_spot_check(cert):
     rng = np.random.default_rng(313)
-    leaves = [cert.leaves[i] for i in rng.integers(0, len(cert.leaves), 300)]
-    for leaf in leaves:
+    leaves = cert.leaves  # decoded on each access: bind once
+    for leaf in [leaves[i] for i in rng.integers(0, len(leaves), 300)]:
         (l1, h1), (l2, h2), (l3, h3), (l4, h4), (lw, hw) = leaf.box
         # a gauge point inside the tile, if one exists
         for _ in range(20):

@@ -8,6 +8,7 @@ import pytest
 from quadineq.geometry import metrics_from_frames, sample_frames
 from quadineq.interval import (
     PI,
+    _TRANS_ULPS,
     DivisionByZeroInterval,
     FrameBox,
     Interval,
@@ -111,6 +112,32 @@ def test_atan2_upper_halfplane():
         iatan2(Interval(-1.0, 1.0), Interval(1.0, 1.0))
 
 
+def test_libm_error_within_widening_budget():
+    # the enclosures widen sin/cos/atan2 by _TRANS_ULPS and sqrt by one ulp;
+    # check numpy's libm against a 113-bit oracle so a looser libm fails here
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    n = 3000
+    x = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+    s = rng.uniform(0.0, 1.0, n)
+    c = rng.uniform(-1.0, 1.0, n)
+    r = np.exp(rng.uniform(-10.0, 3.0, n))
+    cases = [(np.sin, mpmath.sin, (x,), _TRANS_ULPS / 2),
+             (np.cos, mpmath.cos, (x,), _TRANS_ULPS / 2),
+             (np.arctan2, mpmath.atan2, (s, c), _TRANS_ULPS / 2),
+             (np.sqrt, mpmath.sqrt, (r,), 0.5)]
+    with mpmath.workprec(113):
+        for np_fn, mp_fn, args, budget in cases:
+            worst = 0.0
+            for got, point in zip(np_fn(*args).tolist(), zip(*args)):
+                exact = mp_fn(*map(float, point))
+                # ulp of the binade below |exact| when that is a power of
+                # two, so the error is never understated
+                ulp = np.spacing(np.nextafter(abs(float(exact)), 0.0))
+                worst = max(worst, float(abs(mpmath.mpf(got) - exact) / ulp))
+            assert worst <= budget, (np_fn.__name__, worst)
+
+
 def test_pi_interval_contains_pi():
     assert PI.lo < math.pi < PI.hi or PI.lo <= math.pi <= PI.hi
 
@@ -195,9 +222,9 @@ def test_gradient_containment_by_finite_differences():
         up[:, j] += h
         dn[:, j] -= h
         fd = (f(up) - f(dn)) / (2 * h)
-        grad = di.grad[j]
+        lo, hi = di.grad.lo[j], di.grad.hi[j]
         # finite differences carry O(h^2) truncation error
-        assert np.all((grad.lo - 1e-5 <= fd) & (fd <= grad.hi + 1e-5)), j
+        assert np.all((lo - 1e-5 <= fd) & (fd <= hi + 1e-5)), j
 
 
 def test_mean_value_enclosure_contains_point_values():
