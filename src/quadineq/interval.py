@@ -2,8 +2,8 @@
 
 Every operation returns an interval guaranteed to contain the true image of
 its operand intervals.  Outward rounding is realized by nudging endpoints
-with nextafter instead of switching the FPU rounding mode, so evaluation is
-pure, thread-safe and bit-deterministic:
+instead of switching the FPU rounding mode, so evaluation is pure,
+thread-safe and bit-deterministic:
 
   * exact additions/subtractions (detected with an error-free 2Sum) keep
     their endpoints, inexact ones are widened by one ulp;
@@ -11,8 +11,18 @@ pure, thread-safe and bit-deterministic:
     correctly rounded, products are within half an ulp);
   * sin, cos and atan2 are widened by four ulps to cover libm error.
 
-The containment-fuzz tests are the contract for these widths, not the
-mechanism itself.
+The nudge is the branch-free successor bound of Rump, Zimmermann, Boldo and
+Melquiond, "Computing predecessor and successor in rounding to nearest"
+(BIT 2009): x + (|x| phi + eta) with phi = 2**-53 (1 + 2**-52) and
+eta = 2**-1074 is at least the successor of a finite x, and x - (...) at
+most its predecessor.  One step therefore moves at least one ulp outward,
+so k steps move at least k ulps; for |x| > 2**-1020 a step is exactly one
+ulp (nextafter), and inside [2**-1022, 2**-1020] it may be two.  An
+infinite endpoint stepped toward the finite range becomes NaN, which every
+bound check rejects.
+
+The rounding-primitive tests, the containment fuzz and the mpmath oracle
+tests are the contract for these widths, not the mechanism itself.
 
 Endpoints may be scalars or same-shape numpy arrays; a batch of boxes is
 just an Interval with array endpoints, which is what the branch-and-bound
@@ -59,15 +69,19 @@ class IndeterminateRegion(IntervalError):
     """Box produced a degenerate geometric quantity (length touching 0)."""
 
 
+_PHI = 2.0**-53 * (1.0 + 2.0**-52)  # the successor bound's relative step
+_ETA = 2.0**-1074  # smallest subnormal: the step at and near zero
+
+
 def _down(x, ulps: int = 1):
     for _ in range(ulps):
-        x = np.nextafter(x, -np.inf)
+        x = x - (np.abs(x) * _PHI + _ETA)
     return x
 
 
 def _up(x, ulps: int = 1):
     for _ in range(ulps):
-        x = np.nextafter(x, np.inf)
+        x = x + (np.abs(x) * _PHI + _ETA)
     return x
 
 

@@ -1,5 +1,6 @@
 """Branch-and-bound certification and certificate replay."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from quadineq.certifier import (
     verify_certificate,
 )
 from quadineq.geometry import metrics_from_frames
+from quadineq.interval import Interval
 from quadineq.ioutil import dumps
 from quadineq.kernel import residual
 
@@ -233,9 +235,64 @@ def test_certificate_holds_bounds_and_derives_leaf_boxes(cert):
 
 
 def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
-    monkeypatch.setattr(certifier, "_evaluate",
-                        lambda boxes, margin: np.full(len(boxes), np.nan))
+    monkeypatch.setattr(certifier, "_evaluate", lambda boxes, margin, recorded=None:
+                        np.full(len(boxes), np.nan))
     assert not verify_certificate(cert)
+
+
+@pytest.mark.parametrize("endpoint", [np.inf, -np.inf, np.nan])
+def test_verify_rejects_non_finite_enclosure(cert, monkeypatch, endpoint):
+    def non_finite(box, path):
+        lo = np.full(np.shape(box.p1.lo), endpoint)
+        return Interval(lo, lo)
+
+    monkeypatch.setattr(certifier, "residual_enclosure", non_finite)
+    with np.errstate(invalid="ignore"):
+        assert verify_certificate(cert) is False
+
+
+def _replay_bounds(cert):
+    """Each leaf's nudged lemma bound and its full "both" recomputation."""
+    boxes = _decode(cert.tree, cert.margin)[0]
+    return (certifier._lower_bound(boxes, cert.margin, "lemma"),
+            certifier._evaluate(boxes, cert.margin))
+
+
+def test_trig_first_replay_is_exact_at_the_full_bound(cert):
+    lemma, both = _replay_bounds(cert)
+    cleared = int(np.flatnonzero(lemma == both)[0])  # the lemma form decides
+    needs_mean_value = int(np.flatnonzero(lemma < both)[0])
+    for leaf in (cleared, needs_mean_value):
+        for bound, verdict in ((both[leaf], True),
+                               (np.nextafter(both[leaf], np.inf), False)):
+            bounds = list(cert.bounds)
+            bounds[leaf] = float(bound)
+            raised = dataclasses.replace(cert, bounds=bounds, c_star=min(bounds))
+            assert verify_certificate(raised) is verdict, (leaf, verdict)
+
+
+def test_replay_evaluates_both_only_where_lemma_misses(cert, monkeypatch):
+    lemma = _replay_bounds(cert)[0]
+    rows = {"lemma": 0, "both": 0}
+    enclosure = certifier.residual_enclosure
+
+    def counted(box, path):
+        rows[path] += np.size(box.p1.lo)
+        return enclosure(box, path)
+
+    monkeypatch.setattr(certifier, "residual_enclosure", counted)
+    assert verify_certificate(cert)
+    misses = int(np.count_nonzero(lemma < np.array(cert.bounds)))
+    assert rows == {"lemma": len(cert.bounds), "both": misses}
+    assert 0 < misses < len(cert.bounds)
+
+
+def test_parse_checks_the_tree_without_decoding_boxes(cert, monkeypatch):
+    def no_decode(tree, margin):
+        raise AssertionError("from_json_dict decoded the tree")
+
+    monkeypatch.setattr(certifier, "_decode", no_decode)
+    assert Certificate.from_json_dict(_fresh(cert)).tree == cert.tree
 
 
 def test_margin_015_tree_is_pinned():

@@ -9,6 +9,8 @@ from quadineq.geometry import metrics_from_frames, sample_frames
 from quadineq.interval import (
     PI,
     _TRANS_ULPS,
+    _down,
+    _up,
     DivisionByZeroInterval,
     FrameBox,
     Interval,
@@ -136,6 +138,177 @@ def test_libm_error_within_widening_budget():
                 ulp = np.spacing(np.nextafter(abs(float(exact)), 0.0))
                 worst = max(worst, float(abs(mpmath.mpf(got) - exact) / ulp))
             assert worst <= budget, (np_fn.__name__, worst)
+
+
+# ---------------------------------------------------------------------------
+# outward rounding primitives
+# ---------------------------------------------------------------------------
+
+def _rounding_points():
+    """Seeded doubles: normals over the whole exponent range, every power of
+    two and its predecessor, subnormals, +-0 and +-max finite."""
+    rng = np.random.default_rng(1053)
+    normals = np.ldexp(rng.uniform(0.5, 1.0, 5000), rng.integers(-1021, 1025, 5000))
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    subnormals = rng.integers(1, 2**52, 2000) * 2.0**-1074
+    x = np.concatenate([normals, powers, np.nextafter(powers, 0.0), subnormals,
+                        [0.0, np.finfo(float).max]])
+    return np.concatenate([x, -x])
+
+
+def _nextafter(x, toward, k):
+    for _ in range(k):
+        x = np.nextafter(x, toward)
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_rounding_steps_at_least_k_ulps(k):
+    x = _rounding_points()
+    with np.errstate(over="ignore"):  # +-max finite steps out to +-inf
+        assert np.all(_down(x, k) <= _nextafter(x, -np.inf, k))
+        assert np.all(_up(x, k) >= _nextafter(x, np.inf, k))
+
+
+def test_rounding_equals_nextafter_above_the_underflow_band():
+    # exactly one ulp per step for |x| > 2**-1020, which keeps every
+    # enclosure and certificate bit-identical to nextafter rounding
+    x = _rounding_points()
+    with np.errstate(over="ignore"):
+        one = np.abs(x) > 2.0**-1020
+        assert np.array_equal(_down(x[one]), np.nextafter(x[one], -np.inf))
+        assert np.array_equal(_up(x[one]), np.nextafter(x[one], np.inf))
+        far = np.abs(x) >= 2.0**-1019  # k steps stay above the band
+        for k in (_TRANS_ULPS, 2):
+            assert np.array_equal(_down(x[far], k), _nextafter(x[far], -np.inf, k))
+            assert np.array_equal(_up(x[far], k), _nextafter(x[far], np.inf, k))
+    assert _down(0.0) == -(2.0**-1074) and _up(-0.0) == 2.0**-1074
+
+
+def test_rounding_of_non_finite_endpoints():
+    # an infinite endpoint stepped toward the finite range becomes NaN and
+    # NaN stays NaN, so a comparison against either never accepts a bound
+    special = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        down, up = _down(special), _up(special)
+    assert np.isnan(down[0]) and down[1] == -np.inf and np.isnan(down[2])
+    assert up[0] == np.inf and np.isnan(up[1]) and np.isnan(up[2])
+    assert not np.any(down >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: exact images at 120 bits against the enclosures
+# ---------------------------------------------------------------------------
+
+_ORACLE_BITS = 120
+
+
+def _oracle_intervals(rng, n, lo, hi, log_width=(-12.0, 0.5)):
+    a = rng.uniform(lo, hi, n)
+    width = 10.0 ** rng.uniform(*log_width, n)
+    width[: n // 10] = 0.0  # point intervals
+    return Interval(a, a + width)
+
+
+def _encloses(mpmath, iv, i, low, high):
+    return mpmath.mpf(float(iv.lo[i])) <= low and high <= mpmath.mpf(float(iv.hi[i]))
+
+
+def _exact_trig_range(mpmath, fn, lo, hi, peak, trough):
+    # extremes of sin/cos over [lo, hi]: the endpoint values, plus +-1 where
+    # a crest peak + 2 pi k or a trough trough + 2 pi k lies inside
+    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+    values = [fn(a), fn(b)]
+    for offset, extreme in ((peak, 1), (trough, -1)):
+        k = mpmath.ceil((a - offset) / (2 * mpmath.pi))
+        if offset + 2 * mpmath.pi * k <= b:
+            values.append(mpmath.mpf(extreme))
+    return min(values), max(values)
+
+
+def test_oracle_elementary_enclosures():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(90210)
+    n = 1500
+    x = _oracle_intervals(rng, n, -10.0, 10.0)
+    s = _oracle_intervals(rng, n, 1e-3, 2.0)
+    c = _oracle_intervals(rng, n, -2.0, 2.0)
+    r = Interval(*np.sort(np.exp(rng.uniform(-25.0, 5.0, (2, n))), axis=0))
+    u = _oracle_intervals(rng, n, -3.0, 3.0, (-12.0, 0.7))
+    mag = _oracle_intervals(rng, n, 0.1, 3.0)  # divisors of either sign
+    neg = rng.random(n) < 0.5
+    v = Interval(np.where(neg, -mag.hi, mag.lo), np.where(neg, -mag.lo, mag.hi))
+    sin_x, cos_x, atan, root = isin(x), icos(x), iatan2(s, c), isqrt(r)
+    prod, quot = u * c, u / v
+    half_pi = mpmath.pi / 2
+    with mpmath.workprec(_ORACLE_BITS):
+        for i in range(n):
+            lo, hi = float(x.lo[i]), float(x.hi[i])
+            assert _encloses(mpmath, sin_x, i, *_exact_trig_range(
+                mpmath, mpmath.sin, lo, hi, half_pi, -half_pi)), ("sin", lo, hi)
+            assert _encloses(mpmath, cos_x, i, *_exact_trig_range(
+                mpmath, mpmath.cos, lo, hi, 0, mpmath.pi)), ("cos", lo, hi)
+            # atan2 is monotone in each argument on s >= 0: corners decide
+            corners = [mpmath.atan2(float(sv), float(cv))
+                       for sv in (s.lo[i], s.hi[i]) for cv in (c.lo[i], c.hi[i])]
+            assert _encloses(mpmath, atan, i, min(corners), max(corners)), "atan2"
+            assert _encloses(mpmath, root, i, mpmath.sqrt(float(r.lo[i])),
+                             mpmath.sqrt(float(r.hi[i]))), "sqrt"
+            for op, out, other in ((mpmath.fmul, prod, c), (mpmath.fdiv, quot, v)):
+                corners = [op(float(a), float(b)) for a in (u.lo[i], u.hi[i])
+                           for b in (other.lo[i], other.hi[i])]
+                assert _encloses(mpmath, out, i, min(corners), max(corners)), op
+
+
+def _oracle_residual(mpmath, p, w):
+    """The edge residual from vertex coordinates of the frame
+    z1 = (p1, 0), z2 = p2 (cos w, sin w), z3 = (-p3, 0), z4 = -p4 (cos w, sin w)."""
+    p1, p2, p3, p4 = p
+    cw, sw = mpmath.cos(w), mpmath.sin(w)
+    z = [(p1, 0), (p2 * cw, p2 * sw), (-p3, 0), (-p4 * cw, -p4 * sw)]
+
+    def dist(i, j):
+        return mpmath.sqrt((z[i][0] - z[j][0]) ** 2 + (z[i][1] - z[j][1]) ** 2)
+
+    def area(i, j, k):
+        cross = ((z[j][0] - z[i][0]) * (z[k][1] - z[i][1])
+                 - (z[k][0] - z[i][0]) * (z[j][1] - z[i][1]))
+        return abs(cross) / 2
+
+    c, a, f, d, b, e = dist(0, 1), dist(1, 2), dist(2, 3), dist(3, 0), dist(0, 2), dist(1, 3)
+    A123, A124, A134, A234 = area(0, 1, 2), area(0, 1, 3), area(0, 2, 3), area(1, 2, 3)
+    lhs = (f * A123 * A124 * (a + b + e + d - 2 * c)
+           + d * A123 * A234 * (c + b + e + f - 2 * a)
+           + c * A134 * A234 * (d + b + e + a - 2 * f)
+           + a * A124 * A134 * (c + e + b + f - 2 * d))
+    rhs = (e * A123 * A134 * (c + a + d + f - 2 * b)
+           + b * A124 * A234 * (c + d + a + f - 2 * e))
+    return lhs - rhs
+
+
+def test_oracle_residual_inside_enclosures():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(6174)
+    n = 150
+    box, _, _ = _random_boxes(rng, n, width_scale=0.02)
+    enclosures = {path: residual_enclosure(box, path) for path in ("lemma", "both")}
+    coords = (box.p1, box.p2, box.p3)
+    checked = 0
+    with mpmath.workprec(_ORACLE_BITS):
+        for i in range(n):
+            for _ in range(40):
+                # a random frame of the box on the gauge plane: p4 is exact
+                p123 = [mpmath.mpf(rng.uniform(iv.lo[i], iv.hi[i])) for iv in coords]
+                p4 = 1 - sum(p123)
+                if not box.p4.lo[i] <= p4 <= box.p4.hi[i]:
+                    continue
+                w = mpmath.mpf(rng.uniform(box.w.lo[i], box.w.hi[i]))
+                value = _oracle_residual(mpmath, p123 + [p4], w)
+                for path, enc in enclosures.items():
+                    assert _encloses(mpmath, enc, i, value, value), (path, i)
+                checked += 1
+                break
+    assert checked >= 0.9 * n
 
 
 def test_pi_interval_contains_pi():
