@@ -27,12 +27,18 @@ leaf boxes with their bounds for callers that want both.  Recorded bounds
 are nudged at least two ulps down so replays tolerate last-ulp libm wobble
 without weakening the bound.
 
-`certify` bounds every box with the "both" enclosure.  The replay is
-trig-first: it bounds each chunk of leaves with the trig ("lemma") form
-alone and computes "both" only on the leaves whose lemma bound misses the
-recorded bound (about half of them at margin 0.12).  Both forms enclose the
-residual and "both" is at least as tight as "lemma", so the verdict is the
-one a full "both" replay gives.
+Certify and replay share one cheap-first evaluation.  Each box is bounded
+with the trig ("lemma") form, and with "both" (the lemma form intersected
+with the edge mean-value form, most of the per-box cost) only where the
+lemma bound misses what is needed.  `certify` needs the target: a box whose
+lemma bound clears it records that bound, a box that misses by at most
+`_REACH` is bounded again with "both", and a box further below is split on
+its lemma bound (about half the boxes are split nodes, which "both" rarely
+saves).  Both forms enclose the residual, so every recorded bound is sound,
+and splitting a box is always sound, so the policy only trades boxes for
+time.  The replay needs each leaf's recorded bound and retries every miss
+with "both", so its verdict is the one a full "both" replay gives and does
+not depend on how the certifier chose its enclosures.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ from .interval import FrameBox, Interval, _down, residual_enclosure
 GAUGE = "psum1"
 SPLIT_RULE = "bisect-widest:p1,p2,p3,p4,w"
 _EVAL_CHUNK = 8192
+# certify recomputes "both" on boxes whose lemma bound misses the target by
+# at most this much; boxes further below are split on their lemma bound
+_REACH = 2e-4
 _MAX_DEPTH = 200
 _SPLIT, _LEAF, _EMPTY = b"SL."
 
@@ -180,24 +189,28 @@ def _lower_bound(arr: np.ndarray, margin: float, path: str) -> np.ndarray:
     return _down(np.asarray(enc.lo, dtype=float), 2)
 
 
-def _evaluate(arr: np.ndarray, margin: float, recorded=None) -> np.ndarray:
+def _evaluate(arr: np.ndarray, margin: float, need,
+              reach: float = math.inf) -> np.ndarray:
     """Certified lower bounds for feasible boxes (shape (n, 5, 2)), computed
-    in chunks of `_EVAL_CHUNK` boxes with the "both" enclosure.
+    in chunks of `_EVAL_CHUNK` boxes, cheap form first.
 
-    Given the `recorded` bounds of a replay, each chunk is bounded with the
-    trig ("lemma") form first and with "both" only on the rows whose lemma
-    bound misses their recorded bound.  Each form is a valid enclosure and
-    "both" is never looser than "lemma", so a row clears its recorded bound
-    this way exactly when its "both" bound would.
+    Each chunk is bounded with the trig ("lemma") form, and again with
+    "both" (the lemma form intersected with the edge mean-value form) on the
+    rows whose lemma bound misses `need` (a scalar or one bound per row) by
+    at most `reach`; the other rows keep their lemma bound.  Each form is a
+    valid enclosure and "both" is never looser than "lemma", so every
+    returned bound is sound, and with the default infinite reach (the
+    replay's) a row clears `need` exactly when its "both" bound would.  A
+    NaN lemma bound is not retried: "both" takes the larger lower end with
+    numpy's NaN-propagating maximum, so its bound would be NaN too.
     """
+    need = np.broadcast_to(need, len(arr))
     out = np.empty(len(arr))
     for start in range(0, len(arr), _EVAL_CHUNK):
         chunk = slice(start, start + _EVAL_CHUNK)
-        if recorded is None:
-            out[chunk] = _lower_bound(arr[chunk], margin, "both")
-            continue
         bound = _lower_bound(arr[chunk], margin, "lemma")
-        retry = np.flatnonzero(~(bound >= recorded[chunk]))
+        retry = np.flatnonzero((bound < need[chunk])
+                               & (bound >= need[chunk] - reach))
         if len(retry):
             bound[retry] = _lower_bound(arr[chunk][retry], margin, "both")
         out[chunk] = bound
@@ -270,8 +283,8 @@ def certify(margin: float, target: float = 0.0,
     """
     if not (0.0 < margin <= 0.2):
         raise ValueError("margin must lie in (0, 0.2]")
-    if not (target >= 0.0):
-        raise ValueError("target must be nonnegative")
+    if not (0.0 <= target < math.inf):
+        raise ValueError("target must be finite and nonnegative")
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
 
@@ -282,7 +295,7 @@ def certify(margin: float, target: float = 0.0,
     while len(level):
         feasible = _gauge_clip(level, margin)[2]
         bounds = np.full(len(level), np.nan)
-        bounds[feasible] = _evaluate(level[feasible], margin)
+        bounds[feasible] = _evaluate(level[feasible], margin, target, _REACH)
         evaluated += int(np.count_nonzero(feasible))
         split = feasible & ~(bounds >= target)
         pending = np.flatnonzero(split)

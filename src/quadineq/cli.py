@@ -147,8 +147,11 @@ def _cmd_audit(args) -> int:
 def _cmd_certify(args) -> int:
     if args.format == "csv":
         raise UsageError("certificates are JSON documents; csv is not available")
-    cert = certify(margin=args.margin, target=args.target,
-                   max_boxes=args.max_boxes)
+    try:
+        cert = certify(margin=args.margin, target=args.target,
+                       max_boxes=args.max_boxes)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     doc = cert.to_json_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -252,27 +252,35 @@ def test_verify_rejects_non_finite_enclosure(cert, monkeypatch, endpoint):
 
 
 def _replay_bounds(cert):
-    """Each leaf's nudged lemma bound and its full "both" recomputation."""
+    """Each leaf's nudged lemma bound and its nudged "both" bound."""
     boxes = _decode(cert.tree, cert.margin)[0]
     return (certifier._lower_bound(boxes, cert.margin, "lemma"),
-            certifier._evaluate(boxes, cert.margin))
+            certifier._lower_bound(boxes, cert.margin, "both"))
 
 
-def test_trig_first_replay_is_exact_at_the_full_bound(cert):
-    lemma, both = _replay_bounds(cert)
+@pytest.fixture(scope="module")
+def both_cert(cert):
+    """The fixture tree with each leaf bound raised to its "both" bound: what
+    a certifier that bounds every box with "both" records (format 0.2.0)."""
+    both = _replay_bounds(cert)[1].tolist()
+    return dataclasses.replace(cert, bounds=both, c_star=min(both))
+
+
+def test_trig_first_replay_is_exact_at_the_full_bound(both_cert):
+    lemma, both = _replay_bounds(both_cert)
     cleared = int(np.flatnonzero(lemma == both)[0])  # the lemma form decides
     needs_mean_value = int(np.flatnonzero(lemma < both)[0])
     for leaf in (cleared, needs_mean_value):
         for bound, verdict in ((both[leaf], True),
                                (np.nextafter(both[leaf], np.inf), False)):
-            bounds = list(cert.bounds)
+            bounds = list(both_cert.bounds)
             bounds[leaf] = float(bound)
-            raised = dataclasses.replace(cert, bounds=bounds, c_star=min(bounds))
+            raised = dataclasses.replace(both_cert, bounds=bounds, c_star=min(bounds))
             assert verify_certificate(raised) is verdict, (leaf, verdict)
 
 
-def test_replay_evaluates_both_only_where_lemma_misses(cert, monkeypatch):
-    lemma = _replay_bounds(cert)[0]
+def _counted_enclosures(monkeypatch):
+    """Count the rows each enclosure path bounds through the certifier."""
     rows = {"lemma": 0, "both": 0}
     enclosure = certifier.residual_enclosure
 
@@ -281,10 +289,62 @@ def test_replay_evaluates_both_only_where_lemma_misses(cert, monkeypatch):
         return enclosure(box, path)
 
     monkeypatch.setattr(certifier, "residual_enclosure", counted)
-    assert verify_certificate(cert)
-    misses = int(np.count_nonzero(lemma < np.array(cert.bounds)))
-    assert rows == {"lemma": len(cert.bounds), "both": misses}
-    assert 0 < misses < len(cert.bounds)
+    return rows
+
+
+def test_replay_evaluates_both_only_where_lemma_misses(both_cert, monkeypatch):
+    lemma = _replay_bounds(both_cert)[0]
+    rows = _counted_enclosures(monkeypatch)
+    assert verify_certificate(both_cert)
+    misses = int(np.count_nonzero(lemma < np.array(both_cert.bounds)))
+    assert rows == {"lemma": len(both_cert.bounds), "both": misses}
+    assert 0 < misses < len(both_cert.bounds)
+
+
+@pytest.fixture(scope="module")
+def raised_cert():
+    return certify(margin=MARGIN, target=1e-5, max_boxes=300_000)
+
+
+@pytest.fixture(params=["cert", "raised_cert"])
+def policy_cert(request):
+    return request.getfixturevalue(request.param)
+
+
+def _evaluated_boxes(cert):
+    """The box of every split or leaf node, in level order."""
+    level = certifier._root_level(cert.margin)
+    boxes = []
+    for node in certifier._levels(cert.tree):
+        boxes.append(level[node != certifier._EMPTY])
+        level = _split(level[node == certifier._SPLIT])
+    return np.concatenate(boxes)
+
+
+def test_leaf_bound_is_lemma_where_it_clears_else_both(policy_cert):
+    lemma, both = _replay_bounds(policy_cert)
+    clears = lemma >= policy_cert.target
+    assert np.array_equal(np.array(policy_cert.bounds), np.where(clears, lemma, both))
+
+
+def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
+    target = policy_cert.target
+    boxes = _evaluated_boxes(policy_cert)
+    lemma = certifier._lower_bound(boxes, policy_cert.margin, "lemma")
+    near = int(np.count_nonzero((lemma < target)
+                                & (lemma >= target - certifier._REACH)))
+    rows = _counted_enclosures(monkeypatch)
+    again = certify(margin=MARGIN, target=target, max_boxes=300_000)
+    assert again.tree == policy_cert.tree
+    assert rows == {"lemma": policy_cert.box_count, "both": near}
+    # the reach retries some misses and leaves others to splitting
+    assert 0 < near < np.count_nonzero(lemma < target)
+
+
+def test_positive_target_run_completes_and_verifies(raised_cert):
+    assert raised_cert.complete
+    assert raised_cert.c_star >= raised_cert.target > 0.0
+    assert verify_certificate(_fresh(raised_cert))
 
 
 def test_parse_checks_the_tree_without_decoding_boxes(cert, monkeypatch):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from quadineq.cli import main
 
 SQUARE_JSON = '{"points": [[0,0],[1,0],[1,1],[0,1]]}'
@@ -146,6 +148,21 @@ def test_check_cert_rejects_malformed_document(tmp_path, capsys):
 def test_certify_refuses_csv(capsys):
     code, _, err = run(capsys, ["certify", "--format", "csv"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "inf"], ["--target", "nan"], ["--target", "-1"],
+    ["--margin", "0.3"], ["--margin", "nan"], ["--max-boxes", "0"],
+], ids=["target-inf", "target-nan", "target-negative", "margin-too-wide",
+        "margin-nan", "no-boxes"])
+def test_certify_rejects_bad_arguments(tmp_path, capsys, argv):
+    # a small budget keeps a run that wrongly accepts its arguments short
+    cert_path = tmp_path / "cert.json"
+    argv = ["certify", "--margin", "0.2", "--max-boxes", "10",
+            "--out", str(cert_path)] + argv
+    code, out, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert not cert_path.exists()
 
 
 def test_search_exit_zero_and_trend(capsys):
