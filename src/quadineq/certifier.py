@@ -27,18 +27,18 @@ leaf boxes with their bounds for callers that want both.  Recorded bounds
 are nudged at least two ulps down so replays tolerate last-ulp libm wobble
 without weakening the bound.
 
-Certify and replay share one cheap-first evaluation.  Each box is bounded
-with the trig ("lemma") form, and with "both" (the lemma form intersected
-with the edge mean-value form, most of the per-box cost) only where the
-lemma bound misses what is needed.  `certify` needs the target: a box whose
-lemma bound clears it records that bound, a box that misses by at most
-`_REACH` is bounded again with "both", and a box further below is split on
-its lemma bound (about half the boxes are split nodes, which "both" rarely
-saves).  Both forms enclose the residual, so every recorded bound is sound,
-and splitting a box is always sound, so the policy only trades boxes for
-time.  The replay needs each leaf's recorded bound and retries every miss
-with "both", so its verdict is the one a full "both" replay gives and does
-not depend on how the certifier chose its enclosures.
+Certify and replay share one cheap-first evaluation, `_evaluate`, which
+clips each box once and bounds it once with the trig ("lemma") form.  Only
+where that bound misses what is needed is it tightened to "both": the edge
+mean-value form, most of the per-box cost, intersected with the lemma
+enclosure in hand.  `certify` needs the target: a box whose lemma bound
+clears it records that bound, one that misses by at most `_REACH` is
+tightened, and one further below is split on its lemma bound (about half
+the boxes are split nodes, which "both" rarely saves).  Both forms enclose
+the residual and splitting is always sound, so the policy only trades boxes
+for time.  The replay needs each leaf's recorded bound and tightens every
+miss, so its verdict is the one a full "both" replay gives and does not
+depend on how the certifier chose its enclosures.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .interval import FrameBox, Interval, _down, residual_enclosure
+from .interval import (FrameBox, Interval, IntervalError, _down,
+                       edge_mean_value_enclosure, residual_enclosure)
 
 GAUGE = "psum1"
 SPLIT_RULE = "bisect-widest:p1,p2,p3,p4,w"
@@ -166,11 +167,8 @@ def _gauge_clip(arr: np.ndarray, margin: float):
     feasible = np.ones(arr.shape[0], dtype=bool)
     clipped = []
     for i in range(4):
-        others = None
-        for j in range(4):
-            if j != i:
-                others = p[j] if others is None else others + p[j]
-        allowed = one - others
+        a, b, c = (p[j] for j in range(4) if j != i)
+        allowed = one - (a + b + c)
         lo = np.maximum(p[i].lo, allowed.lo)
         hi = np.minimum(p[i].hi, allowed.hi)
         feasible &= lo <= hi
@@ -178,43 +176,42 @@ def _gauge_clip(arr: np.ndarray, margin: float):
     return clipped, w, feasible
 
 
-def _lower_bound(arr: np.ndarray, margin: float, path: str) -> np.ndarray:
-    """Nudged lower ends of one enclosure path over feasible boxes."""
-    (p1, p2, p3, p4), w, feasible = _gauge_clip(arr, margin)
-    if not np.all(feasible):
-        raise ValueError("evaluate called with an infeasible box")
-    enc = residual_enclosure(FrameBox(p1, p2, p3, p4, w, margin), path)
-    # at least two extra downward ulps: replays recompute the same enclosure
-    # but may wobble in the last ulp of the libm calls
-    return _down(np.asarray(enc.lo, dtype=float), 2)
-
-
 def _evaluate(arr: np.ndarray, margin: float, need,
-              reach: float = math.inf) -> np.ndarray:
-    """Certified lower bounds for feasible boxes (shape (n, 5, 2)), computed
-    in chunks of `_EVAL_CHUNK` boxes, cheap form first.
+              reach: float = math.inf) -> tuple:
+    """Clip and bound boxes (shape (n, 5, 2)) in chunks of `_EVAL_CHUNK`.
 
-    Each chunk is bounded with the trig ("lemma") form, and again with
-    "both" (the lemma form intersected with the edge mean-value form) on the
-    rows whose lemma bound misses `need` (a scalar or one bound per row) by
-    at most `reach`; the other rows keep their lemma bound.  Each form is a
-    valid enclosure and "both" is never looser than "lemma", so every
-    returned bound is sound, and with the default infinite reach (the
-    replay's) a row clears `need` exactly when its "both" bound would.  A
-    NaN lemma bound is not retried: "both" takes the larger lower end with
-    numpy's NaN-propagating maximum, so its bound would be NaN too.
+    Returns (feasible, bounds): which boxes meet the gauge plane, and their
+    certified residual lower bounds, NaN where a box misses it.  Each chunk
+    is clipped once and its feasible rows are bounded once with the lemma
+    form; rows whose lemma bound misses `need` (a scalar or one bound per
+    row) by at most `reach` are tightened to "both", the edge mean-value form
+    intersected with that lemma enclosure.  "both" is never looser than
+    "lemma", so with the default infinite reach (the replay's) a row clears
+    `need` exactly when its "both" bound would.  A NaN lemma bound is not
+    retried: the intersection takes numpy's NaN-propagating maximum.
     """
     need = np.broadcast_to(need, len(arr))
-    out = np.empty(len(arr))
+    feasible = np.zeros(len(arr), dtype=bool)
+    out = np.full(len(arr), np.nan)
     for start in range(0, len(arr), _EVAL_CHUNK):
-        chunk = slice(start, start + _EVAL_CHUNK)
-        bound = _lower_bound(arr[chunk], margin, "lemma")
-        retry = np.flatnonzero((bound < need[chunk])
-                               & (bound >= need[chunk] - reach))
+        (p1, p2, p3, p4), w, ok = _gauge_clip(arr[start:start + _EVAL_CHUNK], margin)
+        rows = np.flatnonzero(ok)
+        coords = [Interval(c.lo[rows], c.hi[rows]) for c in (p1, p2, p3, p4, w)]
+        lemma = residual_enclosure(FrameBox(*coords, margin), "lemma")
+        # at least two extra downward ulps: replays recompute the same
+        # enclosure but may wobble in the last ulp of the libm calls
+        bound = _down(np.asarray(lemma.lo, dtype=float), 2)
+        goal = need[start + rows]
+        retry = np.flatnonzero((bound < goal) & (bound >= goal - reach))
         if len(retry):
-            bound[retry] = _lower_bound(arr[chunk][retry], margin, "both")
-        out[chunk] = bound
-    return out
+            near = FrameBox(*(Interval(c.lo[retry], c.hi[retry]) for c in coords),
+                            margin)
+            both = edge_mean_value_enclosure(near).intersect(
+                Interval(lemma.lo[retry], lemma.hi[retry]))
+            bound[retry] = _down(np.asarray(both.lo, dtype=float), 2)
+        feasible[start + rows] = True
+        out[start + rows] = bound
+    return feasible, out
 
 
 def _split(arr: np.ndarray) -> np.ndarray:
@@ -293,9 +290,7 @@ def certify(margin: float, target: float = 0.0,
     evaluated = depth = 0
     complete = True
     while len(level):
-        feasible = _gauge_clip(level, margin)[2]
-        bounds = np.full(len(level), np.nan)
-        bounds[feasible] = _evaluate(level[feasible], margin, target, _REACH)
+        feasible, bounds = _evaluate(level, margin, target, _REACH)
         evaluated += int(np.count_nonzero(feasible))
         split = feasible & ~(bounds >= target)
         pending = np.flatnonzero(split)
@@ -323,11 +318,10 @@ def certify(margin: float, target: float = 0.0,
 def verify_certificate(cert) -> bool:
     """Replay a certificate: regenerate every box from its tree, check each
     node's code against the box's feasibility, and recompute the box count,
-    each leaf's residual lower bound, the global bound and the completeness
-    flag.  Leaf bounds are recomputed trig-first: the "lemma" enclosure
-    alone where it already meets the recorded bound, "both" on the rest of
-    each chunk.  Accepts a Certificate or its JSON dict; returns True iff
-    all claims hold.
+    each leaf's residual lower bound (trig-first, by `_evaluate`; a leaf
+    whose enclosure cannot be formed rejects), the global bound and the
+    completeness flag.  Accepts a Certificate or its JSON dict; returns True
+    iff all claims hold.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_dict(cert)
@@ -342,13 +336,14 @@ def verify_certificate(cert) -> bool:
             or cert.box_count != len(cert.tree) - cert.tree.count("."):
         return False
     # each code must match its box: '.' misses the gauge plane, 'L' meets it
-    if np.any(_gauge_clip(empties, cert.margin)[2]) \
-            or not np.all(_gauge_clip(leaves, cert.margin)[2]):
+    if np.any(_gauge_clip(empties, cert.margin)[2]):
         return False
-
-    recomputed = _evaluate(leaves, cert.margin, recorded)
+    try:
+        feasible, recomputed = _evaluate(leaves, cert.margin, recorded)
+    except IntervalError:  # an enclosure that cannot be formed proves nothing
+        return False
     # comparisons are written so that a NaN on either side rejects
-    if np.any(~(recomputed >= recorded)):
+    if not np.all(feasible) or np.any(~(recomputed >= recorded)):
         return False
     if float(np.min(recorded)) != cert.c_star:
         return False

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__
@@ -25,6 +26,7 @@ from .geometry import (
     frame_of,
     metrics,
 )
+from .interval import IntervalError
 from .ioutil import dumps
 from .kernel import RESIDUAL_PATHS, audit, audit_samples, edge_terms, residual
 from .search import boundary_trend
@@ -75,6 +77,12 @@ def _emit(report: dict, args, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_tol(tol: float) -> float:
+    if not math.isfinite(tol):
+        raise UsageError(f"tol must be finite, not {tol!r}")
+    return tol
+
+
 def _config_dict(args, fields) -> dict:
     return {name: getattr(args, name.replace("-", "_")) for name in fields}
 
@@ -95,7 +103,7 @@ def _cmd_eval(args) -> int:
 
     m = metrics(quad)
     terms = edge_terms(m)
-    report_audit = audit(m, tol=args.tol)
+    report_audit = audit(m, tol=_finite_tol(args.tol))
     residuals = {path: float(residual(m, path)) for path in RESIDUAL_PATHS}
     metric_doc = {name: float(getattr(m, name)) for name in (
         "a", "b", "c", "d", "e", "f", "A123", "A124", "A134", "A234",
@@ -124,8 +132,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report_audit = audit_samples(args.seed, args.samples, tol=args.tol,
-                                 margin=args.margin, strategy=args.strategy)
+    try:
+        report_audit = audit_samples(args.seed, args.samples,
+                                     tol=_finite_tol(args.tol),
+                                     margin=args.margin, strategy=args.strategy)
+    except ValueError as exc:  # GeometryError included
+        raise UsageError(str(exc))
     report = {
         "version": __version__,
         "command": "audit",
@@ -152,6 +164,9 @@ def _cmd_certify(args) -> int:
                        max_boxes=args.max_boxes)
     except ValueError as exc:
         raise UsageError(str(exc))
+    except IntervalError as exc:
+        raise UsageError(f"margin {args.margin!r} is too fine for the interval "
+                         f"enclosures: {exc}")
     doc = cert.to_json_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -205,7 +220,10 @@ def _cmd_check_cert(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    results = boundary_trend(args.seed, args.starts, args.margin, args.budget)
+    try:
+        results = boundary_trend(args.seed, args.starts, args.margin, args.budget)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report = {
         "version": __version__,
         "command": "search",

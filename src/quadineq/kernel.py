@@ -521,6 +521,8 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
     frame-uniform batches are evaluated vectorized in chunks; the slower
     point-rejection strategy draws one configuration per derived seed.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     acc = _Accumulator()
     if strategy == "frame-uniform":
         done = 0

@@ -6,17 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from quadineq import __version__, certifier
+from quadineq import __version__, certifier, interval
 from quadineq.certifier import (
     Certificate,
     MalformedCertificate,
     _decode,
+    _gauge_clip,
     _split,
     certify,
     verify_certificate,
 )
 from quadineq.geometry import metrics_from_frames
-from quadineq.interval import Interval
+from quadineq.interval import FrameBox, Interval, _down, residual_enclosure
 from quadineq.ioutil import dumps
 from quadineq.kernel import residual
 
@@ -236,7 +237,7 @@ def test_certificate_holds_bounds_and_derives_leaf_boxes(cert):
 
 def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
     monkeypatch.setattr(certifier, "_evaluate", lambda boxes, margin, recorded=None:
-                        np.full(len(boxes), np.nan))
+                        (np.ones(len(boxes), dtype=bool), np.full(len(boxes), np.nan)))
     assert not verify_certificate(cert)
 
 
@@ -251,11 +252,27 @@ def test_verify_rejects_non_finite_enclosure(cert, monkeypatch, endpoint):
         assert verify_certificate(cert) is False
 
 
+def test_verify_rejects_a_leaf_without_an_enclosure():
+    # the root leaf of a margin-0.2 run replayed at margin 1e-8, where the
+    # box's lengths touch zero and no enclosure forms
+    doc = _fresh(certify(margin=0.2, max_boxes=1))
+    doc["margin"] = 1e-8
+    assert verify_certificate(doc) is False
+
+
+def _nudged_bound(boxes, margin, path):
+    """The lower end of one enclosure path over feasible boxes, nudged down
+    as the certifier records it."""
+    (p1, p2, p3, p4), w, _ = _gauge_clip(boxes, margin)
+    enc = residual_enclosure(FrameBox(p1, p2, p3, p4, w, margin), path)
+    return _down(np.asarray(enc.lo, dtype=float), 2)
+
+
 def _replay_bounds(cert):
     """Each leaf's nudged lemma bound and its nudged "both" bound."""
     boxes = _decode(cert.tree, cert.margin)[0]
-    return (certifier._lower_bound(boxes, cert.margin, "lemma"),
-            certifier._lower_bound(boxes, cert.margin, "both"))
+    return (_nudged_bound(boxes, cert.margin, "lemma"),
+            _nudged_bound(boxes, cert.margin, "both"))
 
 
 @pytest.fixture(scope="module")
@@ -280,15 +297,21 @@ def test_trig_first_replay_is_exact_at_the_full_bound(both_cert):
 
 
 def _counted_enclosures(monkeypatch):
-    """Count the rows each enclosure path bounds through the certifier."""
+    """Count the rows the certifier bounds with the lemma form and the rows
+    it tightens to "both" with the edge mean-value form."""
     rows = {"lemma": 0, "both": 0}
-    enclosure = certifier.residual_enclosure
+    lemma, mean_value = certifier.residual_enclosure, certifier.edge_mean_value_enclosure
 
-    def counted(box, path):
+    def counted_lemma(box, path):
         rows[path] += np.size(box.p1.lo)
-        return enclosure(box, path)
+        return lemma(box, path)
 
-    monkeypatch.setattr(certifier, "residual_enclosure", counted)
+    def counted_mean_value(box):
+        rows["both"] += np.size(box.p1.lo)
+        return mean_value(box)
+
+    monkeypatch.setattr(certifier, "residual_enclosure", counted_lemma)
+    monkeypatch.setattr(certifier, "edge_mean_value_enclosure", counted_mean_value)
     return rows
 
 
@@ -330,7 +353,7 @@ def test_leaf_bound_is_lemma_where_it_clears_else_both(policy_cert):
 def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
     target = policy_cert.target
     boxes = _evaluated_boxes(policy_cert)
-    lemma = certifier._lower_bound(boxes, policy_cert.margin, "lemma")
+    lemma = _nudged_bound(boxes, policy_cert.margin, "lemma")
     near = int(np.count_nonzero((lemma < target)
                                 & (lemma >= target - certifier._REACH)))
     rows = _counted_enclosures(monkeypatch)
@@ -339,6 +362,22 @@ def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
     assert rows == {"lemma": policy_cert.box_count, "both": near}
     # the reach retries some misses and leaves others to splitting
     assert 0 < near < np.count_nonzero(lemma < target)
+
+
+def test_each_evaluated_box_pays_the_lemma_form_once(both_cert, monkeypatch):
+    rows = [0]
+    lemma = interval._lemma_residual
+
+    def counted(box, *args):
+        rows[0] += np.size(box.p1.lo)
+        return lemma(box, *args)
+
+    monkeypatch.setattr(interval, "_lemma_residual", counted)
+    again = certify(margin=MARGIN, target=0.0, max_boxes=300_000)
+    assert verify_certificate(both_cert)
+    # both runs tighten some rows to "both", built from the lemma enclosure
+    # each row already has
+    assert rows[0] == again.box_count + len(both_cert.bounds)
 
 
 def test_positive_target_run_completes_and_verifies(raised_cert):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quadineq import __version__
 from quadineq.cli import main
 
 SQUARE_JSON = '{"points": [[0,0],[1,0],[1,1],[0,1]]}'
@@ -163,6 +164,39 @@ def test_certify_rejects_bad_arguments(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and err.startswith("error: ") and out == ""
     assert not cert_path.exists()
+
+
+def test_certify_reports_a_margin_too_fine_for_the_enclosures(capsys):
+    # at margin 1e-8 the root box's lengths touch zero, so no enclosure forms
+    code, out, err = run(capsys, ["certify", "--margin", "1e-8", "--max-boxes", "10"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: margin 1e-08 ") and "touches zero" in err
+
+
+def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
+    doc = {"version": __version__, "margin": 1e-8, "gauge": "psum1",
+           "target": 0.0, "complete": False, "c_star": -1.0, "box_count": 1,
+           "split_rule": "bisect-widest:p1,p2,p3,p4,w", "tree": "L",
+           "leaves": [{"lower_bound": -1.0}]}
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["check-cert", str(path)])
+    assert code == 1 and json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--margin", "0.5"], ["search", "--starts", "0"],
+    ["search", "--budget", "-1"], ["audit", "--margin", "0.5"],
+    ["audit", "--samples", "0"], ["audit", "--samples", "-5"],
+    ["audit", "--tol", "nan"], ["eval", "--tol", "nan", "--points", SQUARE_JSON],
+], ids=["search-margin-too-wide", "search-no-starts", "search-negative-budget",
+        "audit-margin-too-wide", "audit-no-samples", "audit-negative-samples",
+        "audit-tol-nan", "eval-tol-nan"])
+def test_audit_search_and_eval_reject_bad_arguments(tmp_path, capsys, argv):
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, argv + ["--out", str(out_path)])
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert not out_path.exists()
 
 
 def test_search_exit_zero_and_trend(capsys):
