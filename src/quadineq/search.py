@@ -7,9 +7,16 @@ falsifier, not a prover: any frame whose normalized residual dips below
 -1e-12 is flagged as a counterexample candidate and re-audited through the
 full identity suite before being reported as genuine.
 
-Runs are deterministic per (seed, starts, margin, budget): every start has
-its own RNG stream derived from (seed, start index), so results do not
-depend on evaluation order.
+A margin schedule runs as one lockstep descent: every (margin, start) pair
+is a row of one batch, with its own margin, and each loop pass steps every
+row still descending.  A row leaves the batch as soon as it converges or
+cannot afford another step, so a finished row costs nothing afterwards.
+Rows stay independent: each start draws from its own RNG stream, derived
+from (seed, start index), and every step, projection, ranking and
+objective value is computed row by row, so a row's trajectory does not
+depend on which rows share its batch.  Runs are deterministic per (seed,
+starts, margin, budget), and a schedule's results equal those of separate
+one-margin searches.
 """
 
 from __future__ import annotations
@@ -86,10 +93,11 @@ class SearchResult:
         }
 
 
-def _project(x: np.ndarray, margin: float) -> np.ndarray:
+def _project(x: np.ndarray, margin) -> np.ndarray:
     """Project points (…, 5) onto the feasible set: p on the margin-floored
     simplex (clamp-and-renormalize the excess above the floor) and w clamped
-    to its truncated range."""
+    to its truncated range.  margin is a scalar or one margin per point,
+    shaped to broadcast against x[..., :1]."""
     p = x[..., :4]
     q = np.maximum(p - margin, 0.0)
     s = q.sum(axis=-1, keepdims=True)
@@ -115,130 +123,162 @@ def _initial_points(seed: int, starts: int, margin: float) -> np.ndarray:
     return points
 
 
+def _keep_best(best_x, best_f, simplex, values) -> np.ndarray:
+    """Record each row's lowest vertex where it beats the row's best so far
+    (the first such vertex on ties); returns every row's lowest value."""
+    low = values.min(axis=1)
+    improved = np.nonzero(low < best_f)[0]
+    best_f[improved] = low[improved]
+    best_x[improved] = simplex[improved, values[improved].argmin(axis=1)]
+    return low
+
+
+def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) -> tuple:
+    """Lockstep simplex descent from the feasible rows x0 (n, 5) with values
+    f0, each row within its own margin (n, 1).
+
+    budget caps the objective evaluations each row may spend beyond its
+    start point.  The loop works on the rows still descending: a row that
+    converges or cannot afford another reflection is written back to its
+    slot and dropped from the batch.  Returns each row's best point, best
+    value, evaluation count and iteration count.
+    """
+    n = len(x0)
+    best_x, best_f = x0.copy(), f0.copy()
+    evals = np.zeros(n, dtype=int)
+    iters = np.zeros(n, dtype=int)
+    if budget < _N_COORDS:
+        return best_x, best_f, evals, iters
+
+    # initial simplex: the start plus one perturbed vertex per coordinate
+    steps = np.concatenate([np.repeat(0.12 * (1.0 - 4.0 * margin), 4, axis=1),
+                            0.12 * (1.0 - 2.0 * margin) * math.pi], axis=1)
+    simplex = np.repeat(x0[:, None, :], _N_COORDS + 1, axis=1)
+    axes = np.arange(_N_COORDS)
+    simplex[:, axes + 1, axes] += steps
+    simplex = _project(simplex, margin[:, None])
+    values = np.empty((n, _N_COORDS + 1))
+    values[:, 0] = f0
+    values[:, 1:] = _objective(simplex[:, 1:, :])
+    evals[:] = _N_COORDS
+    _keep_best(best_x, best_f, simplex, values)
+
+    # the batch: the rows still descending, by their slots in the outputs; a
+    # budget of exactly _N_COORDS is spent on the initial simplex
+    rows = np.arange(n if budget > _N_COORDS else 0)
+    simplex, values, margin = simplex[rows], values[rows], margin[rows]
+    bx, bf, ev, it = best_x[rows], best_f[rows], evals[rows], iters[rows]
+    while rows.size:
+        order = np.argsort(values, axis=1, kind="stable")
+        ranked = np.arange(rows.size)[:, None]
+        simplex, values = simplex[ranked, order], values[ranked, order]
+        centroid = simplex[:, :-1, :].mean(axis=1)
+        worst = simplex[:, -1, :]
+        f_worst = values[:, -1]
+
+        # a row that cannot afford its reflection has left the batch
+        reflected = _project(centroid + (centroid - worst), margin)
+        f_reflect = _objective(reflected)
+        ev += 1
+        accept_reflect = f_reflect < values[:, -2]
+
+        need_contract = ~accept_reflect & (ev + 1 <= budget)
+        contracted = np.empty_like(worst)
+        f_contract = np.full(rows.size, np.inf)
+        if np.any(need_contract):
+            inner = centroid[need_contract] + 0.5 * (worst[need_contract]
+                                                     - centroid[need_contract])
+            contracted[need_contract] = _project(inner, margin[need_contract])
+            f_contract[need_contract] = _objective(contracted[need_contract])
+            ev[need_contract] += 1
+        accept_contract = need_contract & (f_contract < np.minimum(f_worst, f_reflect))
+
+        need_shrink = need_contract & ~accept_contract & (ev + _N_COORDS <= budget)
+        simplex[accept_reflect, -1, :] = reflected[accept_reflect]
+        values[accept_reflect, -1] = f_reflect[accept_reflect]
+        simplex[accept_contract, -1, :] = contracted[accept_contract]
+        values[accept_contract, -1] = f_contract[accept_contract]
+        if np.any(need_shrink):
+            best_vertex = simplex[need_shrink, :1, :]
+            shrunk = _project(best_vertex + 0.5 * (simplex[need_shrink, 1:, :] - best_vertex),
+                              margin[need_shrink, None])
+            simplex[need_shrink, 1:, :] = shrunk
+            values[need_shrink, 1:] = _objective(shrunk)
+            ev[need_shrink] += _N_COORDS
+        it[accept_reflect | accept_contract | need_shrink] += 1
+
+        low = _keep_best(bx, bf, simplex, values)
+        converged = values.max(axis=1) - low <= 1e-15 * (1.0 + np.abs(low))
+        done = converged | (ev + 1 > budget)
+        if np.any(done):
+            slots = rows[done]
+            best_x[slots], best_f[slots] = bx[done], bf[done]
+            evals[slots], iters[slots] = ev[done], it[done]
+            keep = ~done
+            rows, simplex, values, margin, bx, bf, ev, it = (
+                a[keep] for a in (rows, simplex, values, margin, bx, bf, ev, it))
+    return best_x, best_f, evals, iters
+
+
 def minimize_residual(seed: int, starts: int = 64, margin: float = 0.05,
                       budget: int = 2000) -> SearchResult:
-    """Multi-start simplex descent on the normalized residual.
+    """Multi-start simplex descent on the normalized residual: the
+    one-margin case of `boundary_trend`.
 
     budget caps the number of objective evaluations each start may spend
     beyond its own start-point evaluation; budget 0 reports the start
     points themselves.
     """
-    if starts < 1:
-        raise ValueError("starts must be at least 1")
-    if not (1e-6 <= margin <= 0.2):
-        raise ValueError("margin must lie in [1e-6, 0.2]")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-
-    x0 = _project(_initial_points(seed, starts, margin), margin)
-    f0 = _objective(x0)
-    best_x = x0.copy()
-    best_f = f0.copy()
-    evals = np.zeros(starts, dtype=int)
-    iters = np.zeros(starts, dtype=int)
-
-    n_vertices = _N_COORDS + 1
-    if budget >= n_vertices - 1:
-        # initial simplex: the start plus one perturbed vertex per coordinate
-        steps = np.array([0.12 * (1.0 - 4.0 * margin)] * 4
-                         + [0.12 * (1.0 - 2.0 * margin) * math.pi])
-        simplex = np.repeat(x0[:, None, :], n_vertices, axis=1)
-        for j in range(_N_COORDS):
-            simplex[:, j + 1, j] += steps[j]
-        simplex = _project(simplex, margin)
-        values = np.empty((starts, n_vertices))
-        values[:, 0] = f0
-        values[:, 1:] = _objective(simplex[:, 1:, :])
-        evals += _N_COORDS
-
-        active = np.ones(starts, dtype=bool)
-        while np.any(active):
-            order = np.argsort(values, axis=1, kind="stable")
-            ranked = np.take_along_axis(simplex, order[:, :, None], axis=1)
-            ranked_f = np.take_along_axis(values, order, axis=1)
-            simplex, values = ranked, ranked_f
-
-            centroid = simplex[:, :-1, :].mean(axis=1)
-            worst = simplex[:, -1, :]
-            f_worst = values[:, -1]
-            f_second = values[:, -2]
-
-            can_reflect = active & (evals + 1 <= budget)
-            reflected = _project(centroid + (centroid - worst), margin)
-            f_reflect = np.full(starts, np.inf)
-            if np.any(can_reflect):
-                f_reflect[can_reflect] = _objective(reflected[can_reflect])
-                evals[can_reflect] += 1
-
-            accept_reflect = can_reflect & (f_reflect < f_second)
-            need_contract = can_reflect & ~accept_reflect & (evals + 1 <= budget)
-            contracted = _project(centroid + 0.5 * (worst - centroid), margin)
-            f_contract = np.full(starts, np.inf)
-            if np.any(need_contract):
-                f_contract[need_contract] = _objective(contracted[need_contract])
-                evals[need_contract] += 1
-            accept_contract = need_contract & (f_contract < np.minimum(f_worst, f_reflect))
-
-            need_shrink = need_contract & ~accept_contract & (evals + _N_COORDS <= budget)
-            simplex[accept_reflect, -1, :] = reflected[accept_reflect]
-            values[accept_reflect, -1] = f_reflect[accept_reflect]
-            simplex[accept_contract, -1, :] = contracted[accept_contract]
-            values[accept_contract, -1] = f_contract[accept_contract]
-            if np.any(need_shrink):
-                best_vertex = simplex[need_shrink, :1, :]
-                shrunk = _project(best_vertex + 0.5 * (simplex[need_shrink, 1:, :]
-                                                       - best_vertex), margin)
-                simplex[need_shrink, 1:, :] = shrunk
-                values[need_shrink, 1:] = _objective(shrunk)
-                evals[need_shrink] += _N_COORDS
-
-            stepped = accept_reflect | accept_contract | need_shrink
-            iters[stepped] += 1
-
-            improved = values.min(axis=1) < best_f
-            arg = values.argmin(axis=1)
-            rows = np.nonzero(improved)[0]
-            best_f[rows] = values[rows, arg[rows]]
-            best_x[rows] = simplex[rows, arg[rows], :]
-
-            spread = values.max(axis=1) - values.min(axis=1)
-            converged = spread <= 1e-15 * (1.0 + np.abs(values.min(axis=1)))
-            out_of_budget = evals + 1 > budget
-            active &= ~(converged | out_of_budget)
-            # starts that can no longer afford any step are done
-            active &= stepped | (evals + 1 <= budget)
-
-    order = np.lexsort((np.arange(starts), best_f))
-    winner = int(order[0])
-    frames = [DiagonalFrame(*map(float, best_x[k, :4]), float(best_x[k, 4]),
-                            normalized=True) for k in range(starts)]
-    trajectories = [
-        Trajectory(start=tuple(map(float, x0[k])), end=tuple(map(float, best_x[k])),
-                   start_value=float(f0[k]), best_value=float(best_f[k]),
-                   iterations=int(iters[k]), evaluations=int(evals[k]))
-        for k in range(starts)
-    ]
-
-    candidates = [frames[k] for k in range(starts)
-                  if best_f[k] < COUNTEREXAMPLE_THRESHOLD]
-    genuine = [f for f in candidates
-               if not audit(quad_from_frame(f)).check("residual-nonneg").passed]
-
-    return SearchResult(
-        seed=seed, starts=starts, margin=margin, budget=budget,
-        best_value=float(best_f[winner]), best_frame=frames[winner],
-        trajectories=trajectories, margin_schedule=[margin],
-        candidates=candidates, genuine_candidates=genuine,
-    )
+    return boundary_trend(seed, starts, [margin], budget)[0]
 
 
 def boundary_trend(seed: int, starts: int, margins, budget: int) -> list:
-    """Independent searches over a decreasing margin schedule; documents how
-    the attainable minimum decays toward the degenerate boundary."""
+    """One multi-start search per margin of a schedule, all run as one
+    lockstep batch; documents how the attainable minimum decays toward the
+    degenerate boundary.
+
+    Each (margin, start) row descends on its own (see the module
+    docstring), so each margin's SearchResult is the one a search at that
+    margin alone gives.  Every argument is checked before the first
+    objective evaluation.
+    """
     margins = list(margins)
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
+    if not all(1e-6 <= m <= 0.2 for m in margins):
+        raise ValueError("margin must lie in [1e-6, 0.2]")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if not margins:
+        return []
+
+    column = np.repeat(np.array(margins, dtype=float), starts)[:, None]
+    x0 = _project(np.concatenate([_initial_points(seed, starts, float(m)) for m in margins]),
+                  column)
+    f0 = _objective(x0)
+    best_x, best_f, evals, iters = _descend(x0, f0, column, budget)
+
     results = []
-    for m in margins:
-        res = minimize_residual(seed, starts=starts, margin=float(m), budget=budget)
-        res.margin_schedule = margins
-        results.append(res)
+    for i, m in enumerate(margins):
+        rows = slice(i * starts, (i + 1) * starts)
+        frames = [DiagonalFrame(*map(float, x[:4]), float(x[4]), normalized=True)
+                  for x in best_x[rows]]
+        trajectories = [
+            Trajectory(start=tuple(map(float, a)), end=tuple(map(float, b)),
+                       start_value=float(fa), best_value=float(fb),
+                       iterations=int(k), evaluations=int(e))
+            for a, b, fa, fb, k, e in zip(x0[rows], best_x[rows], f0[rows], best_f[rows],
+                                          iters[rows], evals[rows])
+        ]
+        candidates = [f for f, t in zip(frames, trajectories)
+                      if t.best_value < COUNTEREXAMPLE_THRESHOLD]
+        genuine = [f for f in candidates
+                   if not audit(quad_from_frame(f)).check("residual-nonneg").passed]
+        winner = int(np.argsort(best_f[rows], kind="stable")[0])
+        results.append(SearchResult(
+            seed=seed, starts=starts, margin=float(m), budget=budget,
+            best_value=trajectories[winner].best_value, best_frame=frames[winner],
+            trajectories=trajectories, margin_schedule=margins,
+            candidates=candidates, genuine_candidates=genuine,
+        ))
     return results

@@ -199,6 +199,26 @@ def test_audit_search_and_eval_reject_bad_arguments(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--margin", "0.05", "0.5"], ["--margin", "0.05", "nan"],
+    ["--margin", "0.05", "0.005", "--budget", "-1"],
+], ids=["later-margin-too-wide", "later-margin-nan", "negative-budget"])
+def test_search_checks_every_argument_before_the_first_descent(capsys, monkeypatch, argv):
+    from quadineq import search
+
+    calls = []
+    real = search.metrics_from_frames
+
+    def counting(p, w):
+        calls.append(len(w))
+        return real(p, w)
+
+    monkeypatch.setattr(search, "metrics_from_frames", counting)
+    code, out, err = run(capsys, ["search", "--starts", "256"] + argv)
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert calls == []
+
+
 def test_search_exit_zero_and_trend(capsys):
     code, out, _ = run(capsys, ["search", "--seed", "7", "--starts", "8",
                                 "--budget", "400",

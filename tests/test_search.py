@@ -55,6 +55,44 @@ def test_margin_trend_decreases_toward_zero():
     assert runs[0].margin_schedule == [0.05, 0.005, 0.0005]
 
 
+def _without_schedule(result):
+    doc = result.to_json_dict()
+    del doc["margin_schedule"]
+    return doc
+
+
+@pytest.mark.parametrize("budget", [40, 700])
+def test_schedule_batch_equals_one_margin_searches(budget):
+    # margins far apart retire their rows at very different iterations, so
+    # the batch is compacted many times while the other margin still runs
+    margins = [0.05, 0.0005]
+    runs = boundary_trend(4, 6, margins, budget)
+    iterations = {t.iterations for r in runs for t in r.trajectories}
+    assert len(iterations) > 3
+    for m, run in zip(margins, runs):
+        assert run.margin_schedule == margins
+        assert _without_schedule(run) == _without_schedule(minimize_residual(4, 6, m, budget))
+
+
+@pytest.mark.parametrize("budget", [40, 600])
+def test_trajectories_do_not_depend_on_the_other_starts(budget):
+    # a small budget retires many rows in the same pass
+    k = 4
+    few = boundary_trend(9, k, [0.05, 0.001], budget)
+    many = boundary_trend(9, 3 * k, [0.05, 0.001], budget)
+    for a, b in zip(few, many):
+        assert ([t.to_json_dict() for t in a.trajectories]
+                == [t.to_json_dict() for t in b.trajectories[:k]])
+
+
+def test_budget_of_one_simplex_reports_its_best_vertex():
+    res = minimize_residual(5, starts=4, margin=0.05, budget=5)
+    for t in res.trajectories:
+        assert t.evaluations == 5 and t.iterations == 0
+        assert t.best_value <= t.start_value
+    assert any(t.best_value < t.start_value for t in res.trajectories)
+
+
 def test_projection_is_identity_on_feasible_points():
     rng = np.random.default_rng(0)
     margin = 0.05

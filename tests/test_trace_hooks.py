@@ -1,0 +1,52 @@
+"""The benchmark's trace wraps package functions by name.  A refactor that
+drops or renames one of them breaks only a traced benchmark run, so check
+here that every wrapped name exists, that a traced search reaches the
+search spans, and that `restore` puts the originals back."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from quadineq import cli, search
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEARCH_HOOKS = [(search, "metrics_from_frames"), (search, "normalized_residual"),
+                (search, "audit"), (cli, "boundary_trend"), (cli, "main")]
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("layers"), importlib.import_module("spans")
+
+
+def test_install_wrappers_and_restore(perfbench):
+    layers, spans = perfbench
+    originals = [getattr(owner, name) for owner, name in SEARCH_HOOKS]
+    tracer = spans.Tracer()
+    try:
+        layers.install_wrappers(tracer, {})  # KeyError on a missing name
+        wrapped = [getattr(owner, name) for owner, name in SEARCH_HOOKS]
+        assert all(w is not o for w, o in zip(wrapped, originals))
+    finally:
+        tracer.restore()
+    assert [getattr(owner, name) for owner, name in SEARCH_HOOKS] == originals
+
+
+def test_traced_search_records_the_search_spans(perfbench, capsys):
+    layers, spans = perfbench
+    tracer = spans.Tracer()
+    layers.install_wrappers(tracer, {})
+    try:
+        code = cli.main(["search", "--seed", "2", "--starts", "3", "--margin", "0.05",
+                         "0.005", "--budget", "60"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    assert {"search.boundary_trend", "geometry.metrics_from_frames",
+            "kernel.normalized_residual"} <= {span.name for span in tracer.spans}
+    metrics = layers.span_metrics(tracer.spans, {})
+    assert metrics["search.objective_calls"] > 0
+    assert metrics["search.rows_per_call"] > 0
