@@ -15,10 +15,20 @@ group), and each group collapses to a single product of abcdef with sines
 of the derived angles.  The multiplicity-two terms collapse to abcdef times
 a closed angular expression.  This module evaluates the residual through all
 of these routes and audits every identity and inequality along the way.
+
+Every closed form is written once, over a table (_Trig) that holds each
+sine and cosine it needs; a public function builds the table for its own
+input, and the audit builds one per block and shares it among all checks.
+The edge and expanded residuals and the raw group sums use no trig at all,
+so each identity still compares two independent computations.  A
+frame-uniform audit draws _AUDIT_CHUNK rows per sample_frames call and
+evaluates them in blocks of _AUDIT_BLOCK rows, small enough that a block's
+temporaries stay in cache; the report is the same for any block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +49,10 @@ MULT1_GROUPS = ("X", "Y", "W")
 # fall out of the filter through angle roundoff.
 _HYPOTHESIS_SLACK = 1e-12
 
-# frame-uniform audits are evaluated in batches of this many rows
+# frame-uniform audits draw this many rows per sample_frames call ...
 _AUDIT_CHUNK = 200_000
+# ... and evaluate them in blocks of this many rows
+_AUDIT_BLOCK = 16_384
 
 
 def _abcdef(m: QuadMetrics):
@@ -142,6 +154,128 @@ def _sum_terms(m: QuadMetrics, terms):
     return total
 
 
+class _Trig:
+    """Every sine and cosine that the closed forms use, each evaluated once
+    per QuadMetrics and shared by every closed form that needs it.
+
+    A trailing 2 halves the angle (sin_X2 = sin(X/2), cos_b2_2 =
+    cos(beta2/2)); the letter-pair names are halved sums and differences:
+
+        sin_a1b4 = sin((alpha1 - beta4)/2)     sin_WpY = sin((W' - Y)/2)
+        sin_b1a2 = sin((beta1 - alpha2)/2)     sin_WX  = sin((W - X)/2)
+        sin_g13  = sin((gamma1 + gamma3)/2)    sin_XY  = sin((X + Y)/2)
+
+    sin_alpha, sin_beta and sin_gamma list the sines of the twelve split and
+    interior angles (index 0 is angle 1).  cos_plus and cos_minus are the
+    twelve cosines of the definition form of the angular parts, in the order
+    of angular_parts' sums; they are evaluated from their own arguments, not
+    derived from the closed forms' half-angle factors.
+    """
+
+    def __init__(self, m: QuadMetrics):
+        s = np.sin
+        co = np.cos
+        self.sin_X, self.sin_Y, self.sin_W = s(m.X), s(m.Y), s(m.W)
+        self.sin_X2, self.sin_Y2 = s(m.X / 2), s(m.Y / 2)
+        self.sin_W2, self.sin_Wp2 = s(m.W / 2), s(m.Wp / 2)
+        self.cos_X2, self.cos_Y2 = co(m.X / 2), co(m.Y / 2)
+        self.cos_W2, self.cos_Wp2 = co(m.W / 2), co(m.Wp / 2)
+        self.sin_a1b4 = s((m.alpha1 - m.beta4) / 2)
+        self.sin_b1a2 = s((m.beta1 - m.alpha2) / 2)
+        self.sin_g13 = s((m.gamma1 + m.gamma3) / 2)
+        self.sin_WpY = s((m.Wp - m.Y) / 2)
+        self.sin_WX = s((m.W - m.X) / 2)
+        self.sin_XY = s((m.X + m.Y) / 2)
+        self.sin_a3_2, self.cos_b2_2 = s(m.alpha3 / 2), co(m.beta2 / 2)
+        self.sin_b3_2, self.cos_a4_2 = s(m.beta3 / 2), co(m.alpha4 / 2)
+        self.cos_g1_2, self.sin_g3_2 = co(m.gamma1 / 2), s(m.gamma3 / 2)
+        self.sin_alpha = [s(v) for v in (m.alpha1, m.alpha2, m.alpha3, m.alpha4)]
+        self.sin_beta = [s(v) for v in (m.beta1, m.beta2, m.beta3, m.beta4)]
+        self.sin_gamma = [s(v) for v in (m.gamma1, m.gamma2, m.gamma3, m.gamma4)]
+        pairs = ((m.alpha1, m.beta4), (m.alpha3, m.beta2),
+                 (m.alpha4, m.beta3), (m.alpha2, m.beta1))
+        self.cos_plus = [co(u + v) for u, v in pairs] \
+            + [co(m.gamma1 - m.gamma3), co(m.gamma2 - m.gamma4)]
+        self.cos_minus = [co(u - v) for u, v in pairs] \
+            + [co(m.gamma1 + m.gamma3), co(m.gamma2 + m.gamma4)]
+
+
+def _factored_groups(K, t: _Trig):
+    """The X, Y and W multiplicity-one groups in factored form."""
+    return (K * t.sin_X * t.sin_Wp2 * t.sin_Y2 * t.sin_a1b4,
+            K * t.sin_Y * t.sin_W2 * t.sin_X2 * t.sin_b1a2,
+            K * t.sin_W * t.cos_X2 * t.cos_Y2 * t.sin_g13)
+
+
+def _closed_parts(t: _Trig) -> AngularParts:
+    p1 = 0.5 - 2.0 * t.sin_X2 ** 2 * t.cos_W2 ** 2 * t.cos_Y2 ** 2 \
+        - 2.0 * t.cos_X2 ** 2 * t.cos_Wp2 ** 2 * t.sin_Y2 ** 2
+    p2 = -0.5 - 2.0 * t.sin_a1b4 * t.sin_b1a2 * t.sin_g13
+    return AngularParts(p1_value=p1, p2_value=p2)
+
+
+def _definition_parts(t: _Trig) -> AngularParts:
+    c, d = t.cos_plus, t.cos_minus
+    p1 = 0.25 * (c[0] + c[1] + c[2] + c[3] + c[4] + c[5])
+    p2 = 0.25 * (-d[0] - d[1] - d[2] - d[3] - d[4] - d[5])
+    return AngularParts(p1_value=p1, p2_value=p2)
+
+
+def _mult2_closed(K, parts: AngularParts):
+    return K * (parts.p1_value + parts.p2_value)
+
+
+def _lemma(groups, mult2_closed):
+    x, y, w = groups
+    return x + y + w + mult2_closed
+
+
+def _scalar_rest(t: _Trig):
+    """multiplicity_two_scalar's bracket without its gamma24_sign term."""
+    sa, sb, sg = t.sin_alpha, t.sin_beta, t.sin_gamma
+    return (-sa[0] * sb[3] - sa[2] * sb[1] - sa[3] * sb[2] - sa[1] * sb[0]
+            + sg[0] * sg[2])
+
+
+def _scalar(K, t: _Trig, rest, gamma24_sign: float):
+    return 0.5 * K * (rest + gamma24_sign * t.sin_gamma[1] * t.sin_gamma[3])
+
+
+def _triple_gap(cos_u, cos_v, cos_t, sin_u2, sin_v2, sin_t2):
+    lhs = cos_u + cos_v + cos_t
+    rhs = 1.0 + 4.0 * sin_u2 * sin_v2 * sin_t2
+    return np.abs(lhs - rhs)
+
+
+def _sine_bound(t: _Trig, index: int):
+    if index == 1:
+        return t.sin_WpY - np.abs(t.sin_a1b4)
+    if index == 2:
+        return t.sin_WX - np.abs(t.sin_b1a2)
+    return t.sin_g13 - t.sin_XY
+
+
+def _angular_core(t: _Trig, closed: AngularParts):
+    return (t.sin_X * t.sin_Wp2 * t.sin_Y2 * t.sin_a1b4
+            + t.sin_Y * t.sin_W2 * t.sin_X2 * t.sin_b1a2
+            + t.sin_W * t.cos_X2 * t.cos_Y2 * t.sin_g13
+            + (closed.p1_value - 0.5))
+
+
+def _remainder(t: _Trig):
+    return (2.0 * t.sin_X * t.sin_Wp2 * t.sin_Y2 * t.sin_a3_2 * t.cos_b2_2
+            + 2.0 * t.sin_Y * t.sin_W2 * t.sin_X2 * t.sin_b3_2 * t.cos_a4_2
+            + 2.0 * t.sin_W * t.cos_X2 * t.cos_Y2 * t.cos_g1_2 * t.sin_g3_2)
+
+
+def _final_chain(t: _Trig):
+    # sin((beta4-alpha1)/2) sin((alpha2-beta1)/2) is the product of the two
+    # negated table sines, which is bit for bit the product of the sines
+    return (2.0 * t.sin_WpY * t.sin_WX * t.sin_XY
+            - 2.0 * t.sin_a1b4 * t.sin_b1a2 * t.sin_g13
+            + 2.0 * t.sin_W * t.cos_X2 * t.cos_Y2 * t.cos_g1_2 * t.sin_g3_2)
+
+
 def multiplicity_one_sum(m: QuadMetrics, group: str, form: str = "raw"):
     """One of the three multiplicity-one groups, raw or in factored form.
 
@@ -157,15 +291,7 @@ def multiplicity_one_sum(m: QuadMetrics, group: str, form: str = "raw"):
         return _sum_terms(m, _MULT1_TERMS[group])
     if form != "factored":
         raise ValueError(f"unknown form {form!r}")
-    K = _abcdef(m)
-    if group == "X":
-        return K * np.sin(m.X) * np.sin(m.Wp / 2) * np.sin(m.Y / 2) \
-            * np.sin((m.alpha1 - m.beta4) / 2)
-    if group == "Y":
-        return K * np.sin(m.Y) * np.sin(m.W / 2) * np.sin(m.X / 2) \
-            * np.sin((m.beta1 - m.alpha2) / 2)
-    return K * np.sin(m.W) * np.cos(m.X / 2) * np.cos(m.Y / 2) \
-        * np.sin((m.gamma1 + m.gamma3) / 2)
+    return _factored_groups(_abcdef(m), _Trig(m))[MULT1_GROUPS.index(group)]
 
 
 def multiplicity_two_sum(m: QuadMetrics, form: str = "raw"):
@@ -177,8 +303,7 @@ def multiplicity_two_sum(m: QuadMetrics, form: str = "raw"):
                 + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234))
     if form != "closed":
         raise ValueError(f"unknown form {form!r}")
-    parts = angular_parts(m)
-    return _abcdef(m) * (parts.p1_value + parts.p2_value)
+    return _mult2_closed(_abcdef(m), _closed_parts(_Trig(m)))
 
 
 def multiplicity_two_scalar(m: QuadMetrics, gamma24_sign: float = 1.0):
@@ -188,11 +313,8 @@ def multiplicity_two_scalar(m: QuadMetrics, gamma24_sign: float = 1.0):
     audit adjudicates which sign reproduces the raw area-product sum
     (+1 is the variant consistent with the closed forms).
     """
-    s = np.sin
-    return 0.5 * _abcdef(m) * (
-        -s(m.alpha1) * s(m.beta4) - s(m.alpha3) * s(m.beta2)
-        - s(m.alpha4) * s(m.beta3) - s(m.alpha2) * s(m.beta1)
-        + s(m.gamma1) * s(m.gamma3) + gamma24_sign * s(m.gamma2) * s(m.gamma4))
+    t = _Trig(m)
+    return _scalar(_abcdef(m), t, _scalar_rest(t), gamma24_sign)
 
 
 def angular_parts(m: QuadMetrics, form: str = "closed") -> AngularParts:
@@ -206,23 +328,11 @@ def angular_parts(m: QuadMetrics, form: str = "closed") -> AngularParts:
         p2 = -1/2 - 2 sin((alpha1-beta4)/2) sin((beta1-alpha2)/2)
                       sin((gamma1+gamma3)/2)
     """
-    s = np.sin
-    co = np.cos
     if form == "definition":
-        p1 = 0.25 * (co(m.alpha1 + m.beta4) + co(m.alpha3 + m.beta2)
-                     + co(m.alpha4 + m.beta3) + co(m.alpha2 + m.beta1)
-                     + co(m.gamma1 - m.gamma3) + co(m.gamma2 - m.gamma4))
-        p2 = 0.25 * (-co(m.alpha1 - m.beta4) - co(m.alpha3 - m.beta2)
-                     - co(m.alpha4 - m.beta3) - co(m.alpha2 - m.beta1)
-                     - co(m.gamma1 + m.gamma3) - co(m.gamma2 + m.gamma4))
-        return AngularParts(p1_value=p1, p2_value=p2)
+        return _definition_parts(_Trig(m))
     if form != "closed":
         raise ValueError(f"unknown form {form!r}")
-    p1 = 0.5 - 2.0 * s(m.X / 2) ** 2 * co(m.W / 2) ** 2 * co(m.Y / 2) ** 2 \
-        - 2.0 * co(m.X / 2) ** 2 * co(m.Wp / 2) ** 2 * s(m.Y / 2) ** 2
-    p2 = -0.5 - 2.0 * s((m.alpha1 - m.beta4) / 2) \
-        * s((m.beta1 - m.alpha2) / 2) * s((m.gamma1 + m.gamma3) / 2)
-    return AngularParts(p1_value=p1, p2_value=p2)
+    return _closed_parts(_Trig(m))
 
 
 def residual(m: QuadMetrics, path: str = "edge"):
@@ -240,10 +350,9 @@ def residual(m: QuadMetrics, path: str = "edge"):
     if path == "expanded":
         return _sum_terms(m, _EXPANDED_TERMS)
     if path == "lemma":
-        return (multiplicity_one_sum(m, "X", "factored")
-                + multiplicity_one_sum(m, "Y", "factored")
-                + multiplicity_one_sum(m, "W", "factored")
-                + multiplicity_two_sum(m, "closed"))
+        K = _abcdef(m)
+        t = _Trig(m)
+        return _lemma(_factored_groups(K, t), _mult2_closed(K, _closed_parts(t)))
     raise ValueError(f"unknown residual path {path!r}")
 
 
@@ -255,9 +364,8 @@ def normalized_residual(m: QuadMetrics, path: str = "edge"):
 def cosine_triple_identity_gap(u, v, t):
     """|cos u + cos v + cos t - 1 - 4 sin(u/2) sin(v/2) sin(t/2)| for angle
     triples with u + v + t = pi."""
-    lhs = np.cos(u) + np.cos(v) + np.cos(t)
-    rhs = 1.0 + 4.0 * np.sin(u / 2) * np.sin(v / 2) * np.sin(t / 2)
-    return np.abs(lhs - rhs)
+    return _triple_gap(np.cos(u), np.cos(v), np.cos(t),
+                       np.sin(u / 2), np.sin(v / 2), np.sin(t / 2))
 
 
 def sine_bound_slack(m: QuadMetrics, index: int):
@@ -268,13 +376,9 @@ def sine_bound_slack(m: QuadMetrics, index: int):
         2: sin((W  - X)/2) - |sin((beta1 - alpha2)/2)|
         3: sin((gamma1 + gamma3)/2) - sin((X + Y)/2)
     """
-    if index == 1:
-        return np.sin((m.Wp - m.Y) / 2) - np.abs(np.sin((m.alpha1 - m.beta4) / 2))
-    if index == 2:
-        return np.sin((m.W - m.X) / 2) - np.abs(np.sin((m.beta1 - m.alpha2) / 2))
-    if index == 3:
-        return np.sin((m.gamma1 + m.gamma3) / 2) - np.sin((m.X + m.Y) / 2)
-    raise ValueError("index must be 1, 2 or 3")
+    if index not in (1, 2, 3):
+        raise ValueError("index must be 1, 2 or 3")
+    return _sine_bound(_Trig(m), index)
 
 
 def angle_sum_hypotheses(m: QuadMetrics):
@@ -287,13 +391,8 @@ def angular_core(m: QuadMetrics):
     """Dimensionless sum of the three factored multiplicity-one groups and
     the even multiplicity-two deficit (p1_value - 1/2); nonnegative whenever
     the angle-sum hypotheses hold."""
-    s = np.sin
-    co = np.cos
-    p1 = angular_parts(m).p1_value
-    return (s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s((m.alpha1 - m.beta4) / 2)
-            + s(m.Y) * s(m.W / 2) * s(m.X / 2) * s((m.beta1 - m.alpha2) / 2)
-            + s(m.W) * co(m.X / 2) * co(m.Y / 2) * s((m.gamma1 + m.gamma3) / 2)
-            + (p1 - 0.5))
+    t = _Trig(m)
+    return _angular_core(t, _closed_parts(t))
 
 
 def remainder_terms(m: QuadMetrics):
@@ -303,11 +402,7 @@ def remainder_terms(m: QuadMetrics):
       + 2 sin Y sin(W/2)  sin(X/2) sin(beta3/2)  cos(alpha4/2)
       + 2 sin W cos(X/2)  cos(Y/2) cos(gamma1/2) sin(gamma3/2)
     """
-    s = np.sin
-    co = np.cos
-    return (2.0 * s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s(m.alpha3 / 2) * co(m.beta2 / 2)
-            + 2.0 * s(m.Y) * s(m.W / 2) * s(m.X / 2) * s(m.beta3 / 2) * co(m.alpha4 / 2)
-            + 2.0 * s(m.W) * co(m.X / 2) * co(m.Y / 2) * co(m.gamma1 / 2) * s(m.gamma3 / 2))
+    return _remainder(_Trig(m))
 
 
 def final_chain_slack(m: QuadMetrics):
@@ -318,12 +413,7 @@ def final_chain_slack(m: QuadMetrics):
       - 2 sin((beta4-alpha1)/2) sin((alpha2-beta1)/2) sin((gamma1+gamma3)/2)
       + 2 sin W cos(X/2) cos(Y/2) cos(gamma1/2) sin(gamma3/2)
     """
-    s = np.sin
-    co = np.cos
-    return (2.0 * s((m.Wp - m.Y) / 2) * s((m.W - m.X) / 2) * s((m.X + m.Y) / 2)
-            - 2.0 * s((m.beta4 - m.alpha1) / 2) * s((m.alpha2 - m.beta1) / 2)
-            * s((m.gamma1 + m.gamma3) / 2)
-            + 2.0 * s(m.W) * co(m.X / 2) * co(m.Y / 2) * co(m.gamma1 / 2) * s(m.gamma3 / 2))
+    return _final_chain(_Trig(m))
 
 
 # ---------------------------------------------------------------------------
@@ -386,67 +476,98 @@ class AuditReport:
 
 
 class _Accumulator:
-    """Running max-error / min-slack merge across sample chunks."""
+    """Running max-error / min-slack merge across sample blocks.
+
+    NaN propagates through np.max and np.min, so a clean block costs one
+    reduction per check.  A block whose reduction is not finite has its
+    non-finite entries counted per check and left out of the reduction, so
+    one bad row neither hides the finite rows of its block nor goes unseen.
+    """
 
     def __init__(self):
         self.max_err: dict[str, float] = {}
         self.min_slack: dict[str, float] = {}
         self.counts: dict[str, int] = {}
+        self.nonfinite: dict[str, int] = {}
+
+    def _finite(self, key: str, values):
+        ok = np.isfinite(values)
+        self.nonfinite[key] = self.nonfinite.get(key, 0) + int(ok.size - np.count_nonzero(ok))
+        return values[ok]
 
     def err(self, key: str, values) -> None:
-        v = float(np.max(values)) if np.size(values) else float("-inf")
+        values = np.asarray(values)
+        if not values.size:
+            return
+        # errors are absolute values: NaN and +inf both reach the maximum
+        v = float(np.max(values))
+        if not math.isfinite(v):
+            values = self._finite(key, values)
+            if not values.size:
+                return
+            v = float(np.max(values))
         self.max_err[key] = max(self.max_err.get(key, float("-inf")), v)
 
     def slack(self, key: str, values) -> None:
-        n = int(np.size(values))
-        self.counts[key] = self.counts.get(key, 0) + n
-        if n:
+        values = np.asarray(values)
+        self.counts[key] = self.counts.get(key, 0) + values.size
+        if not values.size:
+            return
+        # NaN and -inf reach the minimum, +inf only the maximum
+        v = float(np.min(values))
+        if not (math.isfinite(v) and math.isfinite(np.max(values))):
+            values = self._finite(key, values)
+            if not values.size:
+                return
             v = float(np.min(values))
-            self.min_slack[key] = min(self.min_slack.get(key, float("inf")), v)
+        self.min_slack[key] = min(self.min_slack.get(key, float("inf")), v)
 
 
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
+    # One trig table serves every closed form of this block; the edge and
+    # expanded residuals and the raw group sums share nothing with it.
     K = _abcdef(m)
+    t = _Trig(m)
+    closed = _closed_parts(t)
+    groups = _factored_groups(K, t)
+    m2_closed = _mult2_closed(K, closed)
     r_edge = residual(m, "edge")
     r_expanded = residual(m, "expanded")
-    r_lemma = residual(m, "lemma")
+    r_lemma = _lemma(groups, m2_closed)
     acc.err("residual-edge-vs-expanded", np.abs(r_edge - r_expanded) / K)
     acc.err("residual-edge-vs-lemma", np.abs(r_edge - r_lemma) / K)
 
-    for group in MULT1_GROUPS:
+    for group, fact in zip(MULT1_GROUPS, groups):
         raw = multiplicity_one_sum(m, group, "raw")
-        fact = multiplicity_one_sum(m, group, "factored")
         acc.err(f"mult1-{group.lower()}-raw-vs-factored", np.abs(raw - fact) / K)
 
     m2_raw = multiplicity_two_sum(m, "raw")
-    acc.err("mult2-raw-vs-closed",
-            np.abs(m2_raw - multiplicity_two_sum(m, "closed")) / K)
-    acc.err("mult2-sign-plus",
-            np.abs(m2_raw - multiplicity_two_scalar(m, 1.0)) / K)
-    acc.err("mult2-sign-minus",
-            np.abs(m2_raw - multiplicity_two_scalar(m, -1.0)) / K)
+    acc.err("mult2-raw-vs-closed", np.abs(m2_raw - m2_closed) / K)
+    rest = _scalar_rest(t)
+    acc.err("mult2-sign-plus", np.abs(m2_raw - _scalar(K, t, rest, 1.0)) / K)
+    acc.err("mult2-sign-minus", np.abs(m2_raw - _scalar(K, t, rest, -1.0)) / K)
 
-    closed = angular_parts(m, "closed")
-    defn = angular_parts(m, "definition")
+    defn = _definition_parts(t)
     acc.err("p1-def-vs-closed", np.abs(defn.p1_value - closed.p1_value))
     acc.err("p2-def-vs-closed", np.abs(defn.p2_value - closed.p2_value))
 
+    # u = beta4 - alpha1, v = alpha2 - beta1, t = gamma1 + gamma3: cos is
+    # even and sin odd, so the table's cosines and negated sines are exact
     acc.err("cosine-triple-identity",
-            cosine_triple_identity_gap(m.beta4 - m.alpha1, m.alpha2 - m.beta1,
-                                       m.gamma1 + m.gamma3))
+            _triple_gap(t.cos_minus[0], t.cos_minus[3], t.cos_minus[4],
+                        -t.sin_a1b4, -t.sin_b1a2, t.sin_g13))
 
-    core = angular_core(m)
-    split = (2.0 * np.sin((m.Wp - m.Y) / 2) * np.sin((m.W - m.X) / 2)
-             * np.sin((m.X + m.Y) / 2) + remainder_terms(m))
+    core = _angular_core(t, closed)
+    split = 2.0 * t.sin_WpY * t.sin_WX * t.sin_XY + _remainder(t)
     acc.err("core-remainder-split", np.abs(core - split))
 
     acc.slack("residual-nonneg", r_edge / K)
     for i in (1, 2, 3):
-        acc.slack(f"sine-bound-{i}", sine_bound_slack(m, i))
+        acc.slack(f"sine-bound-{i}", _sine_bound(t, i))
 
     hyp = np.atleast_1d(angle_sum_hypotheses(m))
     acc.slack("angular-core-nonneg", np.atleast_1d(core)[hyp])
-    acc.slack("final-chain-nonneg", np.atleast_1d(final_chain_slack(m))[hyp])
+    acc.slack("final-chain-nonneg", np.atleast_1d(_final_chain(t))[hyp])
 
 
 _IDENTITY_IDS = (
@@ -462,24 +583,37 @@ _INEQUALITY_IDS = (
 )
 
 
+def _nonfinite(n: int) -> dict:
+    return {"nonfinite": n} if n else {}
+
+
 def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
+    # A check with a non-finite entry fails; its max_err / min_slack cover
+    # the finite entries and are None when there are none.
     checks: list[CheckResult] = []
     for cid in _IDENTITY_IDS:
-        err = acc.max_err[cid]
+        err = acc.max_err.get(cid)
+        bad = acc.nonfinite.get(cid, 0)
         checks.append(CheckResult(id=cid, kind="identity", tol=tol,
-                                  passed=err <= tol, max_err=err))
+                                  passed=not bad and err <= tol, max_err=err,
+                                  extra=_nonfinite(bad)))
 
-    err_plus = acc.max_err["mult2-sign-plus"]
-    err_minus = acc.max_err["mult2-sign-minus"]
-    resolution = "plus" if err_plus <= err_minus else "minus"
-    winner = min(err_plus, err_minus)
-    loser = max(err_plus, err_minus)
+    err_plus = acc.max_err.get("mult2-sign-plus")
+    err_minus = acc.max_err.get("mult2-sign-minus")
+    bad = acc.nonfinite.get("mult2-sign-plus", 0) + acc.nonfinite.get("mult2-sign-minus", 0)
+    plus = math.inf if err_plus is None else err_plus
+    minus = math.inf if err_minus is None else err_minus
+    resolution = "plus" if plus <= minus else "minus"
+    winner = min(plus, minus)
+    loser = max(plus, minus)
     checks.append(CheckResult(
         id="mult2-sign-resolution", kind="resolution", tol=tol,
-        passed=winner <= tol, max_err=winner,
+        passed=not bad and winner <= tol,
+        max_err=winner if math.isfinite(winner) else None,
         extra={"resolution": resolution, "err_plus": err_plus,
                "err_minus": err_minus,
-               "conclusive": bool(loser >= 1e6 * tol)}))
+               "conclusive": bool(not bad and loser >= 1e6 * tol),
+               **_nonfinite(bad)}))
 
     for cid in _INEQUALITY_IDS:
         n = acc.counts.get(cid, 0)
@@ -488,13 +622,14 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
                                       passed=True, skipped=True,
                                       extra={"in_hypothesis": 0}))
             continue
-        slack = acc.min_slack[cid]
-        extra = {}
+        slack = acc.min_slack.get(cid)
+        bad = acc.nonfinite.get(cid, 0)
+        extra = _nonfinite(bad)
         if cid in ("angular-core-nonneg", "final-chain-nonneg"):
             extra["in_hypothesis"] = n
         checks.append(CheckResult(id=cid, kind="inequality", tol=ineq_tol,
-                                  passed=slack >= -ineq_tol, min_slack=slack,
-                                  extra=extra))
+                                  passed=not bad and slack >= -ineq_tol,
+                                  min_slack=slack, extra=extra))
 
     return AuditReport(seed=seed, samples=samples, tol=tol, ineq_tol=ineq_tol,
                        checks=checks, sign_resolution=resolution)
@@ -518,8 +653,14 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
                   strategy: str = "frame-uniform") -> AuditReport:
     """Audit over a seeded batch of random convex quadrilaterals.
 
-    frame-uniform batches are evaluated vectorized in chunks; the slower
-    point-rejection strategy draws one configuration per derived seed.
+    frame-uniform draws _AUDIT_CHUNK rows per sample_frames([seed, part])
+    call, so the sample stream depends only on seed, samples and margin.
+    Each chunk is evaluated in slices of _AUDIT_BLOCK rows: one
+    metrics_from_frames call and one shared trig table per block, sized so
+    that the block's temporaries stay in cache.  Maxima, minima and counts
+    merge exactly in any order, so the report does not depend on the block
+    size.  The slower point-rejection strategy draws one configuration per
+    derived seed.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -530,7 +671,9 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
         while done < samples:
             n = min(_AUDIT_CHUNK, samples - done)
             p, w = sample_frames([seed, part], n, margin)
-            _accumulate_checks(acc, metrics_from_frames(p, w))
+            for lo in range(0, n, _AUDIT_BLOCK):
+                hi = lo + _AUDIT_BLOCK
+                _accumulate_checks(acc, metrics_from_frames(p[lo:hi], w[lo:hi]))
             done += n
             part += 1
     elif strategy == "point-rejection":

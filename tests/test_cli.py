@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from quadineq import __version__
@@ -251,3 +252,23 @@ def test_report_written_to_out_path(tmp_path, capsys):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["command"] == "audit"
+
+
+def test_audit_with_a_nan_row_reports_failure_with_exit_one(capsys, monkeypatch):
+    from quadineq import kernel
+
+    real = kernel.metrics_from_frames
+
+    def one_nan_row(p, w):
+        w = w.copy()
+        w[0] = float("nan")
+        return real(p, w)
+
+    monkeypatch.setattr(kernel, "metrics_from_frames", one_nan_row)
+    with np.errstate(invalid="ignore"):
+        code, out, _ = run(capsys, ["audit", "--samples", "300", "--seed", "4"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["audit"]["pass"] is False
+    check = doc["audit"]["checks"][0]
+    assert check["nonfinite"] == 1 and check["max_err"] < 1e-9

@@ -1,5 +1,6 @@
 """Formula evaluation paths and the identity/inequality audit."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from quadineq.geometry import (
     quad_from_points,
     sample_frames,
 )
+from quadineq.ioutil import dumps
 from quadineq.kernel import (
     _EXPANDED_TERMS,
     _MULT1_TERMS,
@@ -403,3 +405,38 @@ def test_audit_respects_hypothesis_filter():
             assert report.check("residual-nonneg").passed
             return
     pytest.skip("no out-of-hypothesis sample found")
+
+
+def test_audit_fails_closed_on_a_nan_row():
+    # a NaN row must neither hide the finite row of its batch nor pass
+    m = metrics_from_frames([[0.25, 0.25, 0.25, 0.25], [0.3, 0.2, 0.25, 0.25]],
+                            [math.nan, 1.0])
+    with np.errstate(invalid="ignore"):
+        report = audit(m)
+    assert not report.passed()
+    doc = json.loads(dumps(report.to_json_dict()))
+    for check in doc["checks"]:
+        if check.get("skipped"):
+            continue
+        assert check["pass"] is False and check["nonfinite"] >= 1, check["id"]
+        value = check["min_slack"] if check["kind"] == "inequality" else check["max_err"]
+        assert value is not None and math.isfinite(value), check["id"]
+    assert report.check("residual-edge-vs-lemma").max_err < IDENTITY_TOL
+    resolution = report.check("mult2-sign-resolution")
+    assert resolution.extra["nonfinite"] == 2 and not resolution.extra["conclusive"]
+
+
+def test_audit_of_an_all_nan_batch_fails_and_serializes():
+    m = metrics_from_frames([[0.25, 0.25, 0.25, 0.25]], [math.nan])
+    with np.errstate(invalid="ignore"):
+        report = audit(m)
+    assert not report.passed()
+    doc = json.loads(dumps(report.to_json_dict()))
+    residual_check = next(c for c in doc["checks"] if c["id"] == "residual-nonneg")
+    assert residual_check["min_slack"] is None and residual_check["nonfinite"] == 1
+    assert all(c["max_err"] is None for c in doc["checks"] if c["kind"] == "identity")
+
+
+def test_clean_audit_reports_carry_no_nonfinite_key():
+    doc = audit_samples(7, 2000, margin=0.01).to_json_dict()
+    assert all("nonfinite" not in check for check in doc["checks"])

@@ -1,18 +1,21 @@
 """The benchmark's trace wraps package functions by name.  A refactor that
 drops or renames one of them breaks only a traced benchmark run, so check
-here that every wrapped name exists, that a traced search reaches the
-search spans, and that `restore` puts the originals back."""
+here that every wrapped name exists, that a traced search and a traced
+audit reach their spans, and that `restore` puts the originals back."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
-from quadineq import cli, search
+from quadineq import cli, kernel, search
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEARCH_HOOKS = [(search, "metrics_from_frames"), (search, "normalized_residual"),
                 (search, "audit"), (cli, "boundary_trend"), (cli, "main")]
+AUDIT_HOOKS = [(kernel, "sample_frames"), (kernel, "metrics_from_frames"),
+               (cli, "audit_samples")]
+HOOKS = SEARCH_HOOKS + AUDIT_HOOKS
 
 
 @pytest.fixture
@@ -23,15 +26,15 @@ def perfbench(monkeypatch):
 
 def test_install_wrappers_and_restore(perfbench):
     layers, spans = perfbench
-    originals = [getattr(owner, name) for owner, name in SEARCH_HOOKS]
+    originals = [getattr(owner, name) for owner, name in HOOKS]
     tracer = spans.Tracer()
     try:
         layers.install_wrappers(tracer, {})  # KeyError on a missing name
-        wrapped = [getattr(owner, name) for owner, name in SEARCH_HOOKS]
+        wrapped = [getattr(owner, name) for owner, name in HOOKS]
         assert all(w is not o for w, o in zip(wrapped, originals))
     finally:
         tracer.restore()
-    assert [getattr(owner, name) for owner, name in SEARCH_HOOKS] == originals
+    assert [getattr(owner, name) for owner, name in HOOKS] == originals
 
 
 def test_traced_search_records_the_search_spans(perfbench, capsys):
@@ -50,3 +53,20 @@ def test_traced_search_records_the_search_spans(perfbench, capsys):
     metrics = layers.span_metrics(tracer.spans, {})
     assert metrics["search.objective_calls"] > 0
     assert metrics["search.rows_per_call"] > 0
+
+
+def test_traced_audit_records_the_audit_spans(perfbench, capsys):
+    layers, spans = perfbench
+    tracer = spans.Tracer()
+    layers.install_wrappers(tracer, {})
+    try:
+        code = cli.main(["audit", "--samples", "5000", "--seed", "3", "--margin", "0.01"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    assert {"kernel.audit_samples", "geometry.sample_frames",
+            "geometry.metrics_from_frames"} <= {span.name for span in tracer.spans}
+    metrics = layers.span_metrics(tracer.spans, {})
+    assert metrics["geometry.metrics_s"] > 0
+    assert metrics["kernel.checks_s"] > 0
