@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Produce and replay a machine-checkable positivity certificate.
 
-Branch-and-bound tiles the margin-truncated frame domain with boxes whose
+Branch-and-bound tiles the margin-truncated frame domain, cut to one
+eighth by the dihedral symmetry of the quadrilateral, with boxes whose
 interval residual enclosures are certified nonnegative.  The certificate
 is a plain JSON document: the bisection tree as one code per node in level
 order, plus every leaf's bound.  An independent replay regenerates every

@@ -4,11 +4,27 @@ The domain is the margin-truncated normalized frame space
 
     { p_i >= margin, p1+p2+p3+p4 = 1 } x { w in [margin*pi, (1-margin)*pi] }
 
-Boxes live in all five coordinates (p1, p2, p3, p4, w); the gauge plane is
-a constraint, not an eliminated coordinate, so every p interval shrinks
-independently under splitting.  Before evaluation each box is clipped to
-the gauge (p_i intersected with 1 minus the sum of the others); a box whose
-interval p-sum cannot reach 1 holds no domain point and is discarded.
+The residual is invariant under the dihedral group of the quadrilateral,
+which acts on frames through the rotation (p1,p2,p3,p4,w) ->
+(p2,p3,p4,p1,pi-w) and the reflection (p1,p2,p3,p4,w) -> (p1,p4,p3,p2,pi-w);
+both maps keep the margin domain.  Rotating the largest p_i to p1 and then
+reflecting if p2 < p4 carries every frame into the cut
+
+    { p1 >= p2, p1 >= p3, p1 >= p4, p2 >= p4 }
+
+with the same residual, so a bound over domain ∩ cut bounds the whole
+domain.  `tests/test_symmetry.py` proves the invariance exactly.
+
+Boxes live in all five coordinates (p1, p2, p3, p4, w); the gauge plane and
+the cut are constraints, not eliminated coordinates, so every p interval
+shrinks independently under splitting.  Before evaluation each box is
+clipped, first to the gauge (p_i intersected with 1 minus the sum of the
+others), then to the cut (for example p1.lo raised to the largest lo of the
+other p_i, and p4.hi lowered to p2.hi).  Every point of the box on the gauge
+plane and in the cut survives both clips, so a leaf's bound, which encloses
+the residual over the clipped box, covers box ∩ gauge ∩ cut.  A box whose
+clipped interval is empty holds no such point and is coded '.'.  Splitting
+uses the unclipped box.
 
 The search runs level by level from the whole domain: each box whose
 certified residual lower bound misses the target is bisected along its
@@ -19,13 +35,13 @@ When the box budget or `_MAX_DEPTH` stops a run, unsplit boxes stay leaves
 and the certificate is flagged incomplete.
 
 The certificate is the tree, one code per node in level order ('S' split,
-'L' leaf, '.' infeasible), plus each leaf's bound in the same order; the
-in-memory `Certificate` holds exactly that document.  Boxes are derived:
-`verify_certificate` regenerates every box from the root, so a decoded tree
-tiles the domain by construction, and `Certificate.leaves` pairs the decoded
-leaf boxes with their bounds for callers that want both.  Recorded bounds
-are nudged at least two ulps down so replays tolerate last-ulp libm wobble
-without weakening the bound.
+'L' leaf, '.' misses the gauge plane or the cut), plus each leaf's bound in
+the same order; the in-memory `Certificate` holds exactly that document.
+Boxes are derived: `verify_certificate` regenerates every box from the root,
+so a decoded tree tiles the domain by construction, and `Certificate.leaves`
+pairs the decoded leaf boxes with their bounds for callers that want both.
+Recorded bounds are nudged at least two ulps down so replays tolerate
+last-ulp libm wobble without weakening the bound.
 
 Certify and replay share one cheap-first evaluation, `_evaluate`, which
 clips each box once and bounds it once with the trig ("lemma") form.  Only
@@ -54,6 +70,7 @@ from .interval import (FrameBox, Interval, IntervalError, _down,
 
 GAUGE = "psum1"
 SPLIT_RULE = "bisect-widest:p1,p2,p3,p4,w"
+SYMMETRY = "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4"
 _EVAL_CHUNK = 8192
 # certify recomputes "both" on boxes whose lemma bound misses the target by
 # at most this much; boxes further below are split on their lemma bound
@@ -87,6 +104,7 @@ class Certificate:
     c_star: float
     box_count: int
     split_rule: str
+    symmetry: str
     tree: str
     bounds: list  # leaf lower bounds in level order
 
@@ -115,6 +133,9 @@ class Certificate:
             split_rule = doc.get("split_rule", SPLIT_RULE)
             if split_rule != SPLIT_RULE:
                 raise ValueError(f"unknown split rule {split_rule!r}")
+            symmetry = doc.get("symmetry", SYMMETRY)
+            if symmetry != SYMMETRY:
+                raise ValueError(f"unknown symmetry {symmetry!r}")
             margin = _finite(doc["margin"])
             tree = _typed(doc, "tree", str)
             _levels(tree)  # an unparsable tree is malformed, not false
@@ -127,6 +148,7 @@ class Certificate:
                 c_star=_finite(doc["c_star"]),
                 box_count=_typed(doc, "box_count", int),
                 split_rule=SPLIT_RULE,
+                symmetry=SYMMETRY,
                 tree=tree,
                 bounds=[_finite(entry["lower_bound"]) for entry in doc["leaves"]],
             )
@@ -154,41 +176,47 @@ def _root_level(margin: float) -> np.ndarray:
 
 
 def _gauge_clip(arr: np.ndarray, margin: float):
-    """Clip boxes (shape (n, 5, 2)) to the gauge plane p1+p2+p3+p4 = 1.
+    """Clip boxes (shape (n, 5, 2)) to the gauge plane p1+p2+p3+p4 = 1 and
+    then to the cut {p1 >= p2, p1 >= p3, p1 >= p4, p2 >= p4}.
 
-    Returns (clipped p Intervals + w Interval, feasibility mask).  The clip
-    intersects each p_i with 1 minus the outward-rounded sum of the others,
-    so any point of the box on the gauge plane survives; an empty result
-    proves the box misses the plane.
+    Returns (clipped p Intervals + w Interval, feasibility mask).  The gauge
+    clip intersects each p_i with 1 minus the outward-rounded sum of the
+    others; the cut clip raises and lowers endpoints to other endpoints, an
+    exact float comparison.  Any point of the box on the gauge plane and in
+    the cut survives both, so an empty result proves the box misses one.
     """
     p = [Interval(arr[:, i, 0], arr[:, i, 1]) for i in range(4)]
     w = Interval(arr[:, 4, 0], arr[:, 4, 1])
     one = Interval.point(1.0)
-    feasible = np.ones(arr.shape[0], dtype=bool)
-    clipped = []
+    lo, hi = [], []
     for i in range(4):
         a, b, c = (p[j] for j in range(4) if j != i)
         allowed = one - (a + b + c)
-        lo = np.maximum(p[i].lo, allowed.lo)
-        hi = np.minimum(p[i].hi, allowed.hi)
-        feasible &= lo <= hi
-        clipped.append(Interval(lo, hi))
-    return clipped, w, feasible
+        lo.append(np.maximum(p[i].lo, allowed.lo))
+        hi.append(np.minimum(p[i].hi, allowed.hi))
+    lo[1] = np.maximum(lo[1], lo[3])
+    lo[0] = np.maximum(np.maximum(lo[0], lo[1]), np.maximum(lo[2], lo[3]))
+    hi[1] = np.minimum(hi[1], hi[0])
+    hi[2] = np.minimum(hi[2], hi[0])
+    hi[3] = np.minimum(hi[3], hi[1])
+    feasible = np.logical_and.reduce([l <= h for l, h in zip(lo, hi)])
+    return [Interval(l, h) for l, h in zip(lo, hi)], w, feasible
 
 
 def _evaluate(arr: np.ndarray, margin: float, need,
               reach: float = math.inf) -> tuple:
     """Clip and bound boxes (shape (n, 5, 2)) in chunks of `_EVAL_CHUNK`.
 
-    Returns (feasible, bounds): which boxes meet the gauge plane, and their
-    certified residual lower bounds, NaN where a box misses it.  Each chunk
-    is clipped once and its feasible rows are bounded once with the lemma
-    form; rows whose lemma bound misses `need` (a scalar or one bound per
-    row) by at most `reach` are tightened to "both", the edge mean-value form
-    intersected with that lemma enclosure.  "both" is never looser than
-    "lemma", so with the default infinite reach (the replay's) a row clears
-    `need` exactly when its "both" bound would.  A NaN lemma bound is not
-    retried: the intersection takes numpy's NaN-propagating maximum.
+    Returns (feasible, bounds): which boxes meet the gauge plane and the cut,
+    and their certified residual lower bounds, NaN where a box misses one.
+    Each chunk is clipped once by `_gauge_clip` and its feasible rows are
+    bounded once with the lemma form; rows whose lemma bound misses `need`
+    (a scalar or one bound per row) by at most `reach` are tightened to
+    "both", the edge mean-value form intersected with that lemma enclosure.
+    "both" is never looser than "lemma", so with the default infinite reach
+    (the replay's) a row clears `need` exactly when its "both" bound would.
+    A NaN lemma bound is not retried: the intersection takes numpy's
+    NaN-propagating maximum.
     """
     need = np.broadcast_to(need, len(arr))
     feasible = np.zeros(len(arr), dtype=bool)
@@ -311,7 +339,8 @@ def certify(margin: float, target: float = 0.0,
     return Certificate(
         version=__version__, margin=margin, gauge=GAUGE, target=target,
         complete=complete, c_star=min(bounds), box_count=evaluated,
-        split_rule=SPLIT_RULE, tree=b"".join(codes).decode("ascii"), bounds=bounds,
+        split_rule=SPLIT_RULE, symmetry=SYMMETRY,
+        tree=b"".join(codes).decode("ascii"), bounds=bounds,
     )
 
 
@@ -335,7 +364,8 @@ def verify_certificate(cert) -> bool:
     if len(leaves) != len(recorded) \
             or cert.box_count != len(cert.tree) - cert.tree.count("."):
         return False
-    # each code must match its box: '.' misses the gauge plane, 'L' meets it
+    # each code must match its box: '.' misses the gauge plane or the cut,
+    # 'L' meets both
     if np.any(_gauge_clip(empties, cert.margin)[2]):
         return False
     try:

@@ -565,9 +565,16 @@ def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
     for i in (1, 2, 3):
         acc.slack(f"sine-bound-{i}", _sine_bound(t, i))
 
+    # the hypotheses are False on NaN angles: count the non-finite rows they
+    # would drop before filtering, so that such a row still fails the check
+    # (a finite sum, one reduction, proves there are none)
     hyp = np.atleast_1d(angle_sum_hypotheses(m))
-    acc.slack("angular-core-nonneg", np.atleast_1d(core)[hyp])
-    acc.slack("final-chain-nonneg", np.atleast_1d(_final_chain(t))[hyp])
+    for key, values in (("angular-core-nonneg", core),
+                        ("final-chain-nonneg", _final_chain(t))):
+        values = np.atleast_1d(values)
+        if not math.isfinite(np.sum(values)):
+            acc._finite(key, values[~hyp])
+        acc.slack(key, values[hyp])
 
 
 _IDENTITY_IDS = (
@@ -617,13 +624,13 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
 
     for cid in _INEQUALITY_IDS:
         n = acc.counts.get(cid, 0)
-        if n == 0:
+        bad = acc.nonfinite.get(cid, 0)
+        if n == 0 and not bad:
             checks.append(CheckResult(id=cid, kind="inequality", tol=ineq_tol,
                                       passed=True, skipped=True,
                                       extra={"in_hypothesis": 0}))
             continue
         slack = acc.min_slack.get(cid)
-        bad = acc.nonfinite.get(cid, 0)
         extra = _nonfinite(bad)
         if cid in ("angular-core-nonneg", "final-chain-nonneg"):
             extra["in_hypothesis"] = n
@@ -645,7 +652,8 @@ def audit(q, tol: float = 1e-9, ineq_tol: float = 1e-12) -> AuditReport:
     m = q if isinstance(q, QuadMetrics) else metrics(q)
     acc = _Accumulator()
     _accumulate_checks(acc, m)
-    return _finalize(acc, seed=None, samples=1, tol=tol, ineq_tol=ineq_tol)
+    return _finalize(acc, seed=None, samples=int(np.size(m.a)), tol=tol,
+                     ineq_tol=ineq_tol)
 
 
 def audit_samples(seed: int, samples: int, tol: float = 1e-9,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from dihedral import in_cut, into_cut
 from quadineq import __version__, certifier, interval
 from quadineq.certifier import (
     Certificate,
@@ -16,7 +17,7 @@ from quadineq.certifier import (
     certify,
     verify_certificate,
 )
-from quadineq.geometry import metrics_from_frames
+from quadineq.geometry import metrics_from_frames, sample_frames
 from quadineq.interval import FrameBox, Interval, _down, residual_enclosure
 from quadineq.ioutil import dumps
 from quadineq.kernel import residual
@@ -192,9 +193,21 @@ def test_wrong_box_count_is_rejected(cert):
 
 
 def test_other_version_is_malformed(cert):
+    # 0.2.0 certificates tile the whole domain, with no cut
+    for version in ("0.1.0", "0.2.0"):
+        doc = _fresh(cert)
+        doc["version"] = version
+        with pytest.raises(MalformedCertificate, match=f"'{version}'.*'{__version__}'"):
+            Certificate.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("symmetry", [
+    "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4", "none", None, 8,
+], ids=["other-cut", "none", "null", "number"])
+def test_unknown_symmetry_is_malformed(cert, symmetry):
     doc = _fresh(cert)
-    doc["version"] = "0.1.0"
-    with pytest.raises(MalformedCertificate, match=f"'0.1.0'.*'{__version__}'"):
+    doc["symmetry"] = symmetry
+    with pytest.raises(MalformedCertificate, match="symmetry"):
         Certificate.from_json_dict(doc)
 
 
@@ -211,8 +224,8 @@ def test_depth_limit_is_shared(monkeypatch):
 
 
 def test_incomplete_certificate_round_trips_and_verifies():
-    part = certify(margin=0.15, max_boxes=10_000)
-    assert not part.complete and part.box_count <= 10_000
+    part = certify(margin=0.15, max_boxes=2_000)
+    assert not part.complete and part.box_count <= 2_000
     doc = _fresh(part)
     assert doc["complete"] is False
     assert verify_certificate(doc) is True
@@ -278,7 +291,7 @@ def _replay_bounds(cert):
 @pytest.fixture(scope="module")
 def both_cert(cert):
     """The fixture tree with each leaf bound raised to its "both" bound: what
-    a certifier that bounds every box with "both" records (format 0.2.0)."""
+    a certifier that bounds every box with "both" records, in the same format."""
     both = _replay_bounds(cert)[1].tolist()
     return dataclasses.replace(cert, bounds=both, c_star=min(both))
 
@@ -394,14 +407,78 @@ def test_parse_checks_the_tree_without_decoding_boxes(cert, monkeypatch):
     assert Certificate.from_json_dict(_fresh(cert)).tree == cert.tree
 
 
-def test_margin_015_tree_is_pinned():
+@pytest.fixture(scope="module")
+def pinned():
+    return certify(margin=0.15)
+
+
+def test_margin_015_tree_is_pinned(pinned):
     # the box count, leaf count and c* of a mid-size run: any change to
-    # the enclosures or the split rule that moves the tree shows here
-    pinned = certify(margin=0.15)
+    # the enclosures, the split rule or the cut that moves the tree shows here
     assert pinned.complete
-    assert pinned.box_count == 23_581
-    assert len(pinned.leaves) == 11_683
-    assert pinned.c_star == pytest.approx(2.6668503652384494e-08, rel=1e-9)
+    assert pinned.box_count == 4_676
+    assert len(pinned.leaves) == 2_259
+    assert pinned.c_star == pytest.approx(2.6668503652384497e-08, rel=1e-9)
+
+
+def test_leaves_cover_every_sampled_frame_carried_into_the_cut(pinned):
+    p, w = into_cut(*sample_frames(5, 2000, pinned.margin))
+    values = residual(metrics_from_frames(p, w), "edge")
+    boxes = _decode(pinned.tree, pinned.margin)[0]
+    bounds = np.array(pinned.bounds)
+    for point, value in zip(np.column_stack([p, w]), values):
+        inside = np.all((boxes[:, :, 0] <= point) & (point <= boxes[:, :, 1]), axis=1)
+        assert inside.any(), point
+        assert value >= bounds[inside].max(), point
+
+
+def test_verify_rejects_an_infeasible_code_on_a_box_that_meets_the_cut(pinned):
+    # a leaf box that straddles the cut's face p2 = p4, recoded '.': the
+    # verifier must find the part of the box inside the cut
+    rng = np.random.default_rng(17)
+    doc = _fresh(pinned)
+    boxes = _decode(pinned.tree, pinned.margin)[0]
+    straddles = np.flatnonzero((boxes[:, 1, 0] < boxes[:, 3, 1])
+                               & (boxes[:, 3, 0] < boxes[:, 1, 1]))
+    for leaf in straddles:
+        (l1, h1), (l2, h2), (l3, h3), (l4, h4), _ = boxes[leaf]
+        p = rng.uniform((l1, l2, l3), (h1, h2, h3), size=(200, 3))
+        p = np.column_stack([p, 1.0 - p.sum(axis=1)])
+        if np.any((l4 <= p[:, 3]) & (p[:, 3] <= h4) & in_cut(p)):
+            break
+    else:
+        pytest.fail("no straddling leaf with a witness point in the cut")
+    pos = [i for i, code in enumerate(doc["tree"]) if code == "L"][leaf]
+    del doc["leaves"][leaf]
+    doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
+    doc["c_star"] = min(entry["lower_bound"] for entry in doc["leaves"])
+    doc["box_count"] -= 1
+    assert verify_certificate(doc) is False
+
+
+def test_clip_keeps_every_point_of_a_box_on_the_plane_and_in_the_cut(pinned):
+    # every leaf and '.' box of the tree, with 20 random points each
+    boxes = np.repeat(np.concatenate(_decode(pinned.tree, pinned.margin)), 20, axis=0)
+    rng = np.random.default_rng(23)
+    point = rng.uniform(boxes[:, :, 0], boxes[:, :, 1])
+    point[:, 3] = 1.0 - point[:, :3].sum(axis=1)
+    keep = (boxes[:, 3, 0] <= point[:, 3]) & (point[:, 3] <= boxes[:, 3, 1]) \
+        & in_cut(point[:, :4])
+    assert np.count_nonzero(keep) > 1000
+    (p1, p2, p3, p4), w, feasible = _gauge_clip(boxes[keep], pinned.margin)
+    assert np.all(feasible)
+    for coord, values in zip((p1, p2, p3, p4, w), point[keep].T):
+        assert np.all((coord.lo <= values) & (values <= coord.hi))
+
+
+def test_cut_codes_boxes_that_meet_the_gauge_plane_infeasible(pinned):
+    # most '.' nodes now lie outside the cut, not off the gauge plane
+    empties = _decode(pinned.tree, pinned.margin)[1]
+    p = [Interval(empties[:, i, 0], empties[:, i, 1]) for i in range(4)]
+    total = p[0] + p[1] + p[2] + p[3]
+    meets_plane = (total.lo <= 1.0) & (1.0 <= total.hi)
+    assert not np.any(_gauge_clip(empties, pinned.margin)[2])
+    assert np.count_nonzero(meets_plane) > len(empties) // 2
 
 
 def test_absurd_target_returns_partial_certificate():
@@ -438,18 +515,21 @@ def test_monotonicity_in_margin():
 def test_soundness_spot_check(cert):
     rng = np.random.default_rng(313)
     leaves = cert.leaves  # decoded on each access: bind once
+    checked = 0
     for leaf in [leaves[i] for i in rng.integers(0, len(leaves), 300)]:
         (l1, h1), (l2, h2), (l3, h3), (l4, h4), (lw, hw) = leaf.box
-        # a gauge point inside the tile, if one exists
-        for _ in range(20):
+        # a point of the tile on the gauge plane and in the cut, where the
+        # leaf's bound holds, if one exists
+        for _ in range(50):
             p123 = rng.uniform((l1, l2, l3), (h1, h2, h3))
-            p4 = 1.0 - p123.sum()
-            if l4 <= p4 <= h4:
+            p = np.array([[*p123, 1.0 - p123.sum()]])
+            if l4 <= p[0, 3] <= h4 and in_cut(p)[0]:
                 w = rng.uniform(lw, hw)
-                p = np.array([[p123[0], p123[1], p123[2], p4]])
                 value = float(residual(metrics_from_frames(p, np.array([w])), "edge")[0])
                 assert value >= leaf.lower_bound
+                checked += 1
                 break
+    assert checked >= 200
 
 
 def test_split_bisects_widest_dimension():

@@ -135,6 +135,19 @@ def test_check_cert_rejects_old_version(tmp_path, capsys):
     assert code == 2 and "'0.1.0'" in err and f"'{__version__}'" in err
 
 
+def test_check_cert_rejects_an_unknown_symmetry(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    assert doc["symmetry"] == "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4"
+    doc["symmetry"] = "none"  # the same tree claimed over the whole domain
+    bad_path = tmp_path / "no_cut.json"
+    bad_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["check-cert", str(bad_path)])
+    assert code == 2 and "malformed certificate" in err and "symmetry" in err
+
+
 def test_check_cert_missing_file(capsys):
     code, _, err = run(capsys, ["check-cert", "/nonexistent/cert.json"])
     assert code == 2 and "cannot read" in err

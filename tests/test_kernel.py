@@ -420,6 +420,11 @@ def test_audit_fails_closed_on_a_nan_row():
             continue
         assert check["pass"] is False and check["nonfinite"] >= 1, check["id"]
         value = check["min_slack"] if check["kind"] == "inequality" else check["max_err"]
+        if check.get("in_hypothesis") == 0:
+            # the finite row lies outside the angle-sum hypotheses, so only
+            # the NaN row reaches these checks, and it fails them
+            assert value is None, check["id"]
+            continue
         assert value is not None and math.isfinite(value), check["id"]
     assert report.check("residual-edge-vs-lemma").max_err < IDENTITY_TOL
     resolution = report.check("mult2-sign-resolution")
@@ -440,3 +445,27 @@ def test_audit_of_an_all_nan_batch_fails_and_serializes():
 def test_clean_audit_reports_carry_no_nonfinite_key():
     doc = audit_samples(7, 2000, margin=0.01).to_json_dict()
     assert all("nonfinite" not in check for check in doc["checks"])
+
+
+def test_audit_counts_every_row_of_a_batch():
+    m = metrics_from_frames([[0.25, 0.25, 0.25, 0.25]] * 3, [0.9, 1.2, 1.4])
+    assert audit(m).samples == 3
+    assert audit(quad_from_points((0, 0), (1, 0), (1, 1), (0, 1))).samples == 1
+
+
+def test_hypothesis_filtered_checks_fail_on_a_nan_row():
+    # NaN angles fail the angle-sum hypotheses, so the row must be counted
+    # as non-finite before the filter drops it
+    m = metrics_from_frames([[0.25, 0.25, 0.25, 0.25]] * 2, [math.nan, 1.4])
+    with np.errstate(invalid="ignore"):
+        report = audit(m)
+    for cid in ("angular-core-nonneg", "final-chain-nonneg"):
+        check = report.check(cid)
+        assert not check.passed and not check.skipped, cid
+        assert check.extra == {"nonfinite": 1, "in_hypothesis": 1}, cid
+        assert math.isfinite(check.min_slack), cid
+    with np.errstate(invalid="ignore"):
+        alone = audit(metrics_from_frames([[0.25, 0.25, 0.25, 0.25]], [math.nan]))
+    check = alone.check("final-chain-nonneg")
+    assert not check.passed and check.min_slack is None
+    assert check.extra == {"nonfinite": 1, "in_hypothesis": 0}
