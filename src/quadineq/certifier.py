@@ -184,6 +184,7 @@ def _gauge_clip(arr: np.ndarray, margin: float):
     others; the cut clip raises and lowers endpoints to other endpoints, an
     exact float comparison.  Any point of the box on the gauge plane and in
     the cut survives both, so an empty result proves the box misses one.
+    It keeps its gauge-only name because `perfbench/layers.py` imports it.
     """
     p = [Interval(arr[:, i, 0], arr[:, i, 1]) for i in range(4)]
     w = Interval(arr[:, 4, 0], arr[:, 4, 1])
