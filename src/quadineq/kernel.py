@@ -525,9 +525,11 @@ class _Accumulator:
 
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
     # One trig table serves every closed form of this block; the edge and
-    # expanded residuals and the raw group sums share nothing with it.
-    K = _abcdef(m)
+    # expanded residuals and the raw group sums share nothing with it.  It
+    # comes first: its first angle read computes the block's split angles,
+    # and no other block-sized array is alive yet.
     t = _Trig(m)
+    K = _abcdef(m)
     closed = _closed_parts(t)
     groups = _factored_groups(K, t)
     m2_closed = _mult2_closed(K, closed)

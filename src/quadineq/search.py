@@ -17,6 +17,16 @@ objective value is computed row by row, so a row's trajectory does not
 depend on which rows share its batch.  Runs are deterministic per (seed,
 starts, margin, budget), and a schedule's results equal those of separate
 one-margin searches.
+
+The descent is bound by the number of numpy calls, not by the rows they
+carry: most passes step a few hundred rows or fewer.  So the objective
+reads only the six lengths and four areas of the edge residual (the split
+angles of QuadMetrics are never computed for it); each pass evaluates
+every row's reflection and inside contraction in one objective call,
+though only a row whose reflection fails (a few percent) uses and counts
+its contraction; and the step avoids numpy's slow wrappers and its
+reductions over short axes.  Every value is bitwise what the plain
+formulas give, which tests/test_search.py checks.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ from .kernel import audit, normalized_residual
 COUNTEREXAMPLE_THRESHOLD = -1e-12
 
 _N_COORDS = 5  # p1..p4, w
+# centroid + t (centroid - worst): the reflection (t = 1) and the inside
+# contraction (t = -1/2) of a simplex step
+_TRIAL_STEPS = np.array([[1.0], [-0.5]])
 
 
 @dataclass(frozen=True)
@@ -94,18 +107,23 @@ class SearchResult:
 
 
 def _project(x: np.ndarray, margin) -> np.ndarray:
-    """Project points (…, 5) onto the feasible set: p on the margin-floored
-    simplex (clamp-and-renormalize the excess above the floor) and w clamped
-    to its truncated range.  margin is a scalar or one margin per point,
-    shaped to broadcast against x[..., :1]."""
-    p = x[..., :4]
-    q = np.maximum(p - margin, 0.0)
-    s = q.sum(axis=-1, keepdims=True)
-    uniform = np.full_like(p, 0.25)
-    scaled = np.where(s > 0.0, margin + (1.0 - 4.0 * margin) * q / np.where(s > 0.0, s, 1.0),
-                      uniform)
-    w = np.clip(x[..., 4:5], margin * math.pi, (1.0 - margin) * math.pi)
-    return np.concatenate([scaled, w], axis=-1)
+    """Project points (rows, …, 5) onto the feasible set: p on the
+    margin-floored simplex (clamp-and-renormalize the excess above the
+    floor) and w clamped to its truncated range.  margin is a scalar or one
+    margin per row, of shape (rows,).
+
+    The work runs on a coordinate-major copy, so that each numpy call makes
+    one pass over all points, not one short pass per point; the result is
+    a transposed view of that copy."""
+    t = np.ascontiguousarray(x.T)  # (5, …, rows): margin broadcasts along rows
+    q = np.maximum(t[:4] - margin, 0.0)
+    s = q[0] + q[1] + q[2] + q[3]  # left to right, as numpy sums four terms
+    spread = s > 0.0
+    out = np.empty_like(t)
+    out[:4] = np.where(spread, margin + (1.0 - 4.0 * margin) * q / np.where(spread, s, 1.0),
+                       0.25)
+    np.minimum(np.maximum(t[4], margin * math.pi), (1.0 - margin) * math.pi, out=out[4])
+    return out.T
 
 
 def _objective(x: np.ndarray) -> np.ndarray:
@@ -127,7 +145,7 @@ def _keep_best(best_x, best_f, simplex, values) -> np.ndarray:
     """Record each row's lowest vertex where it beats the row's best so far
     (the first such vertex on ties); returns every row's lowest value."""
     low = values.min(axis=1)
-    improved = np.nonzero(low < best_f)[0]
+    improved = (low < best_f).nonzero()[0]
     best_f[improved] = low[improved]
     best_x[improved] = simplex[improved, values[improved].argmin(axis=1)]
     return low
@@ -135,7 +153,7 @@ def _keep_best(best_x, best_f, simplex, values) -> np.ndarray:
 
 def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) -> tuple:
     """Lockstep simplex descent from the feasible rows x0 (n, 5) with values
-    f0, each row within its own margin (n, 1).
+    f0, each row within its own margin (n,).
 
     budget caps the objective evaluations each row may spend beyond its
     start point.  The loop works on the rows still descending: a row that
@@ -151,12 +169,12 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
         return best_x, best_f, evals, iters
 
     # initial simplex: the start plus one perturbed vertex per coordinate
-    steps = np.concatenate([np.repeat(0.12 * (1.0 - 4.0 * margin), 4, axis=1),
-                            0.12 * (1.0 - 2.0 * margin) * math.pi], axis=1)
+    steps = np.concatenate([np.repeat(0.12 * (1.0 - 4.0 * margin)[:, None], 4, axis=1),
+                            0.12 * (1.0 - 2.0 * margin)[:, None] * math.pi], axis=1)
     simplex = np.repeat(x0[:, None, :], _N_COORDS + 1, axis=1)
     axes = np.arange(_N_COORDS)
     simplex[:, axes + 1, axes] += steps
-    simplex = _project(simplex, margin[:, None])
+    simplex = _project(simplex, margin)
     values = np.empty((n, _N_COORDS + 1))
     values[:, 0] = f0
     values[:, 1:] = _objective(simplex[:, 1:, :])
@@ -169,48 +187,49 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
     simplex, values, margin = simplex[rows], values[rows], margin[rows]
     bx, bf, ev, it = best_x[rows], best_f[rows], evals[rows], iters[rows]
     while rows.size:
+        # rank each row's vertices, best first, through one flat gather
         order = np.argsort(values, axis=1, kind="stable")
-        ranked = np.arange(rows.size)[:, None]
-        simplex, values = simplex[ranked, order], values[ranked, order]
-        centroid = simplex[:, :-1, :].mean(axis=1)
+        flat = (order + np.arange(0, order.size, _N_COORDS + 1)[:, None]).ravel()
+        simplex = simplex.reshape(-1, _N_COORDS).take(flat, axis=0).reshape(order.shape + (-1,))
+        values = values.take(flat).reshape(order.shape)
+        # the vertices but the worst, summed in order: the same sums as
+        # .mean(axis=1), without numpy's slow reduction over a short axis
+        centroid = sum((simplex[:, k] for k in range(1, _N_COORDS)), simplex[:, 0]) / _N_COORDS
         worst = simplex[:, -1, :]
         f_worst = values[:, -1]
 
-        # a row that cannot afford its reflection has left the batch
-        reflected = _project(centroid + (centroid - worst), margin)
-        f_reflect = _objective(reflected)
+        # every row's reflection and inside contraction share one objective
+        # call; a contraction counts, and is used, only where the reflection
+        # fails and the row can afford it (a row that cannot afford its
+        # reflection has left the batch)
+        trial = _project(centroid[:, None, :] + _TRIAL_STEPS * (centroid - worst)[:, None, :],
+                         margin)
+        f_trial = _objective(trial)
+        f_reflect, f_contract = f_trial[:, 0], f_trial[:, 1]
         ev += 1
         accept_reflect = f_reflect < values[:, -2]
-
         need_contract = ~accept_reflect & (ev + 1 <= budget)
-        contracted = np.empty_like(worst)
-        f_contract = np.full(rows.size, np.inf)
-        if np.any(need_contract):
-            inner = centroid[need_contract] + 0.5 * (worst[need_contract]
-                                                     - centroid[need_contract])
-            contracted[need_contract] = _project(inner, margin[need_contract])
-            f_contract[need_contract] = _objective(contracted[need_contract])
-            ev[need_contract] += 1
+        ev += need_contract
         accept_contract = need_contract & (f_contract < np.minimum(f_worst, f_reflect))
 
         need_shrink = need_contract & ~accept_contract & (ev + _N_COORDS <= budget)
-        simplex[accept_reflect, -1, :] = reflected[accept_reflect]
+        simplex[accept_reflect, -1, :] = trial[accept_reflect, 0]
         values[accept_reflect, -1] = f_reflect[accept_reflect]
-        simplex[accept_contract, -1, :] = contracted[accept_contract]
+        simplex[accept_contract, -1, :] = trial[accept_contract, 1]
         values[accept_contract, -1] = f_contract[accept_contract]
-        if np.any(need_shrink):
+        if need_shrink.any():
             best_vertex = simplex[need_shrink, :1, :]
             shrunk = _project(best_vertex + 0.5 * (simplex[need_shrink, 1:, :] - best_vertex),
-                              margin[need_shrink, None])
+                              margin[need_shrink])
             simplex[need_shrink, 1:, :] = shrunk
             values[need_shrink, 1:] = _objective(shrunk)
             ev[need_shrink] += _N_COORDS
-        it[accept_reflect | accept_contract | need_shrink] += 1
+        it += accept_reflect | accept_contract | need_shrink
 
         low = _keep_best(bx, bf, simplex, values)
         converged = values.max(axis=1) - low <= 1e-15 * (1.0 + np.abs(low))
         done = converged | (ev + 1 > budget)
-        if np.any(done):
+        if done.any():
             slots = rows[done]
             best_x[slots], best_f[slots] = bx[done], bf[done]
             evals[slots], iters[slots] = ev[done], it[done]
@@ -252,7 +271,7 @@ def boundary_trend(seed: int, starts: int, margins, budget: int) -> list:
     if not margins:
         return []
 
-    column = np.repeat(np.array(margins, dtype=float), starts)[:, None]
+    column = np.repeat(np.array(margins, dtype=float), starts)
     x0 = _project(np.concatenate([_initial_points(seed, starts, float(m)) for m in margins]),
                   column)
     f0 = _objective(x0)
