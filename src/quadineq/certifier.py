@@ -36,7 +36,11 @@ and the certificate is flagged incomplete.
 
 The certificate is the tree, one code per node in level order ('S' split,
 'L' leaf, '.' misses the gauge plane or the cut), plus each leaf's bound in
-the same order; the in-memory `Certificate` holds exactly that document.
+the same order; the in-memory `Certificate` holds that document less its
+header.  The header, the format's identity (version, gauge, split rule and
+symmetry), lives once in `HEADER`: `to_json_dict` writes it into every
+document and `from_json_dict` rejects a document that omits or changes any
+of it.
 Boxes are derived: `verify_certificate` regenerates every box from the root,
 so a decoded tree tiles the domain by construction, and `Certificate.leaves`
 pairs the decoded leaf boxes with their bounds for callers that want both.
@@ -68,9 +72,13 @@ from . import __version__
 from .interval import (FrameBox, Interval, IntervalError, _down,
                        edge_mean_value_enclosure, residual_enclosure)
 
-GAUGE = "psum1"
-SPLIT_RULE = "bisect-widest:p1,p2,p3,p4,w"
-SYMMETRY = "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4"
+# what a document must carry verbatim to be read as this format
+HEADER = {
+    "version": __version__,
+    "gauge": "psum1",
+    "split_rule": "bisect-widest:p1,p2,p3,p4,w",
+    "symmetry": "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4",
+}
 _EVAL_CHUNK = 8192
 # certify recomputes "both" on boxes whose lemma bound misses the target by
 # at most this much; boxes further below are split on their lemma bound
@@ -94,17 +102,14 @@ class Leaf:
 
 @dataclass
 class Certificate:
-    """Machine-checkable record of one branch-and-bound run."""
+    """Machine-checkable record of one branch-and-bound run; its document
+    adds `HEADER`."""
 
-    version: str
     margin: float
-    gauge: str
     target: float
     complete: bool
     c_star: float
     box_count: int
-    split_rule: str
-    symmetry: str
     tree: str
     bounds: list  # leaf lower bounds in level order
 
@@ -117,7 +122,8 @@ class Certificate:
                 for box, lb in zip(boxes, self.bounds)]
 
     def to_json_dict(self) -> dict:
-        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc = dict(HEADER)
+        doc.update((field.name, getattr(self, field.name)) for field in fields(self))
         doc["leaves"] = [{"lower_bound": lb} for lb in doc.pop("bounds")]
         return doc
 
@@ -125,30 +131,23 @@ class Certificate:
     def from_json_dict(doc: dict) -> "Certificate":
         if not isinstance(doc, dict):
             raise MalformedCertificate("certificate must be a JSON object")
-        if doc.get("version") != __version__:
-            raise MalformedCertificate(
-                f"certificate version {doc.get('version')!r} is not {__version__!r}, "
-                "the version this verifier reads")
+        for key, expected in HEADER.items():  # version first
+            if key not in doc:
+                raise MalformedCertificate(f"certificate has no {key}")
+            if doc[key] != expected:
+                raise MalformedCertificate(
+                    f"certificate {key} {doc[key]!r} is not {expected!r}, "
+                    f"the {key} this verifier reads")
         try:
-            split_rule = doc.get("split_rule", SPLIT_RULE)
-            if split_rule != SPLIT_RULE:
-                raise ValueError(f"unknown split rule {split_rule!r}")
-            symmetry = doc.get("symmetry", SYMMETRY)
-            if symmetry != SYMMETRY:
-                raise ValueError(f"unknown symmetry {symmetry!r}")
             margin = _finite(doc["margin"])
             tree = _typed(doc, "tree", str)
             _levels(tree)  # an unparsable tree is malformed, not false
             return Certificate(
-                version=__version__,
                 margin=margin,
-                gauge=str(doc["gauge"]),
                 target=_finite(doc["target"]),
                 complete=_typed(doc, "complete", bool),
                 c_star=_finite(doc["c_star"]),
                 box_count=_typed(doc, "box_count", int),
-                split_rule=SPLIT_RULE,
-                symmetry=SYMMETRY,
                 tree=tree,
                 bounds=[_finite(entry["lower_bound"]) for entry in doc["leaves"]],
             )
@@ -338,10 +337,8 @@ def certify(margin: float, target: float = 0.0,
 
     bounds = np.concatenate(leaf_bounds).tolist()
     return Certificate(
-        version=__version__, margin=margin, gauge=GAUGE, target=target,
-        complete=complete, c_star=min(bounds), box_count=evaluated,
-        split_rule=SPLIT_RULE, symmetry=SYMMETRY,
-        tree=b"".join(codes).decode("ascii"), bounds=bounds,
+        margin=margin, target=target, complete=complete, c_star=min(bounds),
+        box_count=evaluated, tree=b"".join(codes).decode("ascii"), bounds=bounds,
     )
 
 
@@ -357,8 +354,8 @@ def verify_certificate(cert) -> bool:
         cert = Certificate.from_json_dict(cert)
     if not isinstance(cert, Certificate):
         raise MalformedCertificate(f"cannot verify {type(cert)!r}")
-    if not (0.0 < cert.margin <= 0.2) or cert.gauge != GAUGE or not cert.bounds:
-        raise MalformedCertificate("bad margin, gauge, or empty leaf set")
+    if not (0.0 < cert.margin <= 0.2) or not cert.bounds:
+        raise MalformedCertificate("bad margin or empty leaf set")
 
     leaves, empties = _decode(cert.tree, cert.margin)
     recorded = np.array(cert.bounds, dtype=float)

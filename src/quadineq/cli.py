@@ -46,7 +46,7 @@ def _load_json_argument(text: str, what: str) -> dict:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {source}: {exc}")
     try:
         return json.loads(text)
@@ -60,9 +60,7 @@ def _sign_probe(seed: int) -> str:
 
 
 def _emit(report: dict, args, csv_rows=None) -> None:
-    if args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is not available for this subcommand")
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -157,8 +155,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.format == "csv":
-        raise UsageError("certificates are JSON documents; csv is not available")
     try:
         cert = certify(margin=args.margin, target=args.target,
                        max_boxes=args.max_boxes)
@@ -188,17 +184,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    if args.format == "csv":
-        raise UsageError("check-cert reports are JSON documents; csv is not available")
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.certificate}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"malformed JSON in {args.certificate}: line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}")
+    doc = _load_json_argument("@" + args.certificate, "certificate")
     try:
         cert = Certificate.from_json_dict(doc)
         ok = verify_certificate(cert)
@@ -283,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_eval, p_audit, p_cert, p_check, p_search):
         p.add_argument("--out", help="write the report to this path")
+    for p in (p_eval, p_audit, p_search):
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 

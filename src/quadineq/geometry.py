@@ -239,24 +239,21 @@ def _angles_from_coords(x1, y1, x2, y2, x3, y3, x4, y4) -> dict:
 
 
 def _metrics_from_coords(x1, y1, x2, y2, x3, y3, x4, y4) -> QuadMetrics:
-    a = np.hypot(x3 - x2, y3 - y2)
-    b = np.hypot(x3 - x1, y3 - y1)
-    c = np.hypot(x2 - x1, y2 - y1)
-    d = np.hypot(x1 - x4, y1 - y4)
-    e = np.hypot(x4 - x2, y4 - y2)
-    f = np.hypot(x4 - x3, y4 - y3)
-
-    def area(px, py, qx, qy, rx, ry):
-        return 0.5 * ((qx - px) * (ry - py) - (qy - py) * (rx - px))
-
-    A123 = area(x1, y1, x2, y2, x3, y3)
-    A124 = area(x1, y1, x2, y2, x4, y4)
-    A134 = area(x1, y1, x3, y3, x4, y4)
-    A234 = area(x2, y2, x3, y3, x4, y4)
-
+    ax, ay = x3 - x2, y3 - y2
+    bx, by = x3 - x1, y3 - y1
+    cx, cy = x2 - x1, y2 - y1
+    dx, dy = x1 - x4, y1 - y4
+    ex, ey = x4 - x2, y4 - y2
+    fx, fy = x4 - x3, y4 - y3
+    # each area is half the cross product of two edges out of its first
+    # vertex; x4 - x1 is -dx, and (-u) - (-v) rounds exactly as v - u
     return QuadMetrics(
-        a=a, b=b, c=c, d=d, e=e, f=f,
-        A123=A123, A124=A124, A134=A134, A234=A234,
+        a=np.hypot(ax, ay), b=np.hypot(bx, by), c=np.hypot(cx, cy),
+        d=np.hypot(dx, dy), e=np.hypot(ex, ey), f=np.hypot(fx, fy),
+        A123=0.5 * (cx * by - cy * bx),
+        A124=0.5 * (cy * dx - cx * dy),
+        A134=0.5 * (by * dx - bx * dy),
+        A234=0.5 * (ax * ey - ay * ex),
         _coords=(x1, y1, x2, y2, x3, y3, x4, y4),
     )
 

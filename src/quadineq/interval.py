@@ -449,10 +449,7 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
     di = edge_residual_with_gradient(box)
     coords = (box.p1, box.p2, box.p3, box.p4, box.w)
     mids = [Interval.point(c.mid) for c in coords]
-    sin_c = isin(mids[4]).clamp(0.0, 1.0)
-    cos_c = icos(mids[4]).clamp(-1.0, 1.0)
-    total = _edge_residual_core(_lengths_core(*mids[:4], cos_c, ONE, isqr, isqrt),
-                                _areas_core(*mids[:4], sin_c))
+    total = residual_enclosure(FrameBox(*mids, box.margin), "edge")
     for j, (coord, mid) in enumerate(zip(coords, mids)):
         total = total + Interval(di.grad.lo[j], di.grad.hi[j]) * (coord - mid)
     return total.intersect(di.val)
@@ -472,7 +469,7 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
     beta3, beta4 = angles["beta3"], angles["beta4"]
 
     # In frame coordinates the diagonal crossing angle is the parameter w
-    # itself, so W needs no angle chain at all.
+    # itself, so W needs no angle chain at all and sin W is `sin_w`.
     W = box.w
     Wp = PI - W
 
@@ -498,7 +495,6 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
     quot_y = ((p2 * p3 - p1 * p4) * sin_w) / (lengths["c"] * lengths["f"])
     sin_X = isin(X).intersect(quot_x.clamp(-1.0, 1.0))
     sin_Y = isin(Y).intersect(quot_y.clamp(-1.0, 1.0))
-    sin_W = isin(W).clamp(0.0, 1.0)
     sin_hW = isin(W.half()).clamp(0.0, 1.0)
     sin_hWp = isin(Wp.half()).clamp(0.0, 1.0)
     cos_hW = icos(W.half()).clamp(0.0, 1.0)
@@ -517,7 +513,7 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
     return {
         "group_x": sin_X * sin_hWp * sin_hY * sin_d14,
         "group_y": sin_Y * sin_hW * sin_hX * sin_d12,
-        "group_w": sin_W * cos_hX * cos_hY * sin_hg13,
+        "group_w": sin_w * cos_hX * cos_hY * sin_hg13,
         "mult2": -(even_part + odd_part),
     }
 

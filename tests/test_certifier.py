@@ -211,6 +211,17 @@ def test_unknown_symmetry_is_malformed(cert, symmetry):
         Certificate.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["version", "gauge", "split_rule", "symmetry"])
+def test_missing_or_other_header_value_is_malformed(cert, key):
+    doc = _fresh(cert)
+    del doc[key]
+    with pytest.raises(MalformedCertificate, match=f"no {key}"):
+        Certificate.from_json_dict(doc)
+    doc[key] = "other"
+    with pytest.raises(MalformedCertificate, match=f"{key} 'other' is not"):
+        Certificate.from_json_dict(doc)
+
+
 def test_depth_limit_is_shared(monkeypatch):
     monkeypatch.setattr(certifier, "_MAX_DEPTH", 3)
     shallow = certify(margin=0.15)
@@ -556,6 +567,8 @@ def test_parameter_validation():
 def test_certificate_schema_fields(cert):
     doc = cert.to_json_dict()
     assert doc["gauge"] == "psum1"
+    assert [field.name for field in dataclasses.fields(Certificate)] == [
+        "margin", "target", "complete", "c_star", "box_count", "tree", "bounds"]
     assert set(doc) >= {"version", "margin", "gauge", "target", "complete",
                         "c_star", "box_count", "tree", "leaves"}
     assert set(doc["tree"]) <= set("SL.")

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,11 @@ def test_eval_square_reports_residual_two(capsys):
     assert doc["sign_resolution"] == "plus"
     assert doc["version"]
     assert doc["audit"]["pass"] is True
+
+
+def test_package_version_matches_pyproject():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', text, re.M).group(1) == __version__
 
 
 def test_eval_accepts_frame_input(capsys):
@@ -153,6 +160,13 @@ def test_check_cert_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_check_cert_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff\xfe{"version": "0.3.0"}')
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == "" and err.startswith(f"error: cannot read {path}")
+
+
 def test_check_cert_rejects_malformed_document(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"hello": 1}')
@@ -190,7 +204,8 @@ def test_certify_reports_a_margin_too_fine_for_the_enclosures(capsys):
 def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
     doc = {"version": __version__, "margin": 1e-8, "gauge": "psum1",
            "target": 0.0, "complete": False, "c_star": -1.0, "box_count": 1,
-           "split_rule": "bisect-widest:p1,p2,p3,p4,w", "tree": "L",
+           "split_rule": "bisect-widest:p1,p2,p3,p4,w",
+           "symmetry": "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4", "tree": "L",
            "leaves": [{"lower_bound": -1.0}]}
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(doc))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quadineq import cli, kernel, search
+from quadineq import certifier, cli, kernel, search
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEARCH_HOOKS = [(search, "metrics_from_frames"), (search, "normalized_residual"),
@@ -70,3 +70,15 @@ def test_traced_audit_records_the_audit_spans(perfbench, capsys):
     metrics = layers.span_metrics(tracer.spans, {})
     assert metrics["geometry.metrics_s"] > 0
     assert metrics["kernel.checks_s"] > 0
+
+
+def test_interval_metrics_reports_every_interval_name(perfbench, monkeypatch):
+    # a traced run times the interval layer on a certificate's leaves through
+    # `Certificate.leaves` and `_gauge_clip`; 1,000 elementwise samples in
+    # place of 1M keep this fast (the repeat count is bound at definition)
+    layers, _ = perfbench
+    monkeypatch.setattr(layers, "ELEMENTS", 1000)
+    metrics = layers.interval_metrics(certifier.certify(margin=0.2), 0)
+    names = {name for name in layers.PER_LAYER if name.startswith("interval.")}
+    assert names <= set(metrics)
+    assert metrics["interval.leaves_pos_mean_value"] > 0
