@@ -358,12 +358,15 @@ def sample_frames(seed, n: int, margin: float = 0.05):
     """Draw n normalized diagonal frames, uniform on the margin-truncated
     simplex times the truncated angle range.  Returns (p, w) arrays of
     shape (n, 4) and (n,).  Deterministic per (seed, n, margin); seed is
-    anything numpy's default_rng accepts.
+    anything numpy's default_rng accepts.  p is scaled and shifted in place,
+    which rounds as margin + (1 - 4 margin) * simplex does but allocates no
+    second (n, 4) array.
     """
     margin = _check_margin(margin)
     rng = np.random.default_rng(seed)
-    simplex = rng.dirichlet((1.0, 1.0, 1.0, 1.0), size=n)
-    p = margin + (1.0 - 4.0 * margin) * simplex
+    p = rng.dirichlet((1.0, 1.0, 1.0, 1.0), size=n)
+    p *= 1.0 - 4.0 * margin
+    p += margin
     w = rng.uniform(margin * math.pi, (1.0 - margin) * math.pi, size=n)
     return p, w
 

@@ -23,12 +23,18 @@ The edge and expanded residuals and the raw group sums use no trig at all,
 so each identity still compares two independent computations.  A
 frame-uniform audit draws _AUDIT_CHUNK rows per sample_frames call and
 evaluates them in blocks of _AUDIT_BLOCK rows, small enough that a block's
-temporaries stay in cache; the report is the same for any block size.
+temporaries stay in cache.  It deals each chunk's blocks to _AUDIT_WORKERS
+workers (the calling thread and pool threads), since most of a block's time
+is spent in numpy calls that release the interpreter lock; each worker keeps
+its own running maxima, minima and counts, and these merge exactly, so the
+report is the same for any block size and any number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +57,12 @@ _HYPOTHESIS_SLACK = 1e-12
 
 # frame-uniform audits draw this many rows per sample_frames call ...
 _AUDIT_CHUNK = 200_000
-# ... and evaluate them in blocks of this many rows
-_AUDIT_BLOCK = 16_384
+# ... and evaluate them in blocks of this many rows ...
+_AUDIT_BLOCK = 8_192
+# ... dealt round-robin to this many workers: the calling thread and one pool
+# thread per further worker, at most one worker per usable CPU
+_AUDIT_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
 
 
 def _abcdef(m: QuadMetrics):
@@ -522,6 +532,19 @@ class _Accumulator:
             v = float(np.min(values))
         self.min_slack[key] = min(self.min_slack.get(key, float("inf")), v)
 
+    def merge(self, other: _Accumulator) -> None:
+        """Fold in the blocks that another accumulator has seen.  Maxima,
+        minima and sums are exact, so the result does not depend on how the
+        blocks were split between the two."""
+        for key, v in other.max_err.items():
+            self.max_err[key] = max(self.max_err.get(key, float("-inf")), v)
+        for key, v in other.min_slack.items():
+            self.min_slack[key] = min(self.min_slack.get(key, float("inf")), v)
+        for mine, theirs in ((self.counts, other.counts),
+                             (self.nonfinite, other.nonfinite)):
+            for key, n in theirs.items():
+                mine[key] = mine.get(key, 0) + n
+
 
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
     # One trig table serves every closed form of this block; the edge and
@@ -667,29 +690,58 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
     call, so the sample stream depends only on seed, samples and margin.
     Each chunk is evaluated in slices of _AUDIT_BLOCK rows: one
     metrics_from_frames call and one shared trig table per block, sized so
-    that the block's temporaries stay in cache.  Maxima, minima and counts
-    merge exactly in any order, so the report does not depend on the block
-    size.  The slower point-rejection strategy draws one configuration per
-    derived seed.
+    that the block's temporaries stay in cache.  The blocks of a chunk are
+    dealt round-robin to up to _AUDIT_WORKERS workers, each with its own
+    accumulator; an audit of one block starts no thread.  A chunk is
+    released before the next one is drawn.  Maxima, minima and counts merge
+    exactly in any order, so the report does not depend on the block size
+    or the number of workers.  The slower point-rejection strategy draws
+    one configuration per derived seed.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    acc = _Accumulator()
     if strategy == "frame-uniform":
-        done = 0
-        part = 0
-        while done < samples:
-            n = min(_AUDIT_CHUNK, samples - done)
-            p, w = sample_frames([seed, part], n, margin)
-            for lo in range(0, n, _AUDIT_BLOCK):
-                hi = lo + _AUDIT_BLOCK
-                _accumulate_checks(acc, metrics_from_frames(p[lo:hi], w[lo:hi]))
-            done += n
-            part += 1
+        blocks = -(-min(samples, _AUDIT_CHUNK) // _AUDIT_BLOCK)
+        accs = [_Accumulator() for _ in range(min(_AUDIT_WORKERS, blocks))]
+        if len(accs) == 1:
+            _audit_chunks(accs, None, seed, samples, margin)
+        else:
+            with ThreadPoolExecutor(len(accs) - 1) as pool:
+                _audit_chunks(accs, pool, seed, samples, margin)
+        acc = accs[0]
+        for other in accs[1:]:
+            acc.merge(other)
     elif strategy == "point-rejection":
+        acc = _Accumulator()
         for i in range(samples):
             q = sample([seed, i], strategy="point-rejection")
             _accumulate_checks(acc, metrics(q))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _finalize(acc, seed=seed, samples=samples, tol=tol, ineq_tol=ineq_tol)
+
+
+def _audit_chunks(accs, pool, seed, samples: int, margin: float) -> None:
+    # worker k checks blocks k, k + len(accs), ... of every chunk into
+    # accs[k]; worker 0 is the calling thread, the others run on the pool
+    step = len(accs)
+    done = 0
+    part = 0
+    while done < samples:
+        n = min(_AUDIT_CHUNK, samples - done)
+        p, w = sample_frames([seed, part], n, margin)
+        starts = range(0, n, _AUDIT_BLOCK)
+        futures = [pool.submit(_audit_blocks, accs[k], p, w, starts[k::step])
+                   for k in range(1, step)]
+        _audit_blocks(accs[0], p, w, starts[::step])
+        for future in futures:
+            future.result()
+        del p, w  # before the next chunk is drawn
+        done += n
+        part += 1
+
+
+def _audit_blocks(acc: _Accumulator, p, w, starts) -> None:
+    for lo in starts:
+        hi = lo + _AUDIT_BLOCK
+        _accumulate_checks(acc, metrics_from_frames(p[lo:hi], w[lo:hi]))

@@ -72,6 +72,26 @@ def test_traced_audit_records_the_audit_spans(perfbench, capsys):
     assert metrics["kernel.checks_s"] > 0
 
 
+def test_traced_audit_records_a_metrics_span_per_block(perfbench, capsys, monkeypatch):
+    # the audit's second worker calls the wrapped kernel.metrics_from_frames
+    # from a pool thread; every block must still be traced, inside the audit
+    layers, spans = perfbench
+    monkeypatch.setattr(kernel, "_AUDIT_WORKERS", 2)
+    tracer = spans.Tracer()
+    layers.install_wrappers(tracer, {})
+    try:
+        code = cli.main(["audit", "--samples", "20000", "--seed", "3", "--margin", "0.01"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    audits = spans.inside(tracer.spans, "kernel.audit_samples")
+    blocks = [span for span in tracer.spans if span.name == "geometry.metrics_from_frames"]
+    assert len(blocks) == -(-20_000 // kernel._AUDIT_BLOCK) == 3
+    assert sum(span.info["rows"] for span in blocks) == 20_000
+    assert all(span.id in audits for span in blocks)
+
+
 def test_interval_metrics_reports_every_interval_name(perfbench, monkeypatch):
     # a traced run times the interval layer on a certificate's leaves through
     # `Certificate.leaves` and `_gauge_clip`; 1,000 elementwise samples in

@@ -1,7 +1,8 @@
 """The kernel evaluates every closed form from one shared table of sines and
 cosines.  Sharing must change no bits: each public closed form is compared
 with np.array_equal against the formula written out with its own np.sin /
-np.cos calls, and the audit report must not depend on the block size."""
+np.cos calls, and the audit report must not depend on the block size or on
+the number of workers."""
 
 import numpy as np
 import pytest
@@ -127,11 +128,15 @@ def test_table_forms_equal_the_formulas_bit_for_bit(shape):
 
 
 def test_audit_report_does_not_depend_on_the_block_size(monkeypatch):
+    # nor on the number of workers the blocks are dealt to, including three,
+    # more than the audit ever starts by itself
     reports = []
-    for block in (1_000, 200_000):
-        monkeypatch.setattr(kernel, "_AUDIT_BLOCK", block)
-        reports.append(audit_samples(11, 40_001, margin=0.01).to_json_dict())
-    assert reports[0] == reports[1]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernel, "_AUDIT_WORKERS", workers)
+        for block in (1_000, 8_192, 200_000):
+            monkeypatch.setattr(kernel, "_AUDIT_BLOCK", block)
+            reports.append(audit_samples(11, 40_001, margin=0.01).to_json_dict())
+    assert all(report == reports[0] for report in reports[1:])
     assert reports[0]["pass"] is True
     # every drawn row is evaluated once: the hypothesis count matches a
     # direct count over the single 40,001-row draw
