@@ -10,8 +10,9 @@ and the library evaluates, audits, certifies, and attacks the inequality
 
     E12 + E23 + E34 + E41 >= E13 + E24.
 
-Submodules: geometry (construction, metrics, sampling), kernel (evaluation
-paths and identity/inequality audits), interval (outward-rounded enclosure
+Submodules: geometry (construction, metrics, sampling), kernel (the three
+residual paths, forms(m) with every audited closed form by name, and the
+identity/inequality audits), interval (outward-rounded enclosure
 arithmetic), certifier (branch-and-bound lower-bound certificates), search
 (multi-start counterexample search), cli (command-line front door).
 """
@@ -36,25 +37,16 @@ from .geometry import (  # noqa: E402
     sample_frames,
 )
 from .kernel import (  # noqa: E402
-    AngularParts,
     AuditReport,
     CheckResult,
     EdgeTermSet,
     angle_sum_hypotheses,
-    angular_core,
-    angular_parts,
     audit,
     audit_samples,
-    cosine_triple_identity_gap,
     edge_terms,
-    final_chain_slack,
-    multiplicity_one_sum,
-    multiplicity_two_scalar,
-    multiplicity_two_sum,
+    forms,
     normalized_residual,
-    remainder_terms,
     residual,
-    sine_bound_slack,
 )
 from .interval import (  # noqa: E402
     DivisionByZeroInterval,

@@ -156,6 +156,9 @@ class Certificate:
 
 
 def _finite(value) -> float:
+    # a JSON number only: float() would also read a string or a boolean
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"non-finite number {value!r}")

@@ -41,6 +41,7 @@ read, so a caller that reads only lengths and areas never pays for them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,11 +264,18 @@ def quad_from_points(z1, z2, z3, z4) -> Quadrilateral:
 
     Clockwise input is silently re-oriented (z2 and z4 swapped); the
     inequality is reflection invariant so user intent is unambiguous.
-    Raises DuplicatePoints or NonConvex otherwise.
+    Raises GeometryError unless each point is exactly two finite numbers,
+    and DuplicatePoints or NonConvex otherwise.
     """
     pts = []
     for z in (z1, z2, z3, z4):
-        x, y = float(z[0]), float(z[1])
+        try:
+            x, y = z
+        except (TypeError, ValueError):
+            raise GeometryError(f"vertex {z!r} is not a pair of numbers") from None
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (x, y)):
+            raise GeometryError(f"vertex {z!r} is not a pair of numbers")
+        x, y = float(x), float(y)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise GeometryError("vertex coordinates must be finite")
         pts.append((x, y))

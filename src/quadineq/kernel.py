@@ -16,18 +16,19 @@ of the derived angles.  The multiplicity-two terms collapse to abcdef times
 a closed angular expression.  This module evaluates the residual through all
 of these routes and audits every identity and inequality along the way.
 
-Every closed form is written once, over a table (_Trig) that holds each
-sine and cosine it needs; a public function builds the table for its own
-input, and the audit builds one per block and shares it among all checks.
-The edge and expanded residuals and the raw group sums use no trig at all,
-so each identity still compares two independent computations.  A
-frame-uniform audit draws _AUDIT_CHUNK rows per sample_frames call and
-evaluates them in blocks of _AUDIT_BLOCK rows, small enough that a block's
-temporaries stay in cache.  It deals each chunk's blocks to _AUDIT_WORKERS
-workers (the calling thread and pool threads), since most of a block's time
-is spent in numpy calls that release the interpreter lock; each worker keeps
-its own running maxima, minima and counts, and these merge exactly, so the
-report is the same for any block size and any number of workers.
+forms(m) evaluates every quantity the audit compares, each written once
+with its formula in the docstring, and computes each sine and cosine that
+they share once.  The edge and expanded residuals and the raw group sums use
+no trig at all, so each identity still compares two independent
+computations.  The audit is two tables, _IDENTITIES and _INEQUALITIES, that
+name the forms each check compares.  A frame-uniform audit draws
+_AUDIT_CHUNK rows per sample_frames call and evaluates them in blocks of
+_AUDIT_BLOCK rows, small enough that a block's temporaries stay in cache.
+It deals each chunk's blocks to _AUDIT_WORKERS workers (the calling thread
+and pool threads), since most of a block's time is spent in numpy calls
+that release the interpreter lock; each worker keeps its own running
+maxima, minima and counts, and these merge exactly, so the report is the
+same for any block size and any number of workers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .geometry import (
 )
 
 RESIDUAL_PATHS = ("edge", "expanded", "lemma")
-MULT1_GROUPS = ("X", "Y", "W")
 
 # Boundary slack for the closed angle-sum hypotheses gamma2+gamma3 <= pi and
 # gamma3+gamma4 <= pi: rectangles sit exactly on the boundary and must not
@@ -89,15 +89,6 @@ class EdgeTermSet:
         return self.e13 + self.e24
 
 
-@dataclass(frozen=True)
-class AngularParts:
-    """The even (p1_value) and odd (p2_value) halves of the multiplicity-two
-    angular expression; abcdef * (p1_value + p2_value) is the raw sum."""
-
-    p1_value: object
-    p2_value: object
-
-
 def edge_terms(m: QuadMetrics) -> EdgeTermSet:
     return EdgeTermSet(
         e12=m.f * m.A123 * m.A124 * (m.a + m.b + m.e + m.d - 2.0 * m.c),
@@ -135,19 +126,19 @@ _EXPANDED_TERMS = (
 # Multiplicity-one terms whose explicit length pair avoids {a, d} (X group),
 # {c, f} (Y group) or {b, e} (W group).
 _MULT1_TERMS = {
-    "X": (
+    "x": (
         (1, "f", "e", "A123", "A124"), (1, "f", "b", "A123", "A124"),
         (1, "c", "b", "A134", "A234"), (1, "c", "e", "A134", "A234"),
         (-1, "e", "c", "A123", "A134"), (-1, "e", "f", "A123", "A134"),
         (-1, "b", "c", "A124", "A234"), (-1, "b", "f", "A124", "A234"),
     ),
-    "Y": (
+    "y": (
         (1, "d", "b", "A123", "A234"), (1, "d", "e", "A123", "A234"),
         (1, "a", "e", "A124", "A134"), (1, "a", "b", "A124", "A134"),
         (-1, "e", "a", "A123", "A134"), (-1, "e", "d", "A123", "A134"),
         (-1, "b", "d", "A124", "A234"), (-1, "b", "a", "A124", "A234"),
     ),
-    "W": (
+    "w": (
         (1, "f", "a", "A123", "A124"), (1, "f", "d", "A123", "A124"),
         (1, "d", "c", "A123", "A234"), (1, "d", "f", "A123", "A234"),
         (1, "c", "d", "A134", "A234"), (1, "c", "a", "A134", "A234"),
@@ -164,185 +155,145 @@ def _sum_terms(m: QuadMetrics, terms):
     return total
 
 
-class _Trig:
-    """Every sine and cosine that the closed forms use, each evaluated once
-    per QuadMetrics and shared by every closed form that needs it.
+def forms(m: QuadMetrics) -> dict:
+    """Every quantity the audit compares, by name.  With K = abcdef:
 
-    A trailing 2 halves the angle (sin_X2 = sin(X/2), cos_b2_2 =
-    cos(beta2/2)); the letter-pair names are halved sums and differences:
+    The residual (length^6 units) by three independent routes, and scaled:
 
-        sin_a1b4 = sin((alpha1 - beta4)/2)     sin_WpY = sin((W' - Y)/2)
-        sin_b1a2 = sin((beta1 - alpha2)/2)     sin_WX  = sin((W - X)/2)
-        sin_g13  = sin((gamma1 + gamma3)/2)    sin_XY  = sin((X + Y)/2)
+        edge                 E12 + E23 + E34 + E41 - E13 - E24
+        expanded             the 30 expanded terms, summed one by one
+        lemma                mult1-x + mult1-y + mult1-w + mult2-closed
+        normalized-residual  edge / K
 
-    sin_alpha, sin_beta and sin_gamma list the sines of the twelve split and
-    interior angles (index 0 is angle 1).  cos_plus and cos_minus are the
-    twelve cosines of the definition form of the angular parts, in the order
-    of angular_parts' sums; they are evaluated from their own arguments, not
-    derived from the closed forms' half-angle factors.
+    The multiplicity-one groups, each raw (mult1-x-raw, mult1-y-raw,
+    mult1-w-raw: its eight terms summed) and factored:
+
+        mult1-x  K sin X sin(W'/2) sin(Y/2) sin((alpha1 - beta4)/2)
+        mult1-y  K sin Y sin(W/2)  sin(X/2) sin((beta1 - alpha2)/2)
+        mult1-w  K sin W cos(X/2)  cos(Y/2) sin((gamma1 + gamma3)/2)
+
+    The multiplicity-two sum, raw (mult2-raw: its six area products) and
+    closed, mult2-closed = K (p1-closed + p2-closed), from the even and odd
+    angular parts
+
+        p1-closed      1/2 - 2 sin^2(X/2) cos^2(W/2)  cos^2(Y/2)
+                           - 2 cos^2(X/2) cos^2(W'/2) sin^2(Y/2)
+        p2-closed     -1/2 - 2 sin((alpha1 - beta4)/2) sin((beta1 - alpha2)/2)
+                               sin((gamma1 + gamma3)/2)
+        p1-definition  (cos(alpha1 + beta4) + cos(alpha3 + beta2)
+                        + cos(alpha4 + beta3) + cos(alpha2 + beta1)
+                        + cos(gamma1 - gamma3) + cos(gamma2 - gamma4)) / 4
+        p2-definition  -(the same six cosines with each sum and difference
+                         swapped) / 4
+
+    and as a pure sine expression, with either sign of its last term (the
+    audit adjudicates which reproduces mult2-raw; + agrees with the closed
+    forms):
+
+        mult2-plus, mult2-minus
+            K/2 (- sin alpha1 sin beta4 - sin alpha3 sin beta2
+                 - sin alpha4 sin beta3 - sin alpha2 sin beta1
+                 + sin gamma1 sin gamma3 +/- sin gamma2 sin gamma4)
+
+    The two sides of cos u + cos v + cos t = 1 + 4 sin(u/2) sin(v/2) sin(t/2),
+    which holds when u + v + t = pi, at u = beta4 - alpha1,
+    v = alpha2 - beta1, t = gamma1 + gamma3: cosine-triple-cos and
+    cosine-triple-sin.
+
+    The sine comparison bounds, nonnegative on convex input:
+
+        sine-bound-1  sin((W' - Y)/2) - |sin((alpha1 - beta4)/2)|
+        sine-bound-2  sin((W - X)/2)  - |sin((beta1 - alpha2)/2)|
+        sine-bound-3  sin((gamma1 + gamma3)/2) - sin((X + Y)/2)
+
+    The sign-case chain.  angular-core, the factored groups over K plus the
+    even deficit p1-closed - 1/2, and final-chain are nonnegative under the
+    angle-sum hypotheses; core-split is angular-core split as
+
+        core-split   2 sin((W' - Y)/2) sin((W - X)/2) sin((X + Y)/2) + remainder
+        remainder    2 sin X sin(W'/2) sin(Y/2) sin(alpha3/2) cos(beta2/2)
+                   + 2 sin Y sin(W/2)  sin(X/2) sin(beta3/2)  cos(alpha4/2)
+                   + 2 sin W cos(X/2)  cos(Y/2) cos(gamma1/2) sin(gamma3/2)
+        final-chain  2 sin((W' - Y)/2) sin((W - X)/2) sin((X + Y)/2)
+                   - 2 sin((beta4 - alpha1)/2) sin((alpha2 - beta1)/2)
+                       sin((gamma1 + gamma3)/2)
+                   + 2 sin W cos(X/2) cos(Y/2) cos(gamma1/2) sin(gamma3/2)
+
+    Each of the 47 sines and cosines is evaluated once, first, while no other
+    array of m's size is alive (the first angle read computes the split
+    angles).  A trailing 2 halves an angle (sin_X2 = sin(X/2)); a letter
+    pair is a halved sum or difference (sin_a1b4 = sin((alpha1 - beta4)/2)).
     """
+    s, co = np.sin, np.cos
+    sin_X, sin_Y, sin_W = s(m.X), s(m.Y), s(m.W)
+    sin_X2, sin_Y2, sin_W2, sin_Wp2 = s(m.X / 2), s(m.Y / 2), s(m.W / 2), s(m.Wp / 2)
+    cos_X2, cos_Y2, cos_W2, cos_Wp2 = co(m.X / 2), co(m.Y / 2), co(m.W / 2), co(m.Wp / 2)
+    sin_a1b4 = s((m.alpha1 - m.beta4) / 2)
+    sin_b1a2 = s((m.beta1 - m.alpha2) / 2)
+    sin_g13 = s((m.gamma1 + m.gamma3) / 2)
+    sin_WpY = s((m.Wp - m.Y) / 2)
+    sin_WX = s((m.W - m.X) / 2)
+    sin_XY = s((m.X + m.Y) / 2)
+    sin_a3_2, cos_b2_2 = s(m.alpha3 / 2), co(m.beta2 / 2)
+    sin_b3_2, cos_a4_2 = s(m.beta3 / 2), co(m.alpha4 / 2)
+    cos_g1_2, sin_g3_2 = co(m.gamma1 / 2), s(m.gamma3 / 2)
+    sa1, sa2, sa3, sa4 = (s(v) for v in (m.alpha1, m.alpha2, m.alpha3, m.alpha4))
+    sb1, sb2, sb3, sb4 = (s(v) for v in (m.beta1, m.beta2, m.beta3, m.beta4))
+    sg1, sg2, sg3, sg4 = (s(v) for v in (m.gamma1, m.gamma2, m.gamma3, m.gamma4))
+    pairs = ((m.alpha1, m.beta4), (m.alpha3, m.beta2),
+             (m.alpha4, m.beta3), (m.alpha2, m.beta1))
+    c1, c2, c3, c4 = (co(u + v) for u, v in pairs)
+    c5, c6 = co(m.gamma1 - m.gamma3), co(m.gamma2 - m.gamma4)
+    d1, d2, d3, d4 = (co(u - v) for u, v in pairs)
+    d5, d6 = co(m.gamma1 + m.gamma3), co(m.gamma2 + m.gamma4)
 
-    def __init__(self, m: QuadMetrics):
-        s = np.sin
-        co = np.cos
-        self.sin_X, self.sin_Y, self.sin_W = s(m.X), s(m.Y), s(m.W)
-        self.sin_X2, self.sin_Y2 = s(m.X / 2), s(m.Y / 2)
-        self.sin_W2, self.sin_Wp2 = s(m.W / 2), s(m.Wp / 2)
-        self.cos_X2, self.cos_Y2 = co(m.X / 2), co(m.Y / 2)
-        self.cos_W2, self.cos_Wp2 = co(m.W / 2), co(m.Wp / 2)
-        self.sin_a1b4 = s((m.alpha1 - m.beta4) / 2)
-        self.sin_b1a2 = s((m.beta1 - m.alpha2) / 2)
-        self.sin_g13 = s((m.gamma1 + m.gamma3) / 2)
-        self.sin_WpY = s((m.Wp - m.Y) / 2)
-        self.sin_WX = s((m.W - m.X) / 2)
-        self.sin_XY = s((m.X + m.Y) / 2)
-        self.sin_a3_2, self.cos_b2_2 = s(m.alpha3 / 2), co(m.beta2 / 2)
-        self.sin_b3_2, self.cos_a4_2 = s(m.beta3 / 2), co(m.alpha4 / 2)
-        self.cos_g1_2, self.sin_g3_2 = co(m.gamma1 / 2), s(m.gamma3 / 2)
-        self.sin_alpha = [s(v) for v in (m.alpha1, m.alpha2, m.alpha3, m.alpha4)]
-        self.sin_beta = [s(v) for v in (m.beta1, m.beta2, m.beta3, m.beta4)]
-        self.sin_gamma = [s(v) for v in (m.gamma1, m.gamma2, m.gamma3, m.gamma4)]
-        pairs = ((m.alpha1, m.beta4), (m.alpha3, m.beta2),
-                 (m.alpha4, m.beta3), (m.alpha2, m.beta1))
-        self.cos_plus = [co(u + v) for u, v in pairs] \
-            + [co(m.gamma1 - m.gamma3), co(m.gamma2 - m.gamma4)]
-        self.cos_minus = [co(u - v) for u, v in pairs] \
-            + [co(m.gamma1 + m.gamma3), co(m.gamma2 + m.gamma4)]
-
-
-def _factored_groups(K, t: _Trig):
-    """The X, Y and W multiplicity-one groups in factored form."""
-    return (K * t.sin_X * t.sin_Wp2 * t.sin_Y2 * t.sin_a1b4,
-            K * t.sin_Y * t.sin_W2 * t.sin_X2 * t.sin_b1a2,
-            K * t.sin_W * t.cos_X2 * t.cos_Y2 * t.sin_g13)
-
-
-def _closed_parts(t: _Trig) -> AngularParts:
-    p1 = 0.5 - 2.0 * t.sin_X2 ** 2 * t.cos_W2 ** 2 * t.cos_Y2 ** 2 \
-        - 2.0 * t.cos_X2 ** 2 * t.cos_Wp2 ** 2 * t.sin_Y2 ** 2
-    p2 = -0.5 - 2.0 * t.sin_a1b4 * t.sin_b1a2 * t.sin_g13
-    return AngularParts(p1_value=p1, p2_value=p2)
-
-
-def _definition_parts(t: _Trig) -> AngularParts:
-    c, d = t.cos_plus, t.cos_minus
-    p1 = 0.25 * (c[0] + c[1] + c[2] + c[3] + c[4] + c[5])
-    p2 = 0.25 * (-d[0] - d[1] - d[2] - d[3] - d[4] - d[5])
-    return AngularParts(p1_value=p1, p2_value=p2)
-
-
-def _mult2_closed(K, parts: AngularParts):
-    return K * (parts.p1_value + parts.p2_value)
-
-
-def _lemma(groups, mult2_closed):
-    x, y, w = groups
-    return x + y + w + mult2_closed
-
-
-def _scalar_rest(t: _Trig):
-    """multiplicity_two_scalar's bracket without its gamma24_sign term."""
-    sa, sb, sg = t.sin_alpha, t.sin_beta, t.sin_gamma
-    return (-sa[0] * sb[3] - sa[2] * sb[1] - sa[3] * sb[2] - sa[1] * sb[0]
-            + sg[0] * sg[2])
-
-
-def _scalar(K, t: _Trig, rest, gamma24_sign: float):
-    return 0.5 * K * (rest + gamma24_sign * t.sin_gamma[1] * t.sin_gamma[3])
-
-
-def _triple_gap(cos_u, cos_v, cos_t, sin_u2, sin_v2, sin_t2):
-    lhs = cos_u + cos_v + cos_t
-    rhs = 1.0 + 4.0 * sin_u2 * sin_v2 * sin_t2
-    return np.abs(lhs - rhs)
-
-
-def _sine_bound(t: _Trig, index: int):
-    if index == 1:
-        return t.sin_WpY - np.abs(t.sin_a1b4)
-    if index == 2:
-        return t.sin_WX - np.abs(t.sin_b1a2)
-    return t.sin_g13 - t.sin_XY
-
-
-def _angular_core(t: _Trig, closed: AngularParts):
-    return (t.sin_X * t.sin_Wp2 * t.sin_Y2 * t.sin_a1b4
-            + t.sin_Y * t.sin_W2 * t.sin_X2 * t.sin_b1a2
-            + t.sin_W * t.cos_X2 * t.cos_Y2 * t.sin_g13
-            + (closed.p1_value - 0.5))
-
-
-def _remainder(t: _Trig):
-    return (2.0 * t.sin_X * t.sin_Wp2 * t.sin_Y2 * t.sin_a3_2 * t.cos_b2_2
-            + 2.0 * t.sin_Y * t.sin_W2 * t.sin_X2 * t.sin_b3_2 * t.cos_a4_2
-            + 2.0 * t.sin_W * t.cos_X2 * t.cos_Y2 * t.cos_g1_2 * t.sin_g3_2)
-
-
-def _final_chain(t: _Trig):
-    # sin((beta4-alpha1)/2) sin((alpha2-beta1)/2) is the product of the two
-    # negated table sines, which is bit for bit the product of the sines
-    return (2.0 * t.sin_WpY * t.sin_WX * t.sin_XY
-            - 2.0 * t.sin_a1b4 * t.sin_b1a2 * t.sin_g13
-            + 2.0 * t.sin_W * t.cos_X2 * t.cos_Y2 * t.cos_g1_2 * t.sin_g3_2)
-
-
-def multiplicity_one_sum(m: QuadMetrics, group: str, form: str = "raw"):
-    """One of the three multiplicity-one groups, raw or in factored form.
-
-    Factored closed forms (K = abcdef):
-
-        X group: K sin X  sin(W'/2) sin(Y/2) sin((alpha1 - beta4)/2)
-        Y group: K sin Y  sin(W/2)  sin(X/2) sin((beta1 - alpha2)/2)
-        W group: K sin W  cos(X/2)  cos(Y/2) sin((gamma1 + gamma3)/2)
-    """
-    if group not in MULT1_GROUPS:
-        raise ValueError(f"unknown multiplicity-one group {group!r}")
-    if form == "raw":
-        return _sum_terms(m, _MULT1_TERMS[group])
-    if form != "factored":
-        raise ValueError(f"unknown form {form!r}")
-    return _factored_groups(_abcdef(m), _Trig(m))[MULT1_GROUPS.index(group)]
-
-
-def multiplicity_two_sum(m: QuadMetrics, form: str = "raw"):
-    """Sum of the six multiplicity-two terms, raw or via the closed form
-    abcdef * (p1_value - 1/2 + p2_value + 1/2)."""
-    if form == "raw":
-        return (-2.0 * m.a * m.d * (m.A123 * m.A234 + m.A124 * m.A134)
-                - 2.0 * m.c * m.f * (m.A124 * m.A123 + m.A134 * m.A234)
-                + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234))
-    if form != "closed":
-        raise ValueError(f"unknown form {form!r}")
-    return _mult2_closed(_abcdef(m), _closed_parts(_Trig(m)))
-
-
-def multiplicity_two_scalar(m: QuadMetrics, gamma24_sign: float = 1.0):
-    """Multiplicity-two sum as abcdef/2 times a pure sine expression.
-
-    gamma24_sign picks the sign of the sin(gamma2) sin(gamma4) term; the
-    audit adjudicates which sign reproduces the raw area-product sum
-    (+1 is the variant consistent with the closed forms).
-    """
-    t = _Trig(m)
-    return _scalar(_abcdef(m), t, _scalar_rest(t), gamma24_sign)
-
-
-def angular_parts(m: QuadMetrics, form: str = "closed") -> AngularParts:
-    """Even/odd halves of the multiplicity-two angular expression.
-
-    form="definition" evaluates the six-cosine sums produced by
-    linearizing the sine products; form="closed" evaluates
-
-        p1 = 1/2 - 2 sin^2(X/2) cos^2(W/2) cos^2(Y/2)
-                 - 2 cos^2(X/2) cos^2(W'/2) sin^2(Y/2)
-        p2 = -1/2 - 2 sin((alpha1-beta4)/2) sin((beta1-alpha2)/2)
-                      sin((gamma1+gamma3)/2)
-    """
-    if form == "definition":
-        return _definition_parts(_Trig(m))
-    if form != "closed":
-        raise ValueError(f"unknown form {form!r}")
-    return _closed_parts(_Trig(m))
+    K = _abcdef(m)
+    x = K * sin_X * sin_Wp2 * sin_Y2 * sin_a1b4
+    y = K * sin_Y * sin_W2 * sin_X2 * sin_b1a2
+    w = K * sin_W * cos_X2 * cos_Y2 * sin_g13
+    odd = 2.0 * sin_a1b4 * sin_b1a2 * sin_g13
+    p1 = 0.5 - 2.0 * sin_X2 ** 2 * cos_W2 ** 2 * cos_Y2 ** 2 \
+        - 2.0 * cos_X2 ** 2 * cos_Wp2 ** 2 * sin_Y2 ** 2
+    p2 = -0.5 - odd
+    mult2 = K * (p1 + p2)
+    sines = -sa1 * sb4 - sa3 * sb2 - sa4 * sb3 - sa2 * sb1 + sg1 * sg3
+    head = 2.0 * sin_WpY * sin_WX * sin_XY
+    tail = 2.0 * sin_W * cos_X2 * cos_Y2 * cos_g1_2 * sin_g3_2
+    remainder = (2.0 * sin_X * sin_Wp2 * sin_Y2 * sin_a3_2 * cos_b2_2
+                 + 2.0 * sin_Y * sin_W2 * sin_X2 * sin_b3_2 * cos_a4_2 + tail)
+    edge = residual(m, "edge")
+    return {
+        "edge": edge,
+        "expanded": residual(m, "expanded"),
+        "lemma": x + y + w + mult2,
+        "normalized-residual": edge / K,
+        "mult1-x": x, "mult1-y": y, "mult1-w": w,
+        **{f"mult1-{g}-raw": _sum_terms(m, terms) for g, terms in _MULT1_TERMS.items()},
+        "mult2-raw": (-2.0 * m.a * m.d * (m.A123 * m.A234 + m.A124 * m.A134)
+                      - 2.0 * m.c * m.f * (m.A124 * m.A123 + m.A134 * m.A234)
+                      + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234)),
+        "mult2-closed": mult2,
+        "mult2-plus": 0.5 * K * (sines + sg2 * sg4),
+        "mult2-minus": 0.5 * K * (sines - sg2 * sg4),
+        "p1-closed": p1,
+        "p2-closed": p2,
+        "p1-definition": 0.25 * (c1 + c2 + c3 + c4 + c5 + c6),
+        "p2-definition": 0.25 * (-d1 - d2 - d3 - d4 - d5 - d6),
+        # cos is even and sin odd: cos(alpha1 - beta4) is cos u, and
+        # sin((alpha1 - beta4)/2) sin((beta1 - alpha2)/2) is exactly
+        # sin(u/2) sin(v/2)
+        "cosine-triple-cos": d1 + d4 + d5,
+        "cosine-triple-sin": 1.0 + 4.0 * sin_a1b4 * sin_b1a2 * sin_g13,
+        "sine-bound-1": sin_WpY - np.abs(sin_a1b4),
+        "sine-bound-2": sin_WX - np.abs(sin_b1a2),
+        "sine-bound-3": sin_g13 - sin_XY,
+        "angular-core": (sin_X * sin_Wp2 * sin_Y2 * sin_a1b4
+                         + sin_Y * sin_W2 * sin_X2 * sin_b1a2
+                         + sin_W * cos_X2 * cos_Y2 * sin_g13 + (p1 - 0.5)),
+        "remainder": remainder,
+        "core-split": head + remainder,
+        "final-chain": head - odd + tail,
+    }
 
 
 def residual(m: QuadMetrics, path: str = "edge"):
@@ -352,7 +303,7 @@ def residual(m: QuadMetrics, path: str = "edge"):
         edge      difference of the six composite edge expressions
         expanded  sum of the 30 individual terms
         lemma     factored multiplicity-one groups plus the closed
-                  multiplicity-two form
+                  multiplicity-two form (see forms)
     """
     if path == "edge":
         t = edge_terms(m)
@@ -360,9 +311,7 @@ def residual(m: QuadMetrics, path: str = "edge"):
     if path == "expanded":
         return _sum_terms(m, _EXPANDED_TERMS)
     if path == "lemma":
-        K = _abcdef(m)
-        t = _Trig(m)
-        return _lemma(_factored_groups(K, t), _mult2_closed(K, _closed_parts(t)))
+        return forms(m)["lemma"]
     raise ValueError(f"unknown residual path {path!r}")
 
 
@@ -371,59 +320,10 @@ def normalized_residual(m: QuadMetrics, path: str = "edge"):
     return residual(m, path) / _abcdef(m)
 
 
-def cosine_triple_identity_gap(u, v, t):
-    """|cos u + cos v + cos t - 1 - 4 sin(u/2) sin(v/2) sin(t/2)| for angle
-    triples with u + v + t = pi."""
-    return _triple_gap(np.cos(u), np.cos(v), np.cos(t),
-                       np.sin(u / 2), np.sin(v / 2), np.sin(t / 2))
-
-
-def sine_bound_slack(m: QuadMetrics, index: int):
-    """Slack of the three sine comparison bounds (nonnegative on convex
-    input):
-
-        1: sin((W' - Y)/2) - |sin((alpha1 - beta4)/2)|
-        2: sin((W  - X)/2) - |sin((beta1 - alpha2)/2)|
-        3: sin((gamma1 + gamma3)/2) - sin((X + Y)/2)
-    """
-    if index not in (1, 2, 3):
-        raise ValueError("index must be 1, 2 or 3")
-    return _sine_bound(_Trig(m), index)
-
-
 def angle_sum_hypotheses(m: QuadMetrics):
     """Mask of samples with gamma2+gamma3 <= pi and gamma3+gamma4 <= pi."""
     bound = np.pi + _HYPOTHESIS_SLACK
     return (m.gamma2 + m.gamma3 <= bound) & (m.gamma3 + m.gamma4 <= bound)
-
-
-def angular_core(m: QuadMetrics):
-    """Dimensionless sum of the three factored multiplicity-one groups and
-    the even multiplicity-two deficit (p1_value - 1/2); nonnegative whenever
-    the angle-sum hypotheses hold."""
-    t = _Trig(m)
-    return _angular_core(t, _closed_parts(t))
-
-
-def remainder_terms(m: QuadMetrics):
-    """The three leftover products after bounding the angular core:
-
-        2 sin X sin(W'/2) sin(Y/2) sin(alpha3/2) cos(beta2/2)
-      + 2 sin Y sin(W/2)  sin(X/2) sin(beta3/2)  cos(alpha4/2)
-      + 2 sin W cos(X/2)  cos(Y/2) cos(gamma1/2) sin(gamma3/2)
-    """
-    return _remainder(_Trig(m))
-
-
-def final_chain_slack(m: QuadMetrics):
-    """Closing combination of the sign-case argument; nonnegative on samples
-    satisfying the angle-sum hypotheses:
-
-        2 sin((W'-Y)/2) sin((W-X)/2) sin((X+Y)/2)
-      - 2 sin((beta4-alpha1)/2) sin((alpha2-beta1)/2) sin((gamma1+gamma3)/2)
-      + 2 sin W cos(X/2) cos(Y/2) cos(gamma1/2) sin(gamma3/2)
-    """
-    return _final_chain(_Trig(m))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +418,16 @@ class _Accumulator:
             v = float(np.max(values))
         self.max_err[key] = max(self.max_err.get(key, float("-inf")), v)
 
-    def slack(self, key: str, values) -> None:
-        values = np.asarray(values)
+    def slack(self, key: str, values, within=None) -> None:
+        """within, a row mask, keeps only the rows it selects.  The angle-sum
+        hypotheses are False on NaN angles, so the non-finite rows that the
+        mask drops are counted first, and such a row still fails the check
+        (a finite sum, one reduction, proves there are none)."""
+        values = np.atleast_1d(values)
+        if within is not None:
+            if not math.isfinite(np.sum(values)):
+                self._finite(key, values[~within])
+            values = values[within]
         self.counts[key] = self.counts.get(key, 0) + values.size
         if not values.size:
             return
@@ -546,73 +454,46 @@ class _Accumulator:
                 mine[key] = mine.get(key, 0) + n
 
 
+# (check id, form, the form it must equal, whether the gap is divided by
+# abcdef), in report order
+_IDENTITIES = (
+    ("residual-edge-vs-expanded", "edge", "expanded", True),
+    ("residual-edge-vs-lemma", "edge", "lemma", True),
+    ("mult1-x-raw-vs-factored", "mult1-x-raw", "mult1-x", True),
+    ("mult1-y-raw-vs-factored", "mult1-y-raw", "mult1-y", True),
+    ("mult1-w-raw-vs-factored", "mult1-w-raw", "mult1-w", True),
+    ("mult2-raw-vs-closed", "mult2-raw", "mult2-closed", True),
+    ("p1-def-vs-closed", "p1-definition", "p1-closed", False),
+    ("p2-def-vs-closed", "p2-definition", "p2-closed", False),
+    ("cosine-triple-identity", "cosine-triple-cos", "cosine-triple-sin", False),
+    ("core-remainder-split", "angular-core", "core-split", False),
+)
+# the two scalar multiplicity-two forms, each compared with mult2-raw; the
+# sign-resolution check, reported between the two tables, picks the closer
+_SIGN_FORMS = ("mult2-plus", "mult2-minus")
+# (check id, form that must be nonnegative, whether only the rows within the
+# angle-sum hypotheses count), in report order
+_INEQUALITIES = (
+    ("residual-nonneg", "normalized-residual", False),
+    ("sine-bound-1", "sine-bound-1", False),
+    ("sine-bound-2", "sine-bound-2", False),
+    ("sine-bound-3", "sine-bound-3", False),
+    ("angular-core-nonneg", "angular-core", True),
+    ("final-chain-nonneg", "final-chain", True),
+)
+
+
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
-    # One trig table serves every closed form of this block; the edge and
-    # expanded residuals and the raw group sums share nothing with it.  It
-    # comes first: its first angle read computes the block's split angles,
-    # and no other block-sized array is alive yet.
-    t = _Trig(m)
+    f = forms(m)
     K = _abcdef(m)
-    closed = _closed_parts(t)
-    groups = _factored_groups(K, t)
-    m2_closed = _mult2_closed(K, closed)
-    r_edge = residual(m, "edge")
-    r_expanded = residual(m, "expanded")
-    r_lemma = _lemma(groups, m2_closed)
-    acc.err("residual-edge-vs-expanded", np.abs(r_edge - r_expanded) / K)
-    acc.err("residual-edge-vs-lemma", np.abs(r_edge - r_lemma) / K)
-
-    for group, fact in zip(MULT1_GROUPS, groups):
-        raw = multiplicity_one_sum(m, group, "raw")
-        acc.err(f"mult1-{group.lower()}-raw-vs-factored", np.abs(raw - fact) / K)
-
-    m2_raw = multiplicity_two_sum(m, "raw")
-    acc.err("mult2-raw-vs-closed", np.abs(m2_raw - m2_closed) / K)
-    rest = _scalar_rest(t)
-    acc.err("mult2-sign-plus", np.abs(m2_raw - _scalar(K, t, rest, 1.0)) / K)
-    acc.err("mult2-sign-minus", np.abs(m2_raw - _scalar(K, t, rest, -1.0)) / K)
-
-    defn = _definition_parts(t)
-    acc.err("p1-def-vs-closed", np.abs(defn.p1_value - closed.p1_value))
-    acc.err("p2-def-vs-closed", np.abs(defn.p2_value - closed.p2_value))
-
-    # u = beta4 - alpha1, v = alpha2 - beta1, t = gamma1 + gamma3: cos is
-    # even and sin odd, so the table's cosines and negated sines are exact
-    acc.err("cosine-triple-identity",
-            _triple_gap(t.cos_minus[0], t.cos_minus[3], t.cos_minus[4],
-                        -t.sin_a1b4, -t.sin_b1a2, t.sin_g13))
-
-    core = _angular_core(t, closed)
-    split = 2.0 * t.sin_WpY * t.sin_WX * t.sin_XY + _remainder(t)
-    acc.err("core-remainder-split", np.abs(core - split))
-
-    acc.slack("residual-nonneg", r_edge / K)
-    for i in (1, 2, 3):
-        acc.slack(f"sine-bound-{i}", _sine_bound(t, i))
-
-    # the hypotheses are False on NaN angles: count the non-finite rows they
-    # would drop before filtering, so that such a row still fails the check
-    # (a finite sum, one reduction, proves there are none)
-    hyp = np.atleast_1d(angle_sum_hypotheses(m))
-    for key, values in (("angular-core-nonneg", core),
-                        ("final-chain-nonneg", _final_chain(t))):
-        values = np.atleast_1d(values)
-        if not math.isfinite(np.sum(values)):
-            acc._finite(key, values[~hyp])
-        acc.slack(key, values[hyp])
-
-
-_IDENTITY_IDS = (
-    "residual-edge-vs-expanded", "residual-edge-vs-lemma",
-    "mult1-x-raw-vs-factored", "mult1-y-raw-vs-factored",
-    "mult1-w-raw-vs-factored", "mult2-raw-vs-closed",
-    "p1-def-vs-closed", "p2-def-vs-closed",
-    "cosine-triple-identity", "core-remainder-split",
-)
-_INEQUALITY_IDS = (
-    "residual-nonneg", "sine-bound-1", "sine-bound-2", "sine-bound-3",
-    "angular-core-nonneg", "final-chain-nonneg",
-)
+    for cid, form, other, scaled in _IDENTITIES:
+        gap = np.abs(f[form] - f[other])
+        acc.err(cid, gap / K if scaled else gap)
+    for form in _SIGN_FORMS:
+        acc.err(form, np.abs(f["mult2-raw"] - f[form]) / K)
+    within = np.atleast_1d(angle_sum_hypotheses(m))
+    for cid, form, filtered in _INEQUALITIES:
+        acc.slack(cid, f[form], within if filtered else None)
 
 
 def _nonfinite(n: int) -> dict:
@@ -623,16 +504,15 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
     # A check with a non-finite entry fails; its max_err / min_slack cover
     # the finite entries and are None when there are none.
     checks: list[CheckResult] = []
-    for cid in _IDENTITY_IDS:
+    for cid, *_ in _IDENTITIES:
         err = acc.max_err.get(cid)
         bad = acc.nonfinite.get(cid, 0)
         checks.append(CheckResult(id=cid, kind="identity", tol=tol,
                                   passed=not bad and err <= tol, max_err=err,
                                   extra=_nonfinite(bad)))
 
-    err_plus = acc.max_err.get("mult2-sign-plus")
-    err_minus = acc.max_err.get("mult2-sign-minus")
-    bad = acc.nonfinite.get("mult2-sign-plus", 0) + acc.nonfinite.get("mult2-sign-minus", 0)
+    err_plus, err_minus = (acc.max_err.get(form) for form in _SIGN_FORMS)
+    bad = sum(acc.nonfinite.get(form, 0) for form in _SIGN_FORMS)
     plus = math.inf if err_plus is None else err_plus
     minus = math.inf if err_minus is None else err_minus
     resolution = "plus" if plus <= minus else "minus"
@@ -647,7 +527,7 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
                "conclusive": bool(not bad and loser >= 1e6 * tol),
                **_nonfinite(bad)}))
 
-    for cid in _INEQUALITY_IDS:
+    for cid, _, filtered in _INEQUALITIES:
         n = acc.counts.get(cid, 0)
         bad = acc.nonfinite.get(cid, 0)
         if n == 0 and not bad:
@@ -657,7 +537,7 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
             continue
         slack = acc.min_slack.get(cid)
         extra = _nonfinite(bad)
-        if cid in ("angular-core-nonneg", "final-chain-nonneg"):
+        if filtered:
             extra["in_hypothesis"] = n
         checks.append(CheckResult(id=cid, kind="inequality", tol=ineq_tol,
                                   passed=not bad and slack >= -ineq_tol,
@@ -689,7 +569,7 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
     frame-uniform draws _AUDIT_CHUNK rows per sample_frames([seed, part])
     call, so the sample stream depends only on seed, samples and margin.
     Each chunk is evaluated in slices of _AUDIT_BLOCK rows: one
-    metrics_from_frames call and one shared trig table per block, sized so
+    metrics_from_frames call and one forms call per block, sized so
     that the block's temporaries stay in cache.  The blocks of a chunk are
     dealt round-robin to up to _AUDIT_WORKERS workers, each with its own
     accumulator; an audit of one block starts no thread.  A chunk is

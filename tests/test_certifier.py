@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dihedral import in_cut, into_cut
-from quadineq import __version__, certifier, interval
+from quadineq import __version__, certifier, cli, interval
 from quadineq.certifier import (
     Certificate,
     MalformedCertificate,
@@ -159,6 +159,29 @@ def test_non_finite_number_is_malformed(cert):
     for field in ("margin", "target", "c_star", "lower_bound"):
         for value in (float("nan"), float("inf"), float("-inf")):
             doc = json.loads(dumps(cert.to_json_dict()))
+            owner = doc["leaves"][0] if field == "lower_bound" else doc
+            owner[field] = value
+            with pytest.raises(MalformedCertificate):
+                Certificate.from_json_dict(doc)
+
+
+def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys):
+    # float() reads "0.16" and False, so strings and booleans once verified
+    doc = _fresh(cert)
+    for key in ("margin", "c_star"):
+        doc[key] = str(doc[key])
+    for leaf in doc["leaves"]:
+        leaf["lower_bound"] = str(leaf["lower_bound"])
+    doc["target"] = False
+    with pytest.raises(MalformedCertificate, match="not a number"):
+        verify_certificate(doc)
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-cert", str(path)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+    for field in ("margin", "target", "c_star", "lower_bound"):
+        for value in ("0.5", True, False, None, [0.5]):
+            doc = _fresh(cert)
             owner = doc["leaves"][0] if field == "lower_bound" else doc
             owner[field] = value
             with pytest.raises(MalformedCertificate):

@@ -64,6 +64,18 @@ def test_eval_rejects_nonconvex_input(capsys):
     assert code == 2 and "invalid configuration" in err
 
 
+@pytest.mark.parametrize("points", [
+    "[[0,0],[1,0],[1,1],5]", '[["a",0],[1,0],[1,1],[0,1]]', "[[0,0],[1,0],[1,1],[0]]",
+    "[[0,0],[1,0],[1,1],[0,1,2]]", "[[0,0],[1,0],[1,1],[true,1]]",
+    '[[0,0],[1,0],[1,1],"01"]', "[[0,0],[1,0],[1,1],[null,1]]",
+], ids=["number", "string-coordinate", "one-coordinate", "three-coordinates",
+        "boolean-coordinate", "string-vertex", "null-coordinate"])
+def test_eval_rejects_a_vertex_that_is_not_two_numbers(capsys, points):
+    code, out, err = run(capsys, ["eval", "--points", points])
+    assert code == 2 and out == ""
+    assert "invalid configuration" in err and "not a pair of numbers" in err
+
+
 def test_eval_file_input(tmp_path, capsys):
     path = tmp_path / "square.json"
     path.write_text(SQUARE_JSON)

@@ -17,20 +17,12 @@ from quadineq.kernel import (
     _EXPANDED_TERMS,
     _MULT1_TERMS,
     angle_sum_hypotheses,
-    angular_core,
-    angular_parts,
     audit,
     audit_samples,
-    cosine_triple_identity_gap,
     edge_terms,
-    final_chain_slack,
-    multiplicity_one_sum,
-    multiplicity_two_scalar,
-    multiplicity_two_sum,
+    forms,
     normalized_residual,
-    remainder_terms,
     residual,
-    sine_bound_slack,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -114,45 +106,53 @@ def test_edge_term_homogeneity():
 
 
 def test_rectangle_x_group_vanishes():
-    m = metrics(RECT21)
-    assert multiplicity_one_sum(m, "X", "raw") == pytest.approx(0.0, abs=1e-12)
-    assert multiplicity_one_sum(m, "X", "factored") == pytest.approx(0.0, abs=1e-14)
-    assert multiplicity_one_sum(m, "Y", "factored") == pytest.approx(0.0, abs=1e-14)
+    f = forms(metrics(RECT21))
+    assert f["mult1-x-raw"] == pytest.approx(0.0, abs=1e-12)
+    assert f["mult1-x"] == pytest.approx(0.0, abs=1e-14)
+    assert f["mult1-y"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_square_multiplicity_two_vanishes():
-    m = metrics(SQUARE)
-    assert multiplicity_two_sum(m, "raw") == pytest.approx(0.0, abs=1e-14)
-    assert multiplicity_two_sum(m, "closed") == pytest.approx(0.0, abs=1e-14)
+    f = forms(metrics(SQUARE))
+    assert f["mult2-raw"] == pytest.approx(0.0, abs=1e-14)
+    assert f["mult2-closed"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_rectangle_multiplicity_two_vanishes():
-    m = metrics(RECT21)
+    f = forms(metrics(RECT21))
     # raw composition: -4 - 16 + 20
-    assert multiplicity_two_sum(m, "raw") == pytest.approx(0.0, abs=1e-12)
-    assert multiplicity_two_sum(m, "closed") == pytest.approx(0.0, abs=1e-12)
+    assert f["mult2-raw"] == pytest.approx(0.0, abs=1e-12)
+    assert f["mult2-closed"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_square_angular_parts():
-    parts = angular_parts(metrics(SQUARE))
-    assert parts.p1_value == pytest.approx(0.5, abs=1e-14)
-    assert parts.p2_value == pytest.approx(-0.5, abs=1e-14)
+    f = forms(metrics(SQUARE))
+    assert f["p1-closed"] == pytest.approx(0.5, abs=1e-14)
+    assert f["p2-closed"] == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_equilateral_cosine_identity():
-    assert cosine_triple_identity_gap(math.pi / 3, math.pi / 3, math.pi / 3) \
-        == pytest.approx(0.0, abs=1e-15)
+    # the rhombus with 30-degree angles at z1 and z3 has the triple
+    # u = beta4 - alpha1 = 75 - 15, v = alpha2 - beta1 = 75 - 15 and
+    # t = gamma1 + gamma3 = 30 + 30 degrees: pi/3 each
+    half = 2.0 - math.sqrt(3.0)  # tan(15 degrees)
+    m = metrics(quad_from_points((1, 0), (0, half), (-1, 0), (0, -half)))
+    for angle in (m.beta4 - m.alpha1, m.alpha2 - m.beta1, m.gamma1 + m.gamma3):
+        assert angle == pytest.approx(math.pi / 3, abs=1e-14)
+    f = forms(m)
+    assert f["cosine-triple-cos"] == pytest.approx(1.5, abs=1e-15)
+    assert f["cosine-triple-sin"] - f["cosine-triple-cos"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_square_sine_bound_slacks():
-    m = metrics(SQUARE)
-    assert sine_bound_slack(m, 1) == pytest.approx(SQRT2 / 2, abs=1e-12)
-    assert sine_bound_slack(m, 2) == pytest.approx(SQRT2 / 2, abs=1e-12)
-    assert sine_bound_slack(m, 3) == pytest.approx(1.0, abs=1e-12)
+    f = forms(metrics(SQUARE))
+    assert f["sine-bound-1"] == pytest.approx(SQRT2 / 2, abs=1e-12)
+    assert f["sine-bound-2"] == pytest.approx(SQRT2 / 2, abs=1e-12)
+    assert f["sine-bound-3"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rectangle_sine_bound_three():
-    assert sine_bound_slack(metrics(RECT21), 3) == pytest.approx(1.0, abs=1e-12)
+    assert forms(metrics(RECT21))["sine-bound-3"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_square_angular_core():
@@ -160,30 +160,31 @@ def test_square_angular_core():
     # vanishes; consistency: core + odd part + 1/2 reproduces the
     # dimensionless residual
     m = metrics(SQUARE)
-    core = angular_core(m)
-    assert core == pytest.approx(1.0, abs=1e-12)
-    p2 = angular_parts(m).p2_value
-    assert core + p2 + 0.5 == pytest.approx(normalized_residual(m), abs=1e-12)
+    f = forms(m)
+    assert f["angular-core"] == pytest.approx(1.0, abs=1e-12)
+    assert f["angular-core"] + f["p2-closed"] + 0.5 \
+        == pytest.approx(normalized_residual(m), abs=1e-12)
+    assert f["normalized-residual"] == normalized_residual(m)
     assert bool(angle_sum_hypotheses(m))
 
 
 def test_rectangle_angular_core():
     m = metrics(RECT21)
-    assert angular_core(m) == pytest.approx(0.8, abs=1e-12)
+    assert forms(m)["angular-core"] == pytest.approx(0.8, abs=1e-12)
     assert bool(angle_sum_hypotheses(m))
 
 
 def test_square_remainder_and_chain():
-    m = metrics(SQUARE)
-    assert remainder_terms(m) == pytest.approx(1.0, abs=1e-12)
-    assert final_chain_slack(m) == pytest.approx(1.0, abs=1e-12)
+    f = forms(metrics(SQUARE))
+    assert f["remainder"] == pytest.approx(1.0, abs=1e-12)
+    assert f["final-chain"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rectangle_remainder_and_chain():
-    m = metrics(RECT21)
+    f = forms(metrics(RECT21))
     sin_w = math.sin(math.acos(-0.6))
-    assert remainder_terms(m) == pytest.approx(sin_w, abs=1e-12)
-    assert final_chain_slack(m) == pytest.approx(sin_w, abs=1e-12)
+    assert f["remainder"] == pytest.approx(sin_w, abs=1e-12)
+    assert f["final-chain"] == pytest.approx(sin_w, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def test_expanded_table_shape():
 def test_multiplicity_one_groups_partition_expanded_terms():
     mult_one = {t for t in _EXPANDED_TERMS if abs(t[0]) == 1}
     grouped = set()
-    avoided = {"X": {"a", "d"}, "Y": {"c", "f"}, "W": {"b", "e"}}
+    avoided = {"x": {"a", "d"}, "y": {"c", "f"}, "w": {"b", "e"}}
     for name, terms in _MULT1_TERMS.items():
         assert len(terms) == 8
         for t in terms:
@@ -213,12 +214,10 @@ def test_group_sums_recompose_expanded_residual():
     p, w = sample_frames(53, 4096, margin=0.01)
     m = metrics_from_frames(p, w)
     K = m.a * m.b * m.c * m.d * m.e * m.f
-    total = (multiplicity_one_sum(m, "X", "raw")
-             + multiplicity_one_sum(m, "Y", "raw")
-             + multiplicity_one_sum(m, "W", "raw")
-             + multiplicity_two_sum(m, "raw"))
-    np.testing.assert_array_less(np.abs(total - residual(m, "expanded")),
-                                 1e-12 * K)
+    f = forms(m)
+    total = f["mult1-x-raw"] + f["mult1-y-raw"] + f["mult1-w-raw"] + f["mult2-raw"]
+    np.testing.assert_array_less(np.abs(total - f["expanded"]), 1e-12 * K)
+    assert np.array_equal(f["expanded"], residual(m, "expanded"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,9 @@ def test_group_raw_vs_factored(group):
     p, w = sample_frames(61, 20_000, margin=0.01)
     m = metrics_from_frames(p, w)
     K = m.a * m.b * m.c * m.d * m.e * m.f
-    raw = multiplicity_one_sum(m, group, "raw")
-    fact = multiplicity_one_sum(m, group, "factored")
+    f = forms(m)
+    raw = f[f"mult1-{group.lower()}-raw"]
+    fact = f[f"mult1-{group.lower()}"]
     np.testing.assert_array_less(np.abs(raw - fact), IDENTITY_TOL * K)
 
 
@@ -248,35 +248,32 @@ def test_multiplicity_two_raw_vs_closed():
     p, w = sample_frames(67, 20_000, margin=0.01)
     m = metrics_from_frames(p, w)
     K = m.a * m.b * m.c * m.d * m.e * m.f
-    raw = multiplicity_two_sum(m, "raw")
-    np.testing.assert_array_less(np.abs(raw - multiplicity_two_sum(m, "closed")),
+    f = forms(m)
+    np.testing.assert_array_less(np.abs(f["mult2-raw"] - f["mult2-closed"]),
                                  IDENTITY_TOL * K)
 
 
 def test_angular_parts_definition_vs_closed():
     p, w = sample_frames(71, 20_000, margin=0.01)
     m = metrics_from_frames(p, w)
-    closed = angular_parts(m, "closed")
-    defn = angular_parts(m, "definition")
-    np.testing.assert_allclose(defn.p1_value, closed.p1_value, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(defn.p2_value, closed.p2_value, atol=1e-10, rtol=0)
+    f = forms(m)
+    np.testing.assert_allclose(f["p1-definition"], f["p1-closed"], atol=1e-10, rtol=0)
+    np.testing.assert_allclose(f["p2-definition"], f["p2-closed"], atol=1e-10, rtol=0)
     # abcdef * (p1 + p2) reproduces the raw multiplicity-two sum
     K = m.a * m.b * m.c * m.d * m.e * m.f
     np.testing.assert_array_less(
-        np.abs(K * (closed.p1_value + closed.p2_value)
-               - multiplicity_two_sum(m, "raw")), IDENTITY_TOL * K)
+        np.abs(K * (f["p1-closed"] + f["p2-closed"]) - f["mult2-raw"]), IDENTITY_TOL * K)
 
 
 def test_sign_adjudication_is_decisive():
     p, w = sample_frames(73, 20_000, margin=0.01)
     m = metrics_from_frames(p, w)
     K = m.a * m.b * m.c * m.d * m.e * m.f
-    raw = multiplicity_two_sum(m, "raw")
-    err_plus = np.max(np.abs(raw - multiplicity_two_scalar(m, 1.0)) / K)
-    err_minus = np.min(np.abs(raw - multiplicity_two_scalar(m, -1.0)) / K)
+    f = forms(m)
+    err_plus = np.max(np.abs(f["mult2-raw"] - f["mult2-plus"]) / K)
     assert err_plus <= IDENTITY_TOL
     generic = np.abs(np.sin(m.gamma2) * np.sin(m.gamma4)) >= 0.1
-    err_minus_generic = np.abs(raw - multiplicity_two_scalar(m, -1.0)) / K
+    err_minus_generic = np.abs(f["mult2-raw"] - f["mult2-minus"]) / K
     assert np.all(err_minus_generic[generic] >= 1e6 * IDENTITY_TOL)
 
 
@@ -287,15 +284,20 @@ def test_cosine_identity_on_derived_triple():
     v = m.alpha2 - m.beta1
     t = m.gamma1 + m.gamma3
     np.testing.assert_allclose(u + v + t, math.pi, atol=1e-12, rtol=0)
-    assert np.max(cosine_triple_identity_gap(u, v, t)) <= IDENTITY_TOL
+    f = forms(m)
+    np.testing.assert_array_equal(f["cosine-triple-cos"],
+                                  np.cos(u) + np.cos(v) + np.cos(t))
+    assert np.max(np.abs(f["cosine-triple-cos"] - f["cosine-triple-sin"])) <= IDENTITY_TOL
 
 
 def test_core_remainder_split_identity():
     p, w = sample_frames(83, 20_000, margin=0.01)
     m = metrics_from_frames(p, w)
+    f = forms(m)
     split = (2.0 * np.sin((m.Wp - m.Y) / 2) * np.sin((m.W - m.X) / 2)
-             * np.sin((m.X + m.Y) / 2) + remainder_terms(m))
-    np.testing.assert_allclose(angular_core(m), split, atol=1e-12, rtol=0)
+             * np.sin((m.X + m.Y) / 2) + f["remainder"])
+    np.testing.assert_array_equal(f["core-split"], split)
+    np.testing.assert_allclose(f["angular-core"], split, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +332,7 @@ def test_residual_positive_near_degenerate_frame():
 def test_sine_bounds_nonnegative(index):
     p, w = sample_frames(97, 50_000, margin=0.01)
     m = metrics_from_frames(p, w)
-    assert np.min(sine_bound_slack(m, index)) >= -INEQ_TOL
+    assert np.min(forms(m)[f"sine-bound-{index}"]) >= -INEQ_TOL
 
 
 def test_angular_core_nonneg_under_hypotheses():
@@ -338,8 +340,9 @@ def test_angular_core_nonneg_under_hypotheses():
     m = metrics_from_frames(p, w)
     hyp = angle_sum_hypotheses(m)
     assert 0 < hyp.sum() < hyp.size  # both populations exercised
-    assert np.min(angular_core(m)[hyp]) >= -INEQ_TOL
-    assert np.min(final_chain_slack(m)[hyp]) >= -INEQ_TOL
+    f = forms(m)
+    assert np.min(f["angular-core"][hyp]) >= -INEQ_TOL
+    assert np.min(f["final-chain"][hyp]) >= -INEQ_TOL
 
 
 def test_remainder_nonneg_for_nonnegative_x_y():
@@ -347,7 +350,7 @@ def test_remainder_nonneg_for_nonnegative_x_y():
     m = metrics_from_frames(p, w)
     mask = (m.X >= 0) & (m.Y >= 0)
     assert mask.sum() > 0
-    assert np.min(remainder_terms(m)[mask]) >= -INEQ_TOL
+    assert np.min(forms(m)["remainder"][mask]) >= -INEQ_TOL
 
 
 def test_residual_homogeneity_degree_six():

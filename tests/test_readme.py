@@ -1,0 +1,40 @@
+"""README's Quick-start block runs as written, and every expression in it
+with a commented value gives that value, so the documented API cannot drift
+from the code."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_lines():
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1).splitlines()
+
+
+def test_quick_start_runs_and_gives_its_commented_values():
+    namespace = {}
+    checked = []
+    for line in quick_start_lines():
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        expected = re.match(r"\s*(True|False|-?[0-9][0-9.e+-]*)(?=[\s:]|$)", comment)
+        if not code:
+            continue
+        if expected is None:
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        literal = ast.literal_eval(expected.group(1))
+        if isinstance(literal, bool):
+            assert value is literal, code
+        else:
+            assert value == pytest.approx(literal, abs=1e-12), code
+        checked.append(code)
+    assert checked[:3] == ['residual(m, "edge")', 'residual(m, "expanded")',
+                           'residual(m, "lemma")']
+    assert checked[-1] == "audit(q).passed()"

@@ -1,8 +1,9 @@
-"""The kernel evaluates every closed form from one shared table of sines and
-cosines.  Sharing must change no bits: each public closed form is compared
-with np.array_equal against the formula written out with its own np.sin /
+"""forms(m) evaluates every closed form from one set of 47 sines and
+cosines.  Sharing must change no bits: each closed form is compared with
+np.array_equal against the formula written out with its own np.sin /
 np.cos calls, and the audit report must not depend on the block size or on
-the number of workers."""
+the number of workers.  The audit's check tables name forms that exist and
+report each check once, in table order."""
 
 import numpy as np
 import pytest
@@ -10,18 +11,14 @@ import pytest
 from quadineq import kernel
 from quadineq.geometry import metrics, metrics_from_frames, quad_from_points, sample_frames
 from quadineq.kernel import (
+    _IDENTITIES,
+    _INEQUALITIES,
+    _SIGN_FORMS,
     angle_sum_hypotheses,
-    angular_core,
-    angular_parts,
+    audit,
     audit_samples,
-    cosine_triple_identity_gap,
-    final_chain_slack,
-    multiplicity_one_sum,
-    multiplicity_two_scalar,
-    multiplicity_two_sum,
-    remainder_terms,
+    forms,
     residual,
-    sine_bound_slack,
 )
 
 s = np.sin
@@ -58,8 +55,8 @@ def reference_forms(m):
         "mult2-plus": scalar(1.0), "mult2-minus": scalar(-1.0),
         "p1-closed": p1, "p2-closed": p2, "p1-definition": d1, "p2-definition": d2,
         "lemma": x + y + w + K * (p1 + p2),
-        "cosine-triple": np.abs(co(u) + co(v) + co(t)
-                                - (1.0 + 4.0 * s(u / 2) * s(v / 2) * s(t / 2))),
+        "cosine-triple-cos": co(u) + co(v) + co(t),
+        "cosine-triple-sin": 1.0 + 4.0 * s(u / 2) * s(v / 2) * s(t / 2),
         "sine-bound-1": s((m.Wp - m.Y) / 2) - np.abs(s((m.alpha1 - m.beta4) / 2)),
         "sine-bound-2": s((m.W - m.X) / 2) - np.abs(s((m.beta1 - m.alpha2) / 2)),
         "sine-bound-3": s((m.gamma1 + m.gamma3) / 2) - s((m.X + m.Y) / 2),
@@ -68,6 +65,12 @@ def reference_forms(m):
             + s(m.Y) * s(m.W / 2) * s(m.X / 2) * s((m.beta1 - m.alpha2) / 2)
             + s(m.W) * co(m.X / 2) * co(m.Y / 2) * s((m.gamma1 + m.gamma3) / 2)
             + (p1 - 0.5)),
+        "core-split": (
+            2.0 * s((m.Wp - m.Y) / 2) * s((m.W - m.X) / 2) * s((m.X + m.Y) / 2)
+            + (2.0 * s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s(m.alpha3 / 2) * co(m.beta2 / 2)
+               + 2.0 * s(m.Y) * s(m.W / 2) * s(m.X / 2) * s(m.beta3 / 2) * co(m.alpha4 / 2)
+               + 2.0 * s(m.W) * co(m.X / 2) * co(m.Y / 2) * co(m.gamma1 / 2)
+               * s(m.gamma3 / 2))),
         "remainder": (
             2.0 * s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s(m.alpha3 / 2) * co(m.beta2 / 2)
             + 2.0 * s(m.Y) * s(m.W / 2) * s(m.X / 2) * s(m.beta3 / 2) * co(m.alpha4 / 2)
@@ -80,28 +83,9 @@ def reference_forms(m):
     }
 
 
-def public_forms(m):
-    closed = angular_parts(m, "closed")
-    definition = angular_parts(m, "definition")
-    return {
-        "mult1-x": multiplicity_one_sum(m, "X", "factored"),
-        "mult1-y": multiplicity_one_sum(m, "Y", "factored"),
-        "mult1-w": multiplicity_one_sum(m, "W", "factored"),
-        "mult2-closed": multiplicity_two_sum(m, "closed"),
-        "mult2-plus": multiplicity_two_scalar(m, 1.0),
-        "mult2-minus": multiplicity_two_scalar(m, -1.0),
-        "p1-closed": closed.p1_value, "p2-closed": closed.p2_value,
-        "p1-definition": definition.p1_value, "p2-definition": definition.p2_value,
-        "lemma": residual(m, "lemma"),
-        "cosine-triple": cosine_triple_identity_gap(
-            m.beta4 - m.alpha1, m.alpha2 - m.beta1, m.gamma1 + m.gamma3),
-        "sine-bound-1": sine_bound_slack(m, 1),
-        "sine-bound-2": sine_bound_slack(m, 2),
-        "sine-bound-3": sine_bound_slack(m, 3),
-        "angular-core": angular_core(m),
-        "remainder": remainder_terms(m),
-        "final-chain": final_chain_slack(m),
-    }
+# the forms that use no trig, each checked against its own public route
+PLAIN_FORMS = {"edge", "expanded", "normalized-residual", "mult1-x-raw",
+               "mult1-y-raw", "mult1-w-raw", "mult2-raw"}
 
 
 def frames_of(seed, n, margin):
@@ -121,10 +105,39 @@ SHAPES = {
 def test_table_forms_equal_the_formulas_bit_for_bit(shape):
     m = SHAPES[shape]()
     reference = reference_forms(m)
-    public = public_forms(m)
-    assert public.keys() == reference.keys()
+    table = forms(m)
+    assert table.keys() == reference.keys() | PLAIN_FORMS
     for name, value in reference.items():
-        assert np.array_equal(public[name], value), name
+        assert np.array_equal(table[name], value), name
+    for path in ("edge", "expanded", "lemma"):
+        assert np.array_equal(table[path], residual(m, path)), path
+    assert np.array_equal(table["normalized-residual"],
+                          residual(m) / (m.a * m.b * m.c * m.d * m.e * m.f))
+
+
+def test_one_forms_call_makes_47_trig_calls(monkeypatch):
+    m = frames_of(7, 8_192, 0.01)
+    m.X  # the split angles are computed on first read, with no sin or cos
+    calls = []
+    for name in ("sin", "cos"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, real=real: calls.append(np.shape(x)) or real(x))
+    forms(m)
+    assert calls == [(8_192,)] * 47
+
+
+def test_check_tables_name_forms_and_report_each_check_once_in_order():
+    m = frames_of(17, 2_000, 0.01)
+    names = forms(m).keys()
+    for _, form, other, _ in _IDENTITIES:
+        assert {form, other} <= names
+    assert set(_SIGN_FORMS) <= names
+    for _, form, _ in _INEQUALITIES:
+        assert form in names
+    ids = [check.id for check in audit(m).checks]
+    assert ids == ([cid for cid, *_ in _IDENTITIES] + ["mult2-sign-resolution"]
+                   + [cid for cid, *_ in _INEQUALITIES])
+    assert len(set(ids)) == len(ids)
 
 
 def test_audit_report_does_not_depend_on_the_block_size(monkeypatch):
