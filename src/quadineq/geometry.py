@@ -272,7 +272,7 @@ def quad_from_points(z1, z2, z3, z4) -> Quadrilateral:
         try:
             x, y = z
         except (TypeError, ValueError):
-            raise GeometryError(f"vertex {z!r} is not a pair of numbers") from None
+            x = y = None
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (x, y)):
             raise GeometryError(f"vertex {z!r} is not a pair of numbers")
         x, y = float(x), float(y)
