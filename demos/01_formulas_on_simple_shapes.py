@@ -31,8 +31,8 @@ def show(label, quad):
           f"A134={m.A134:.6f} A234={m.A234:.6f}")
     print(f"angles   W={m.W:.6f}  W'={m.Wp:.6f}  X={m.X:+.2e}  Y={m.Y:+.2e}")
     print("edge expressions:")
-    for name in ("e12", "e23", "e34", "e41", "e13", "e24"):
-        print(f"    {name} = {getattr(terms, name):.12f}")
+    for name in terms:
+        print(f"    {name} = {terms[name]:.12f}")
     print("residual by path:")
     for path in ("edge", "expanded", "lemma"):
         print(f"    {path:9s} {residual(m, path):.15f}")

@@ -10,11 +10,12 @@ and the library evaluates, audits, certifies, and attacks the inequality
 
     E12 + E23 + E34 + E41 >= E13 + E24.
 
-Submodules: geometry (construction, metrics, sampling), kernel (the three
-residual paths, forms(m) with every audited closed form by name, and the
-identity/inequality audits), interval (outward-rounded enclosure
-arithmetic), certifier (branch-and-bound lower-bound certificates), search
-(multi-start counterexample search), cli (command-line front door).
+Submodules: geometry (construction, metrics, sampling), kernel (the EDGES
+table of the six edge expressions, the three residual paths, forms(m) with
+every audited closed form by name, and the identity/inequality audits),
+interval (outward-rounded enclosure arithmetic), certifier (branch-and-bound
+lower-bound certificates), search (multi-start counterexample search), cli
+(command-line front door).
 """
 
 __version__ = "0.3.0"
@@ -39,7 +40,6 @@ from .geometry import (  # noqa: E402
 from .kernel import (  # noqa: E402
     AuditReport,
     CheckResult,
-    EdgeTermSet,
     angle_sum_hypotheses,
     audit,
     audit_samples,

@@ -71,6 +71,7 @@ import numpy as np
 from . import __version__
 from .interval import (FrameBox, Interval, IntervalError, _down,
                        edge_mean_value_enclosure, residual_enclosure)
+from .ioutil import finite_number
 
 # what a document must carry verbatim to be read as this format
 HEADER = {
@@ -139,30 +140,20 @@ class Certificate:
                     f"certificate {key} {doc[key]!r} is not {expected!r}, "
                     f"the {key} this verifier reads")
         try:
-            margin = _finite(doc["margin"])
+            margin = finite_number(doc["margin"])
             tree = _typed(doc, "tree", str)
             _levels(tree)  # an unparsable tree is malformed, not false
             return Certificate(
                 margin=margin,
-                target=_finite(doc["target"]),
+                target=finite_number(doc["target"]),
                 complete=_typed(doc, "complete", bool),
-                c_star=_finite(doc["c_star"]),
+                c_star=finite_number(doc["c_star"]),
                 box_count=_typed(doc, "box_count", int),
                 tree=tree,
-                bounds=[_finite(entry["lower_bound"]) for entry in doc["leaves"]],
+                bounds=[finite_number(entry["lower_bound"]) for entry in doc["leaves"]],
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedCertificate(f"bad certificate structure: {exc}") from exc
-
-
-def _finite(value) -> float:
-    # a JSON number only: float() would also read a string or a boolean
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"non-finite number {value!r}")
-    return out
 
 
 def _typed(doc: dict, key: str, kind: type):

@@ -53,6 +53,8 @@ def _load_json_argument(text: str, what: str) -> dict:
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON in {source}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal with more digits than Python converts
+        raise UsageError(f"malformed JSON in {source}: {exc}")
 
 
 def _sign_probe(seed: int) -> str:
@@ -114,16 +116,14 @@ def _cmd_eval(args) -> int:
         "input": quad.to_json_dict(),
         "frame": frame_of(quad).normalize().to_json_dict()["frame"],
         "metrics": metric_doc,
-        "edge_terms": {k: float(getattr(terms, k)) for k in
-                       ("e12", "e23", "e34", "e41", "e13", "e24")},
+        "edge_terms": {k: float(v) for k, v in terms.items()},
         "residual": residuals,
         "audit": report_audit.to_json_dict(),
         "sign_resolution": report_audit.sign_resolution,
     }
     rows = [("quantity", "value")]
     rows += [(k, format(v, ".16e")) for k, v in metric_doc.items()]
-    rows += [(f"edge_terms.{k}", format(float(getattr(terms, k)), ".16e"))
-             for k in ("e12", "e23", "e34", "e41", "e13", "e24")]
+    rows += [(f"edge_terms.{k}", format(float(v), ".16e")) for k, v in terms.items()]
     rows += [(f"residual.{k}", format(v, ".16e")) for k, v in residuals.items()]
     _emit(report, args, rows)
     return 0 if report_audit.passed() else 1

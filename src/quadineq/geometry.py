@@ -41,10 +41,11 @@ read, so a caller that reads only lengths and areas never pays for them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ioutil import finite_number
 
 # A vertex triple counts as collinear when its signed area is at most this
 # fraction of the squared configuration diameter (scale-free rejection).
@@ -264,26 +265,22 @@ def quad_from_points(z1, z2, z3, z4) -> Quadrilateral:
 
     Clockwise input is silently re-oriented (z2 and z4 swapped); the
     inequality is reflection invariant so user intent is unambiguous.
-    Raises GeometryError unless each point is exactly two finite numbers,
-    and DuplicatePoints or NonConvex otherwise.
+    Raises GeometryError unless each point is two finite numbers and the
+    squared diameter is finite, and DuplicatePoints or NonConvex otherwise.
     """
     pts = []
     for z in (z1, z2, z3, z4):
         try:
             x, y = z
-        except (TypeError, ValueError):
-            x = y = None
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (x, y)):
-            raise GeometryError(f"vertex {z!r} is not a pair of numbers")
-        x, y = float(x), float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GeometryError("vertex coordinates must be finite")
-        pts.append((x, y))
+            pts.append((finite_number(x), finite_number(y)))
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"vertex {z!r} is not a pair of numbers: {exc}") from exc
 
-    diam2 = max((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                for i, p in enumerate(pts) for q in pts[i + 1:])
-    min2 = min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-               for i, p in enumerate(pts) for q in pts[i + 1:])
+    dist2 = [(px - qx) * (px - qx) + (py - qy) * (py - qy)
+             for i, (px, py) in enumerate(pts) for qx, qy in pts[i + 1:]]
+    diam2, min2 = max(dist2), min(dist2)
+    if not math.isfinite(diam2):
+        raise GeometryError("vertices too far apart: the squared diameter overflows")
     if min2 <= COLLINEARITY_TOL * diam2:
         raise DuplicatePoints("two vertices coincide")
 
@@ -444,10 +441,10 @@ def configuration_from_json_dict(doc: dict):
     if "frame" in doc:
         fr = doc["frame"]
         try:
-            p = [float(v) for v in fr["p"]]
-            w = float(fr["w"])
+            p = [finite_number(v) for v in fr["p"]]
+            w = finite_number(fr["w"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise GeometryError('"frame" must carry "p" (four numbers) and "w"') from exc
+            raise GeometryError('"frame" must carry four finite "p" and a finite "w"') from exc
         if len(p) != 4:
             raise GeometryError('"frame.p" must list exactly four lengths')
         return DiagonalFrame(p[0], p[1], p[2], p[3], w)

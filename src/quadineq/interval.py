@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import EDGES
+
 _TRANS_ULPS = 4  # outward ulps after sin/cos/atan2
 
 # Tiny negative lower bounds from roundoff are clamped to zero before sqrt;
@@ -389,44 +391,55 @@ def _frame_angles(box: FrameBox, sin_w: Interval, cos_w: Interval) -> dict:
     return {name: iv.clamp(0.0, PI.hi) for name, iv in ang.items()}
 
 
+def _lemma_angles(box: FrameBox, angles: dict) -> dict:
+    """Enclosures of the angles that the factored trig form reads: X, Y, W,
+    W', gamma13 = gamma1 + gamma3, diff14 = alpha1 - beta4 and
+    diff12 = beta1 - alpha2."""
+    alpha1, alpha2, alpha3, alpha4 = (angles[f"alpha{i}"] for i in range(1, 5))
+    beta1, beta2, beta3, beta4 = (angles[f"beta{i}"] for i in range(1, 5))
+
+    # In frame coordinates the diagonal crossing angle is the parameter w
+    # itself, so W needs no angle chain at all.
+    W = box.w
+    Wp = PI - W
+
+    # X and Y admit several exact forms (the four-angle half-difference and
+    # two two-angle differences); each is a valid enclosure of the same
+    # number, so intersecting them is sound and tight.  |X| < W and |Y| < W'
+    # because the four split-angle sums are positive.
+    X = ((alpha2 + beta1) - (alpha4 + beta3)).half() \
+        .intersect(alpha2 - alpha4).intersect(beta1 - beta3)
+    Y = ((alpha1 + beta4) - (alpha3 + beta2)).half() \
+        .intersect(beta4 - beta2).intersect(alpha1 - alpha3)
+    return {
+        "X": Interval(np.maximum(X.lo, -W.hi), np.minimum(X.hi, W.hi)),
+        "Y": Interval(np.maximum(Y.lo, -Wp.hi), np.minimum(Y.hi, Wp.hi)),
+        "W": W,
+        "Wp": Wp,
+        "gamma13": ((alpha1 + beta1) + (alpha3 + beta3)).clamp(0.0, 2.0 * math.pi),
+        "diff14": (alpha1 - beta4).intersect(alpha3 - beta2),
+        "diff12": (beta1 - alpha2).intersect(beta3 - alpha4),
+    }
+
+
 def frame_quantities(box: FrameBox) -> dict:
-    """Named enclosures of every intermediate geometric quantity; used by the
-    containment-fuzz tests."""
+    """Named enclosures of every intermediate geometric quantity that the
+    residual enclosures use; used by the containment-fuzz tests."""
     sin_w = isin(box.w).clamp(0.0, 1.0)
     cos_w = icos(box.w)
     p = (box.p1, box.p2, box.p3, box.p4)
-    out = {}
-    out.update(_lengths_core(*p, cos_w, ONE, isqr, isqrt))
-    out.update(_areas_core(*p, sin_w))
     ang = _frame_angles(box, sin_w, cos_w)
-    out.update(ang)
-    out["X"] = ((ang["alpha2"] + ang["beta1"]) - (ang["alpha4"] + ang["beta3"])).half()
-    out["Y"] = ((ang["alpha1"] + ang["beta4"]) - (ang["alpha3"] + ang["beta2"])).half()
-    out["W"] = ((ang["alpha2"] + ang["beta1"]) + (ang["alpha4"] + ang["beta3"])).half()
-    out["Wp"] = PI - out["W"]
-    out["gamma1"] = ang["alpha1"] + ang["beta1"]
-    out["gamma3"] = ang["alpha3"] + ang["beta3"]
-    return out
+    return {**_lengths_core(*p, cos_w, ONE, isqr, isqrt), **_areas_core(*p, sin_w),
+            **ang, **_lemma_angles(box, ang)}
 
 
 def _edge_residual_core(lengths: dict, areas: dict):
-    a, b, c = lengths["a"], lengths["b"], lengths["c"]
-    d, e, f = lengths["d"], lengths["e"], lengths["f"]
-    A123, A124 = areas["A123"], areas["A124"]
-    A134, A234 = areas["A134"], areas["A234"]
-
-    def slack(s1, s2, s3, s4, twice):
-        # every edge slack is a sum of two triangle inequalities, hence >= 0
-        out = (s1 + s2) + (s3 + s4) - twice.double()
-        return out.clamp(0.0, np.inf)
-
-    E12 = f * A123 * A124 * slack(a, b, e, d, c)
-    E23 = d * A123 * A234 * slack(c, b, e, f, a)
-    E34 = c * A134 * A234 * slack(d, b, e, a, f)
-    E41 = a * A124 * A134 * slack(c, e, b, f, d)
-    E13 = e * A123 * A134 * slack(c, a, d, f, b)
-    E24 = b * A124 * A234 * slack(c, d, a, f, e)
-    return ((E12 + E23) + (E34 + E41)) - (E13 + E24)
+    # every edge slack is a sum of two triangle inequalities, hence >= 0
+    q = {**lengths, **areas}
+    E = {name: q[free] * q[A1] * q[A2]
+         * ((q[s1] + q[s2]) + (q[s3] + q[s4]) - q[twice].double()).clamp(0.0, np.inf)
+         for name, _, free, A1, A2, (s1, s2, s3, s4), twice in EDGES}
+    return ((E["e12"] + E["e23"]) + (E["e34"] + E["e41"])) - (E["e13"] + E["e24"])
 
 
 def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
@@ -462,33 +475,10 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
 
     sin X and sin Y are intersected with their exact area-quotient forms
     sin X = s (p3 p4 - p1 p2) / (a d) and sin Y = s (p2 p3 - p1 p4) / (c f),
-    which are free of angle-chain dependency."""
-    alpha1, alpha2 = angles["alpha1"], angles["alpha2"]
-    alpha3, alpha4 = angles["alpha3"], angles["alpha4"]
-    beta1, beta2 = angles["beta1"], angles["beta2"]
-    beta3, beta4 = angles["beta3"], angles["beta4"]
-
-    # In frame coordinates the diagonal crossing angle is the parameter w
-    # itself, so W needs no angle chain at all and sin W is `sin_w`.
-    W = box.w
-    Wp = PI - W
-
-    # X and Y admit several exact forms (the four-angle half-difference and
-    # two two-angle differences); each is a valid enclosure of the same
-    # number, so intersecting them is sound and tight.  |X| < W and |Y| < W'
-    # because the four split-angle sums are positive.
-    X = ((alpha2 + beta1) - (alpha4 + beta3)).half() \
-        .intersect(alpha2 - alpha4).intersect(beta1 - beta3)
-    Y = ((alpha1 + beta4) - (alpha3 + beta2)).half() \
-        .intersect(beta4 - beta2).intersect(alpha1 - alpha3)
-    w_hi = np.asarray(W.hi)
-    wp_hi = np.asarray(Wp.hi)
-    X = Interval(np.maximum(X.lo, -w_hi), np.minimum(X.hi, w_hi))
-    Y = Interval(np.maximum(Y.lo, -wp_hi), np.minimum(Y.hi, wp_hi))
-
-    gamma13 = ((alpha1 + beta1) + (alpha3 + beta3)).clamp(0.0, 2.0 * math.pi)
-    diff14 = (alpha1 - beta4).intersect(alpha3 - beta2)
-    diff12 = (beta1 - alpha2).intersect(beta3 - alpha4)
+    which are free of angle-chain dependency and sin W is `sin_w`."""
+    q = _lemma_angles(box, angles)
+    X, Y, W, Wp = q["X"], q["Y"], q["W"], q["Wp"]
+    gamma13, diff14, diff12 = q["gamma13"], q["diff14"], q["diff12"]
 
     p1, p2, p3, p4 = box.p1, box.p2, box.p3, box.p4
     quot_x = ((p3 * p4 - p1 * p2) * sin_w) / (lengths["a"] * lengths["d"])

@@ -9,8 +9,24 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
+
+
+def finite_number(value) -> float:
+    """A number read from outside input as a finite float: TypeError unless it
+    is a real number and not a bool (float() also reads strings and booleans),
+    ValueError if it is infinite, NaN or too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError("number too large for a float") from None
+    if not math.isfinite(out):
+        raise ValueError(f"non-finite number {value!r}")
+    return out
 
 
 def _float_text(x: float) -> str:

@@ -6,15 +6,17 @@ sum of the two triangle-inequality slacks at that side, e.g.
 
     E12 = f A123 A124 (a + b + e + d - 2c)
 
-The inequality under audit is E12 + E23 + E34 + E41 >= E13 + E24.  Expanding
-every edge expression yields 30 terms: 24 in which a length enters with
-coefficient +1 (multiplicity one) and 6 with coefficient -2 (multiplicity
-two).  The multiplicity-one terms split into three groups of eight by which
-length pair they avoid ({a,d} -> X group, {c,f} -> Y group, {b,e} -> W
-group), and each group collapses to a single product of abcdef with sines
-of the derived angles.  The multiplicity-two terms collapse to abcdef times
-a closed angular expression.  This module evaluates the residual through all
-of these routes and audits every identity and inequality along the way.
+The inequality under audit is E12 + E23 + E34 + E41 >= E13 + E24.  EDGES
+writes the six expressions once; edge_terms, the term tables below and the
+interval edge enclosure read them from it.  Expanding every edge expression
+yields 30 terms: 24 in which a length enters with coefficient +1
+(multiplicity one) and 6 with coefficient -2 (multiplicity two).  The
+multiplicity-one terms split into three groups of eight by which length pair
+they avoid ({a,d} -> X group, {c,f} -> Y group, {b,e} -> W group), and each
+group collapses to a single product of abcdef with sines of the derived
+angles.  The multiplicity-two terms collapse to abcdef times a closed
+angular expression.  This module evaluates the residual through all of these
+routes and audits every identity and inequality along the way.
 
 forms(m) evaluates every quantity the audit compares, each written once
 with its formula in the docstring, and computes each sine and cosine that
@@ -69,81 +71,42 @@ def _abcdef(m: QuadMetrics):
     return m.a * m.b * m.c * m.d * m.e * m.f
 
 
-@dataclass(frozen=True)
-class EdgeTermSet:
-    """The six degree-six edge expressions of one configuration."""
-
-    e12: object
-    e23: object
-    e34: object
-    e41: object
-    e13: object
-    e24: object
-
-    @property
-    def lhs(self):
-        return self.e12 + self.e23 + self.e34 + self.e41
-
-    @property
-    def rhs(self):
-        return self.e13 + self.e24
+# The six edge expressions as (name, sign, free length, area, area, the
+# four slack lengths, the doubled length): the row ("e12", 1, "f", "A123",
+# "A124", ("a", "b", "e", "d"), "c") is E12 = f A123 A124 (a + b + e + d - 2c),
+# and sign says on which side of the inequality the expression stands.
+EDGES = (
+    ("e12", 1, "f", "A123", "A124", ("a", "b", "e", "d"), "c"),
+    ("e23", 1, "d", "A123", "A234", ("c", "b", "e", "f"), "a"),
+    ("e34", 1, "c", "A134", "A234", ("d", "b", "e", "a"), "f"),
+    ("e41", 1, "a", "A124", "A134", ("c", "e", "b", "f"), "d"),
+    ("e13", -1, "e", "A123", "A134", ("c", "a", "d", "f"), "b"),
+    ("e24", -1, "b", "A124", "A234", ("c", "d", "a", "f"), "e"),
+)
 
 
-def edge_terms(m: QuadMetrics) -> EdgeTermSet:
-    return EdgeTermSet(
-        e12=m.f * m.A123 * m.A124 * (m.a + m.b + m.e + m.d - 2.0 * m.c),
-        e23=m.d * m.A123 * m.A234 * (m.c + m.b + m.e + m.f - 2.0 * m.a),
-        e34=m.c * m.A134 * m.A234 * (m.d + m.b + m.e + m.a - 2.0 * m.f),
-        e41=m.a * m.A124 * m.A134 * (m.c + m.e + m.b + m.f - 2.0 * m.d),
-        e13=m.e * m.A123 * m.A134 * (m.c + m.a + m.d + m.f - 2.0 * m.b),
-        e24=m.b * m.A124 * m.A234 * (m.c + m.d + m.a + m.f - 2.0 * m.e),
-    )
+def edge_terms(m: QuadMetrics) -> dict:
+    """The six edge expressions by name, in EDGES order."""
+    v = vars(m)  # the search objective's hot path: a dict read beats getattr
+    return {name: v[free] * v[A1] * v[A2]
+            * (v[s1] + v[s2] + v[s3] + v[s4] - 2.0 * v[twice])
+            for name, _, free, A1, A2, (s1, s2, s3, s4), twice in EDGES}
 
 
 # The 30 expanded terms as (coefficient, free length, companion length,
-# area, area).  Rows group five by five per edge expression.
-_EXPANDED_TERMS = (
-    (1, "f", "a", "A123", "A124"), (1, "f", "b", "A123", "A124"),
-    (1, "f", "e", "A123", "A124"), (1, "f", "d", "A123", "A124"),
-    (-2, "f", "c", "A123", "A124"),
-    (1, "d", "c", "A123", "A234"), (1, "d", "b", "A123", "A234"),
-    (1, "d", "e", "A123", "A234"), (1, "d", "f", "A123", "A234"),
-    (-2, "d", "a", "A123", "A234"),
-    (1, "c", "d", "A134", "A234"), (1, "c", "b", "A134", "A234"),
-    (1, "c", "e", "A134", "A234"), (1, "c", "a", "A134", "A234"),
-    (-2, "c", "f", "A134", "A234"),
-    (1, "a", "c", "A124", "A134"), (1, "a", "e", "A124", "A134"),
-    (1, "a", "b", "A124", "A134"), (1, "a", "f", "A124", "A134"),
-    (-2, "a", "d", "A124", "A134"),
-    (-1, "e", "c", "A123", "A134"), (-1, "e", "a", "A123", "A134"),
-    (-1, "e", "d", "A123", "A134"), (-1, "e", "f", "A123", "A134"),
-    (2, "e", "b", "A123", "A134"),
-    (-1, "b", "c", "A124", "A234"), (-1, "b", "d", "A124", "A234"),
-    (-1, "b", "a", "A124", "A234"), (-1, "b", "f", "A124", "A234"),
-    (2, "b", "e", "A124", "A234"),
-)
+# area, area), five per edge expression: its four slack lengths with
+# coefficient sign (multiplicity one), then its doubled length with -2 sign.
+_EXPANDED_TERMS = tuple(
+    (coef, free, other, A1, A2)
+    for _, sign, free, A1, A2, slack, twice in EDGES
+    for coef, other in zip((sign,) * 4 + (-2 * sign,), slack + (twice,)))
 
 # Multiplicity-one terms whose explicit length pair avoids {a, d} (X group),
 # {c, f} (Y group) or {b, e} (W group).
 _MULT1_TERMS = {
-    "x": (
-        (1, "f", "e", "A123", "A124"), (1, "f", "b", "A123", "A124"),
-        (1, "c", "b", "A134", "A234"), (1, "c", "e", "A134", "A234"),
-        (-1, "e", "c", "A123", "A134"), (-1, "e", "f", "A123", "A134"),
-        (-1, "b", "c", "A124", "A234"), (-1, "b", "f", "A124", "A234"),
-    ),
-    "y": (
-        (1, "d", "b", "A123", "A234"), (1, "d", "e", "A123", "A234"),
-        (1, "a", "e", "A124", "A134"), (1, "a", "b", "A124", "A134"),
-        (-1, "e", "a", "A123", "A134"), (-1, "e", "d", "A123", "A134"),
-        (-1, "b", "d", "A124", "A234"), (-1, "b", "a", "A124", "A234"),
-    ),
-    "w": (
-        (1, "f", "a", "A123", "A124"), (1, "f", "d", "A123", "A124"),
-        (1, "d", "c", "A123", "A234"), (1, "d", "f", "A123", "A234"),
-        (1, "c", "d", "A134", "A234"), (1, "c", "a", "A134", "A234"),
-        (1, "a", "c", "A124", "A134"), (1, "a", "f", "A124", "A134"),
-    ),
+    group: tuple(t for t in _EXPANDED_TERMS
+                 if abs(t[0]) == 1 and not {t[1], t[2]} & avoided)
+    for group, avoided in (("x", {"a", "d"}), ("y", {"c", "f"}), ("w", {"b", "e"}))
 }
 
 
@@ -307,7 +270,7 @@ def residual(m: QuadMetrics, path: str = "edge"):
     """
     if path == "edge":
         t = edge_terms(m)
-        return t.lhs - t.rhs
+        return (t["e12"] + t["e23"] + t["e34"] + t["e41"]) - (t["e13"] + t["e24"])
     if path == "expanded":
         return _sum_terms(m, _EXPANDED_TERMS)
     if path == "lemma":

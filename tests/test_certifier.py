@@ -180,7 +180,8 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
     assert cli.main(["check-cert", str(path)]) == 2
     assert "malformed certificate" in capsys.readouterr().err
     for field in ("margin", "target", "c_star", "lower_bound"):
-        for value in ("0.5", True, False, None, [0.5]):
+        # float() of a 401-digit integer raises OverflowError, not ValueError
+        for value in ("0.5", True, False, None, [0.5], 10 ** 400):
             doc = _fresh(cert)
             owner = doc["leaves"][0] if field == "lower_bound" else doc
             owner[field] = value

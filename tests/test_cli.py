@@ -64,16 +64,49 @@ def test_eval_rejects_nonconvex_input(capsys):
     assert code == 2 and "invalid configuration" in err
 
 
+BIG = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
 @pytest.mark.parametrize("points", [
     "[[0,0],[1,0],[1,1],5]", '[["a",0],[1,0],[1,1],[0,1]]', "[[0,0],[1,0],[1,1],[0]]",
     "[[0,0],[1,0],[1,1],[0,1,2]]", "[[0,0],[1,0],[1,1],[true,1]]",
     '[[0,0],[1,0],[1,1],"01"]', "[[0,0],[1,0],[1,1],[null,1]]",
+    "[[0,0],[1,0],[1,1],[0,%s]]" % BIG,
 ], ids=["number", "string-coordinate", "one-coordinate", "three-coordinates",
-        "boolean-coordinate", "string-vertex", "null-coordinate"])
+        "boolean-coordinate", "string-vertex", "null-coordinate", "too-large-coordinate"])
 def test_eval_rejects_a_vertex_that_is_not_two_numbers(capsys, points):
     code, out, err = run(capsys, ["eval", "--points", points])
     assert code == 2 and out == ""
     assert "invalid configuration" in err and "not a pair of numbers" in err
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--frame", '{"frame": {"p": ["0.25", "0.25", "0.25", true], "w": true}}'),
+    ("--frame", '{"frame": {"p": [0.25, 0.25, 0.25, %s], "w": 1}}' % BIG),
+    ("--frame", '{"frame": {"p": [0.25, 0.25, 0.25, 0.25], "w": %s}}' % BIG),
+    ("--frame", '{"frame": {"p": "1234", "w": 1}}'),
+    ("--points", "[[0,0],[1,0],[1,1],[0,1%s]]" % ("0" * 5000)),
+], ids=["frame-strings-and-booleans", "frame-p-too-large", "frame-w-too-large",
+        "frame-p-string", "more-digits-than-python-reads"])
+def test_eval_rejects_a_number_that_is_not_a_finite_float(capsys, option, text):
+    code, out, err = run(capsys, ["eval", option, text])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_eval_rejects_coordinates_whose_squared_diameter_overflows(capsys):
+    points = "[[0,0],[1e300,0],[1e300,1e300],[0,1e300]]"
+    code, out, err = run(capsys, ["eval", "--points", points])
+    assert code == 2 and out == ""
+    assert "invalid configuration" in err and "diameter" in err
+
+
+def test_check_cert_rejects_an_integer_longer_than_python_reads(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"margin": 1%s}' % ("0" * 5000))
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == ""
+    assert "malformed JSON" in err
 
 
 def test_eval_file_input(tmp_path, capsys):

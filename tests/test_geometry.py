@@ -338,3 +338,9 @@ def test_malformed_configuration_rejected():
         configuration_from_json_dict({"frame": {"p": [1, 2, 3], "w": 1.0}})
     with pytest.raises(GeometryError):
         configuration_from_json_dict({})
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e160])
+def test_squared_diameter_overflow_rejected(scale):
+    with pytest.raises(GeometryError, match="diameter"):
+        quad_from_points((0, 0), (scale, 0), (scale, scale), (0, scale))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quadineq import interval
 from quadineq.geometry import metrics_from_frames, sample_frames
 from quadineq.interval import (
     PI,
@@ -352,9 +353,12 @@ def test_point_in_box_containment_fuzz():
         "alpha1": m.alpha1, "alpha2": m.alpha2, "alpha3": m.alpha3,
         "alpha4": m.alpha4, "beta1": m.beta1, "beta2": m.beta2,
         "beta3": m.beta3, "beta4": m.beta4,
-        "X": m.X, "Y": m.Y, "W": m.W, "Wp": m.Wp,
-        "gamma1": m.gamma1, "gamma3": m.gamma3,
+        # X and Y as the certifier reads them: three forms intersected
+        "X": m.X, "Y": m.Y, "W": w_mid, "Wp": m.Wp,
+        "gamma13": m.gamma1 + m.gamma3,
+        "diff14": m.alpha1 - m.beta4, "diff12": m.beta1 - m.alpha2,
     }
+    assert set(quantities) == set(point_values)
     for name, value in point_values.items():
         iv = quantities[name]
         assert np.all((iv.lo <= value) & (value <= iv.hi)), name
@@ -368,6 +372,39 @@ def test_residual_enclosure_containment_fuzz():
     for path in ("edge", "lemma", "both"):
         enc = residual_enclosure(box, path)
         assert np.all((enc.lo <= r) & (r <= enc.hi)), path
+
+
+def _written_out_edge_residual(lengths, areas):
+    a, b, c = lengths["a"], lengths["b"], lengths["c"]
+    d, e, f = lengths["d"], lengths["e"], lengths["f"]
+    A123, A124 = areas["A123"], areas["A124"]
+    A134, A234 = areas["A134"], areas["A234"]
+
+    def slack(s1, s2, s3, s4, twice):
+        return ((s1 + s2) + (s3 + s4) - twice.double()).clamp(0.0, np.inf)
+
+    E12 = f * A123 * A124 * slack(a, b, e, d, c)
+    E23 = d * A123 * A234 * slack(c, b, e, f, a)
+    E34 = c * A134 * A234 * slack(d, b, e, a, f)
+    E41 = a * A124 * A134 * slack(c, e, b, f, d)
+    E13 = e * A123 * A134 * slack(c, a, d, f, b)
+    E24 = b * A124 * A234 * slack(c, d, a, f, e)
+    return ((E12 + E23) + (E34 + E41)) - (E13 + E24)
+
+
+def test_edge_table_enclosures_equal_the_written_out_core_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(8192)
+    box, _, _ = _random_boxes(rng, 8_192, width_scale=0.05)
+    natural = residual_enclosure(box, "edge")
+    derived = edge_residual_with_gradient(box)
+    monkeypatch.setattr(interval, "_edge_residual_core", _written_out_edge_residual)
+    written = residual_enclosure(box, "edge")
+    written_derived = edge_residual_with_gradient(box)
+    pairs = ((natural, written), (derived.val, written_derived.val),
+             (derived.grad, written_derived.grad))
+    for table, formula in pairs:
+        assert np.array_equal(table.lo, formula.lo)
+        assert np.array_equal(table.hi, formula.hi)
 
 
 def test_both_is_mean_value_intersected_with_lemma():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quadineq.ioutil import dumps
+from quadineq.ioutil import dumps, finite_number
 
 
 def _reference(obj) -> str:
@@ -75,3 +75,18 @@ def test_dumps_rejects_non_string_keys_and_unknown_types():
         dumps({1: 2.0})
     with pytest.raises(TypeError):
         dumps([object()])
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, np.float64(0.125), 10 ** 300])
+def test_finite_number_reads_a_finite_number(value):
+    out = finite_number(value)
+    assert type(out) is float and out == float(value)
+
+
+@pytest.mark.parametrize("value", [
+    "0.5", True, False, None, [0.5], math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400,
+], ids=["string", "true", "false", "null", "list", "inf", "-inf", "nan", "too-large",
+        "too-negative"])
+def test_finite_number_rejects_anything_else(value):
+    with pytest.raises((TypeError, ValueError)):
+        finite_number(value)

@@ -66,25 +66,26 @@ def oracle_edge_terms(pts):
 def test_square_edge_terms():
     terms = edge_terms(metrics(SQUARE))
     for name in ("e12", "e23", "e34", "e41"):
-        assert getattr(terms, name) == pytest.approx(SQRT2 / 2, abs=1e-14)
+        assert terms[name] == pytest.approx(SQRT2 / 2, abs=1e-14)
     for name in ("e13", "e24"):
-        assert getattr(terms, name) == pytest.approx(SQRT2 - 1, abs=1e-14)
+        assert terms[name] == pytest.approx(SQRT2 - 1, abs=1e-14)
     oracle = oracle_edge_terms(SQUARE.vertices)
+    assert list(terms) == list(oracle)
     for name, value in oracle.items():
-        assert getattr(terms, name) == pytest.approx(value, abs=1e-15)
+        assert terms[name] == pytest.approx(value, abs=1e-15)
 
 
 def test_rectangle_edge_terms():
     terms = edge_terms(metrics(RECT21))
-    assert terms.e12 == pytest.approx(4 * SQRT5 - 4, abs=1e-13)
-    assert terms.e34 == pytest.approx(4 * SQRT5 - 4, abs=1e-13)
-    assert terms.e23 == pytest.approx(2 + 2 * SQRT5, abs=1e-13)
-    assert terms.e41 == pytest.approx(2 + 2 * SQRT5, abs=1e-13)
-    assert terms.e13 == pytest.approx(6 * SQRT5 - 10, abs=1e-13)
-    assert terms.e24 == pytest.approx(6 * SQRT5 - 10, abs=1e-13)
+    assert terms["e12"] == pytest.approx(4 * SQRT5 - 4, abs=1e-13)
+    assert terms["e34"] == pytest.approx(4 * SQRT5 - 4, abs=1e-13)
+    assert terms["e23"] == pytest.approx(2 + 2 * SQRT5, abs=1e-13)
+    assert terms["e41"] == pytest.approx(2 + 2 * SQRT5, abs=1e-13)
+    assert terms["e13"] == pytest.approx(6 * SQRT5 - 10, abs=1e-13)
+    assert terms["e24"] == pytest.approx(6 * SQRT5 - 10, abs=1e-13)
     oracle = oracle_edge_terms(RECT21.vertices)
     for name, value in oracle.items():
-        assert getattr(terms, name) == pytest.approx(value, abs=1e-14)
+        assert terms[name] == pytest.approx(value, abs=1e-14)
 
 
 @pytest.mark.parametrize("path", ["edge", "expanded", "lemma"])
@@ -101,8 +102,7 @@ def test_edge_term_homogeneity():
     terms = edge_terms(metrics(SQUARE))
     scaled = edge_terms(metrics(SQUARE.scaled(2.0)))
     for name in ("e12", "e23", "e34", "e41", "e13", "e24"):
-        assert getattr(scaled, name) == pytest.approx(
-            64.0 * getattr(terms, name), rel=1e-12)
+        assert scaled[name] == pytest.approx(64.0 * terms[name], rel=1e-12)
 
 
 def test_rectangle_x_group_vanishes():
@@ -208,6 +208,27 @@ def test_multiplicity_one_groups_partition_expanded_terms():
             assert not ({t[1], t[2]} & avoided[name])
         grouped |= set(terms)
     assert grouped == mult_one
+
+
+def test_edge_table_equals_the_written_out_formulas_bit_for_bit():
+    p, w = sample_frames(97, 8_192, margin=0.01)
+    m = metrics_from_frames(p, w)
+    a, b, c, d, e, f = m.a, m.b, m.c, m.d, m.e, m.f
+    A123, A124, A134, A234 = m.A123, m.A124, m.A134, m.A234
+    written = {
+        "e12": f * A123 * A124 * (a + b + e + d - 2.0 * c),
+        "e23": d * A123 * A234 * (c + b + e + f - 2.0 * a),
+        "e34": c * A134 * A234 * (d + b + e + a - 2.0 * f),
+        "e41": a * A124 * A134 * (c + e + b + f - 2.0 * d),
+        "e13": e * A123 * A134 * (c + a + d + f - 2.0 * b),
+        "e24": b * A124 * A234 * (c + d + a + f - 2.0 * e),
+    }
+    terms = edge_terms(m)
+    assert list(terms) == list(written)
+    for name, value in written.items():
+        assert np.array_equal(terms[name], value), name
+    lhs = written["e12"] + written["e23"] + written["e34"] + written["e41"]
+    assert np.array_equal(residual(m, "edge"), lhs - (written["e13"] + written["e24"]))
 
 
 def test_group_sums_recompose_expanded_residual():

@@ -15,7 +15,7 @@ import pytest
 
 from dihedral import REFLECTION, ROTATION, act, in_cut, into_cut
 from quadineq.geometry import QuadMetrics, metrics_from_frames, sample_frames
-from quadineq.kernel import edge_terms, residual
+from quadineq.kernel import residual
 
 sp = pytest.importorskip("sympy")
 
@@ -79,16 +79,27 @@ def test_each_generator_permutes_squared_lengths_and_areas(order):
         assert _on_circle(moved - quantities[image]) == 0, name
 
 
+def _symbolic_metrics():
+    """QuadMetrics over free length and area symbols (no angle fields)."""
+    fields = {name: None for name in QuadMetrics.__dataclass_fields__}
+    fields.update(SYMBOLS)
+    return QuadMetrics(**fields)
+
+
 @GENERATORS
 def test_residual_polynomial_is_invariant_under_each_generator(order):
     # the residual as the kernel writes it, over free length and area symbols
-    fields = {name: None for name in QuadMetrics.__dataclass_fields__}
-    fields.update(SYMBOLS)
-    terms = edge_terms(QuadMetrics(**fields))
-    poly = sp.expand(terms.lhs - terms.rhs)
+    poly = sp.expand(residual(_symbolic_metrics(), "edge"))
     permuted = poly.xreplace({SYMBOLS[x]: SYMBOLS[y]
                               for x, y in INDUCED[order].items()})
     assert sp.expand(permuted - poly) == 0
+
+
+def test_edge_and_expanded_residuals_are_one_polynomial():
+    m = _symbolic_metrics()
+    edge = sp.expand(residual(m, "edge"))
+    assert len(edge.args) == 30  # the 30 expanded terms, none cancelling
+    assert sp.expand(edge - residual(m, "expanded")) == 0
 
 
 def test_generators_span_the_dihedral_group_of_order_eight():
