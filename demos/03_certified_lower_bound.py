@@ -5,9 +5,11 @@ Branch-and-bound tiles the margin-truncated frame domain, cut to one
 eighth by the dihedral symmetry of the quadrilateral, with boxes whose
 interval residual enclosures are certified nonnegative.  The certificate
 is a plain JSON document: the bisection tree as one code per node in level
-order, plus every leaf's bound.  An independent replay regenerates every
-box from the tree, recomputes every leaf bound, and catches any tampering
-(an inflated bound, a missing bound, a flipped node code).
+order ('0'-'4' for a split along p1, p2, p3, p4 or w, 'L' for a leaf, '.'
+for a box outside the domain), plus every leaf's bound.  An independent
+replay regenerates every box from the tree, recomputes every leaf bound,
+and catches tampering (an inflated bound, a missing bound, a root split
+recoded to another dimension).
 
 A coarse margin keeps this demo quick; `quadineq certify --margin 0.1`
 reproduces the full desk-scale run.
@@ -43,8 +45,10 @@ def main():
     print(f"missing leaf bound:  verified={verify_certificate(gap)}")
 
     flipped = json.loads(dumps(cert.to_json_dict()))
-    flipped["tree"] = flipped["tree"].replace(".", "L", 1)
-    print(f"flipped node code:   verified={verify_certificate(flipped)}")
+    root = flipped["tree"][0]
+    flipped["tree"] = ("4" if root != "4" else "0") + flipped["tree"][1:]
+    print(f"root split '{root}' recoded '{flipped['tree'][0]}': "
+          f"verified={verify_certificate(flipped)}")
 
 
 if __name__ == "__main__":

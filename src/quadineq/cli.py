@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .certifier import Certificate, MalformedCertificate, certify, verify_certificate
 from .geometry import (
@@ -101,10 +103,18 @@ def _cmd_eval(args) -> int:
     except GeometryError as exc:
         raise UsageError(f"invalid configuration: {exc}")
 
-    m = metrics(quad)
-    terms = edge_terms(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = metrics(quad)
+        terms = edge_terms(m)
+        residuals = {path: float(residual(m, path)) for path in RESIDUAL_PATHS}
+    # coordinates near 1e100 pass the diameter check, but the degree-six
+    # terms overflow a float
+    for name, value in [*terms.items(), *residuals.items()]:
+        if not math.isfinite(value):
+            raise UsageError(f"{name} is {float(value)!r} for this configuration: "
+                             f"its degree-six terms do not fit a float; scale it "
+                             f"toward unit size")
     report_audit = audit(m, tol=_finite_tol(args.tol))
-    residuals = {path: float(residual(m, path)) for path in RESIDUAL_PATHS}
     metric_doc = {name: float(getattr(m, name)) for name in (
         "a", "b", "c", "d", "e", "f", "A123", "A124", "A134", "A234",
         "alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3",

@@ -11,9 +11,10 @@ from quadineq import __version__, certifier, cli, interval
 from quadineq.certifier import (
     Certificate,
     MalformedCertificate,
+    _bisect,
     _decode,
     _gauge_clip,
-    _split,
+    _split_dims,
     certify,
     verify_certificate,
 )
@@ -45,6 +46,15 @@ def _leaf_index(tree, pos):
 @pytest.fixture(scope="module")
 def cert():
     return certify(margin=MARGIN, target=0.0, max_boxes=300_000)
+
+
+@pytest.fixture(scope="module")
+def dotted():
+    """A small tree with '.' nodes: the margin-0.18 tree has four, all
+    outside the cut (the margin-0.16 and 0.15 trees have none)."""
+    tree = certify(margin=0.18)
+    assert tree.tree.count(".") == 4
+    return tree
 
 
 def test_certify_completes_with_positive_bound(cert):
@@ -102,10 +112,10 @@ def test_verify_rejects_duplicate_leaf(cert):
     assert not verify_certificate(doc)
 
 
-def test_verify_rejects_out_of_domain_leaf(cert):
+def test_verify_rejects_out_of_domain_leaf(dotted):
     # an infeasible node recoded as a leaf, with a bound of its own, so only
     # the leaf's position outside the domain is wrong
-    doc = _fresh(cert)
+    doc = _fresh(dotted)
     pos = doc["tree"].index(".")
     doc["leaves"].insert(_leaf_index(doc["tree"], pos), {"lower_bound": 1.0})
     doc["tree"] = doc["tree"][:pos] + "L" + doc["tree"][pos + 1:]
@@ -123,22 +133,33 @@ def test_verify_rejects_feasible_node_coded_infeasible(cert):
     assert verify_certificate(doc) is False
 
 
+def _first_split(tree):
+    return min(tree.find(code) for code in "01234" if code in tree)
+
+
+def _last_split(tree):
+    return max(tree.rfind(code) for code in "01234")
+
+
+# "S" in an id stands for a split code, '0'-'4'
 @pytest.mark.parametrize("tamper", [
-    lambda t: t.replace("L", "S", 1),
-    lambda t: t[::-1].replace("L", "S", 1)[::-1],
-    lambda t: t.replace("S", "L", 1),
-    lambda t: t[::-1].replace("S", "L", 1)[::-1],
+    lambda t: t.replace("L", "0", 1),
+    lambda t: t[::-1].replace("L", "4", 1)[::-1],
+    lambda t: t[:_first_split(t)] + "L" + t[_first_split(t) + 1:],
+    lambda t: t[:_last_split(t)] + "L" + t[_last_split(t) + 1:],
     lambda t: t.replace(".", "L", 1),
 ], ids=["L-to-S-first", "L-to-S-last", "S-to-L-first", "S-to-L-last", "empty-to-L"])
-def test_verify_rejects_flipped_node_code(cert, tamper):
-    doc = _fresh(cert)
+def test_verify_rejects_flipped_node_code(dotted, tamper):
+    doc = _fresh(dotted)
     doc["tree"] = tamper(doc["tree"])
+    assert doc["tree"] != dotted.tree
     assert _rejected(doc)
 
 
 @pytest.mark.parametrize("tamper", [
     lambda t: t[:-1], lambda t: t + "L", lambda t: t.replace("L", "X", 1),
-], ids=["truncated", "appended", "unknown-code"])
+    lambda t: "S" + t[1:], lambda t: "5" + t[1:],
+], ids=["truncated", "appended", "unknown-code", "old-split-code", "split-code-5"])
 def test_tree_that_does_not_parse_is_malformed(cert, tamper):
     doc = _fresh(cert)
     doc["tree"] = tamper(doc["tree"])
@@ -190,9 +211,11 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
 
 
 def test_unknown_split_rule_is_malformed(cert):
+    # the codes name each split, so a document that names a split rule is
+    # not of this format
     doc = json.loads(dumps(cert.to_json_dict()))
     doc["split_rule"] = "bisect-longest:w,p4,p3,p2,p1"
-    with pytest.raises(MalformedCertificate):
+    with pytest.raises(MalformedCertificate, match="'split_rule' is not one of"):
         Certificate.from_json_dict(doc)
 
 
@@ -217,8 +240,9 @@ def test_wrong_box_count_is_rejected(cert):
 
 
 def test_other_version_is_malformed(cert):
-    # 0.2.0 certificates tile the whole domain, with no cut
-    for version in ("0.1.0", "0.2.0"):
+    # 0.2.0 certificates tile the whole domain, with no cut; 0.3.0 trees
+    # split the unclipped box by a fixed rule
+    for version in ("0.1.0", "0.2.0", "0.3.0"):
         doc = _fresh(cert)
         doc["version"] = version
         with pytest.raises(MalformedCertificate, match=f"'{version}'.*'{__version__}'"):
@@ -229,13 +253,15 @@ def test_other_version_is_malformed(cert):
     "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4", "none", None, 8,
 ], ids=["other-cut", "none", "null", "number"])
 def test_unknown_symmetry_is_malformed(cert, symmetry):
+    # the version names the cut; a document that names a symmetry of its
+    # own is not of this format
     doc = _fresh(cert)
     doc["symmetry"] = symmetry
     with pytest.raises(MalformedCertificate, match="symmetry"):
         Certificate.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("key", ["version", "gauge", "split_rule", "symmetry"])
+@pytest.mark.parametrize("key", ["version", "gauge"])
 def test_missing_or_other_header_value_is_malformed(cert, key):
     doc = _fresh(cert)
     del doc[key]
@@ -388,7 +414,9 @@ def _evaluated_boxes(cert):
     boxes = []
     for node in certifier._levels(cert.tree):
         boxes.append(level[node != certifier._EMPTY])
-        level = _split(level[node == certifier._SPLIT])
+        split = certifier._is_split(node)
+        level = _bisect(certifier._clipped(level[split], cert.margin),
+                        node[split] - certifier._SPLIT_P1)
     return np.concatenate(boxes)
 
 
@@ -451,9 +479,9 @@ def test_margin_015_tree_is_pinned(pinned):
     # the box count, leaf count and c* of a mid-size run: any change to
     # the enclosures, the split rule or the cut that moves the tree shows here
     assert pinned.complete
-    assert pinned.box_count == 4_676
-    assert len(pinned.leaves) == 2_259
-    assert pinned.c_star == pytest.approx(2.6668503652384497e-08, rel=1e-9)
+    assert pinned.box_count == 2_705
+    assert len(pinned.leaves) == 1_353
+    assert pinned.c_star == pytest.approx(7.373508288263633e-08, rel=1e-9)
 
 
 def test_leaves_cover_every_sampled_frame_carried_into_the_cut(pinned):
@@ -506,13 +534,13 @@ def test_clip_keeps_every_point_of_a_box_on_the_plane_and_in_the_cut(pinned):
         assert np.all((coord.lo <= values) & (values <= coord.hi))
 
 
-def test_cut_codes_boxes_that_meet_the_gauge_plane_infeasible(pinned):
+def test_cut_codes_boxes_that_meet_the_gauge_plane_infeasible(dotted):
     # most '.' nodes now lie outside the cut, not off the gauge plane
-    empties = _decode(pinned.tree, pinned.margin)[1]
+    empties = _decode(dotted.tree, dotted.margin)[1]
     p = [Interval(empties[:, i, 0], empties[:, i, 1]) for i in range(4)]
     total = p[0] + p[1] + p[2] + p[3]
     meets_plane = (total.lo <= 1.0) & (1.0 <= total.hi)
-    assert not np.any(_gauge_clip(empties, pinned.margin)[2])
+    assert not np.any(_gauge_clip(empties, dotted.margin)[2])
     assert np.count_nonzero(meets_plane) > len(empties) // 2
 
 
@@ -567,14 +595,66 @@ def test_soundness_spot_check(cert):
     assert checked >= 200
 
 
+def _split(box):
+    boxes = np.array([box])
+    dims = _split_dims(boxes)
+    return dims[0], _bisect(boxes, dims)
+
+
 def test_split_bisects_widest_dimension():
     box = ((0.1, 0.2), (0.1, 0.5), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
-    lower, upper = _split(np.array([box]))
+    dim, (lower, upper) = _split(box)
+    assert dim == 1
     assert tuple(lower[1]) == (0.1, 0.3) and tuple(upper[1]) == (0.3, 0.5)
+    assert np.array_equal(np.delete(lower, 1, 0), np.delete(upper, 1, 0))
     # ties break toward the earliest dimension
     box = ((0.1, 0.3), (0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
-    lower, upper = _split(np.array([box]))
+    dim, (lower, upper) = _split(box)
+    assert dim == 0
     assert tuple(lower[0]) == (0.1, 0.2) and tuple(upper[0]) == (0.2, 0.3)
+    # w's width counts at half scale: 0.375 rad loses to a p width of 0.25,
+    # 0.625 rad wins, and the exact tie at 0.5 goes to the p
+    for w_width, expected in ((0.375, 1), (0.5, 1), (0.625, 4)):
+        box = ((0.125, 0.25), (0.125, 0.375), (0.125, 0.25), (0.125, 0.25),
+               (1.0, 1.0 + w_width))
+        assert _split(box)[0] == expected, w_width
+
+
+def _assert_halves(parent, low, high, dim):
+    """`low` and `high` are the halves of the box `parent` along `dim`."""
+    mid = 0.5 * (parent[dim, 0] + parent[dim, 1])
+    assert tuple(low[dim]) == (parent[dim, 0], mid)
+    assert tuple(high[dim]) == (mid, parent[dim, 1])
+    for child in (low, high):
+        assert np.array_equal(np.delete(child, dim, 0), np.delete(parent, dim, 0))
+
+
+@pytest.mark.parametrize("code", list("01234"))
+def test_each_split_code_bisects_the_clipped_box_along_its_dimension(code):
+    # the root split along p1, its upper half a leaf and its lower half
+    # split along `code` into two leaves
+    leaf, low, high = _decode("0" + code + "LLL", 0.2)[0]
+    root = certifier._clipped(certifier._root_level(0.2), 0.2)[0]
+    lower = root.copy()
+    lower[0, 1] = 0.5 * (root[0, 0] + root[0, 1])
+    _assert_halves(root, lower, leaf, 0)
+    parent = certifier._clipped(lower[None], 0.2)[0]
+    assert not np.array_equal(parent, lower)  # p1 <= 0.3 moves the other p
+    _assert_halves(parent, low, high, int(code))
+
+
+def test_verify_rejects_each_split_recoded_to_another_dimension():
+    # a recoded tree still covers the domain, so it is rejected because some
+    # leaf's recomputed bound or some code no longer matches; on this tree
+    # each of the 124 recodings moves one
+    small = certify(margin=0.2)
+    doc = _fresh(small)
+    splits = [pos for pos, code in enumerate(small.tree) if code in "01234"]
+    assert len(splits) == 31
+    for pos in splits:
+        for code in "01234".replace(small.tree[pos], ""):
+            doc["tree"] = small.tree[:pos] + code + small.tree[pos + 1:]
+            assert _rejected(doc), (pos, code)
 
 
 def test_parameter_validation():
@@ -595,7 +675,7 @@ def test_certificate_schema_fields(cert):
         "margin", "target", "complete", "c_star", "box_count", "tree", "bounds"]
     assert set(doc) >= {"version", "margin", "gauge", "target", "complete",
                         "c_star", "box_count", "tree", "leaves"}
-    assert set(doc["tree"]) <= set("SL.")
+    assert set(doc["tree"]) <= set("01234L.")
     assert doc["box_count"] == len(doc["tree"]) - doc["tree"].count(".")
     assert doc["tree"].count("L") == len(doc["leaves"])
     assert all(set(leaf) == {"lower_bound"} for leaf in doc["leaves"])

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +105,16 @@ def test_eval_rejects_coordinates_whose_squared_diameter_overflows(capsys):
     assert "invalid configuration" in err and "diameter" in err
 
 
+@pytest.mark.parametrize("scale", ["1e100", "1e150"])
+def test_eval_rejects_coordinates_whose_degree_six_terms_overflow(capsys, scale):
+    # the squared diameter fits a float, the edge terms do not
+    points = "[[0,0],[{0},0],[{0},{0}],[0,{0}]]".format(scale)
+    code, out, err = run(capsys, ["eval", "--points", points, "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: e12 is inf ") and "do not fit a float" in err
+    assert "Warning" not in err
+
+
 def test_check_cert_rejects_an_integer_longer_than_python_reads(tmp_path, capsys):
     path = tmp_path / "long.json"
     path.write_text('{"margin": 1%s}' % ("0" * 5000))
@@ -192,12 +206,43 @@ def test_check_cert_rejects_an_unknown_symmetry(tmp_path, capsys):
     code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
     assert code == 0
     doc = json.loads(cert_path.read_text())
-    assert doc["symmetry"] == "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4"
+    assert "symmetry" not in doc  # the version names the cut
     doc["symmetry"] = "none"  # the same tree claimed over the whole domain
     bad_path = tmp_path / "no_cut.json"
     bad_path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["check-cert", str(bad_path)])
     assert code == 2 and "malformed certificate" in err and "symmetry" in err
+
+
+def test_check_cert_rejects_a_format_030_document(tmp_path, capsys):
+    # 0.3.0 coded every split 'S' and bisected the unclipped box by a rule
+    # its header named
+    doc = {"version": "0.3.0", "margin": 0.2, "gauge": "psum1", "target": 0.0,
+           "complete": True, "c_star": 1e-6, "box_count": 3,
+           "split_rule": "bisect-widest:p1,p2,p3,p4,w",
+           "symmetry": "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4", "tree": "SLL",
+           "leaves": [{"lower_bound": 1e-6}, {"lower_bound": 2e-6}]}
+    path = tmp_path / "format_030.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == ""
+    assert "malformed certificate" in err and "'0.3.0'" in err and f"'{__version__}'" in err
+
+
+def test_certify_out_is_byte_identical_across_processes(tmp_path):
+    # two interpreters, so no state shared within one process can hide a
+    # run-to-run difference
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    digests = []
+    for run_id in range(2):
+        path = tmp_path / f"cert{run_id}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "quadineq.cli", "certify", "--margin", "0.18",
+             "--out", str(path)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_check_cert_missing_file(capsys):
@@ -249,9 +294,7 @@ def test_certify_reports_a_margin_too_fine_for_the_enclosures(capsys):
 def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
     doc = {"version": __version__, "margin": 1e-8, "gauge": "psum1",
            "target": 0.0, "complete": False, "c_star": -1.0, "box_count": 1,
-           "split_rule": "bisect-widest:p1,p2,p3,p4,w",
-           "symmetry": "dihedral-8:cut p1>=p2,p1>=p3,p1>=p4,p2>=p4", "tree": "L",
-           "leaves": [{"lower_bound": -1.0}]}
+           "tree": "L", "leaves": [{"lower_bound": -1.0}]}
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["check-cert", str(path)])

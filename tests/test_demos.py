@@ -19,3 +19,5 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
     if demo.stem == "03_certified_lower_bound":
         assert "independent replay: verified=True" in done.stdout
+        # each of its three tamperings is caught
+        assert done.stdout.count("verified=False") == 3
