@@ -66,9 +66,7 @@ def _sign_probe(seed: int) -> str:
 def _emit(report: dict, args, csv_rows=None) -> None:
     if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(csv_rows)
         text = buf.getvalue()
     else:
         text = dumps(report) + "\n"
@@ -108,9 +106,11 @@ def _cmd_eval(args) -> int:
         terms = edge_terms(m)
         residuals = {path: float(residual(m, path)) for path in RESIDUAL_PATHS}
     # coordinates near 1e100 pass the diameter check, but the degree-six
-    # terms overflow a float
-    for name, value in [*terms.items(), *residuals.items()]:
-        if not math.isfinite(value):
+    # terms overflow a float; near 1e-53 they underflow, and the audit's
+    # checks, scaled by abcdef, become 0/0
+    abcdef = math.prod(float(getattr(m, k)) for k in "abcdef")
+    for name, value in [*terms.items(), *residuals.items(), ("abcdef", abcdef)]:
+        if not math.isfinite(value) or (name == "abcdef" and value < sys.float_info.min):
             raise UsageError(f"{name} is {float(value)!r} for this configuration: "
                              f"its degree-six terms do not fit a float; scale it "
                              f"toward unit size")
@@ -132,9 +132,9 @@ def _cmd_eval(args) -> int:
         "sign_resolution": report_audit.sign_resolution,
     }
     rows = [("quantity", "value")]
-    rows += [(k, format(v, ".16e")) for k, v in metric_doc.items()]
-    rows += [(f"edge_terms.{k}", format(float(v), ".16e")) for k, v in terms.items()]
-    rows += [(f"residual.{k}", format(v, ".16e")) for k, v in residuals.items()]
+    rows += list(metric_doc.items())
+    rows += [(f"edge_terms.{k}", v) for k, v in report["edge_terms"].items()]
+    rows += [(f"residual.{k}", v) for k, v in residuals.items()]
     _emit(report, args, rows)
     return 0 if report_audit.passed() else 1
 
@@ -156,9 +156,7 @@ def _cmd_audit(args) -> int:
     }
     rows = [("check", "kind", "max_err", "min_slack", "pass")]
     for c in report_audit.checks:
-        rows.append((c.id, c.kind,
-                     "" if c.max_err is None else format(c.max_err, ".16e"),
-                     "" if c.min_slack is None else format(c.min_slack, ".16e"),
+        rows.append((c.id, c.kind, c.max_err, c.min_slack,
                      "true" if c.passed else "false"))
     _emit(report, args, rows)
     return 0 if report_audit.passed() else 1
@@ -235,9 +233,8 @@ def _cmd_search(args) -> int:
              "evaluations")]
     for r in results:
         for i, t in enumerate(r.trajectories):
-            rows.append((r.margin, i, format(t.start_value, ".16e"),
-                         format(t.best_value, ".16e"), t.iterations,
-                         t.evaluations))
+            rows.append((r.margin, i, t.start_value, t.best_value,
+                         t.iterations, t.evaluations))
     _emit(report, args, rows)
     return 0 if report["genuine_counterexamples"] == 0 else 1
 

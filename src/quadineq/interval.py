@@ -30,9 +30,8 @@ certifier feeds through `residual_enclosure`.
 
 The certified enclosure (path "both") is the intersection of exactly two
 forms of the same residual: the mean-value form of the edge expressions
-(itself intersected with their natural evaluation) and the factored trig
-form, whose sin X and sin Y factors are intersected with their
-area-quotient forms.
+and the factored trig form, whose sin X and sin Y factors are intersected
+with their area-quotient forms.
 """
 
 from __future__ import annotations
@@ -403,14 +402,12 @@ def _lemma_angles(box: FrameBox, angles: dict) -> dict:
     W = box.w
     Wp = PI - W
 
-    # X and Y admit several exact forms (the four-angle half-difference and
-    # two two-angle differences); each is a valid enclosure of the same
-    # number, so intersecting them is sound and tight.  |X| < W and |Y| < W'
-    # because the four split-angle sums are positive.
-    X = ((alpha2 + beta1) - (alpha4 + beta3)).half() \
-        .intersect(alpha2 - alpha4).intersect(beta1 - beta3)
-    Y = ((alpha1 + beta4) - (alpha3 + beta2)).half() \
-        .intersect(beta4 - beta2).intersect(alpha1 - alpha3)
+    # By the triangle relations alpha2 + beta3 = W = alpha4 + beta1 and
+    # alpha1 + beta2 = W' = alpha3 + beta4, X and Y are each equal to two
+    # two-angle differences, so intersecting them is sound.  |X| < W and
+    # |Y| < W' because the four split-angle sums are positive.
+    X = (alpha2 - alpha4).intersect(beta1 - beta3)
+    Y = (beta4 - beta2).intersect(alpha1 - alpha3)
     return {
         "X": Interval(np.maximum(X.lo, -W.hi), np.minimum(X.hi, W.hi)),
         "Y": Interval(np.maximum(Y.lo, -Wp.hi), np.minimum(Y.hi, Wp.hi)),
@@ -465,7 +462,7 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
     total = residual_enclosure(FrameBox(*mids, box.margin), "edge")
     for j, (coord, mid) in enumerate(zip(coords, mids)):
         total = total + Interval(di.grad.lo[j], di.grad.hi[j]) * (coord - mid)
-    return total.intersect(di.val)
+    return total
 
 
 def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,

@@ -1,17 +1,20 @@
-"""Deterministic JSON serialization with full-precision decimal floats.
+"""Canonical JSON: one `json.dumps` call with sorted keys and compact
+separators, and a finite-number reader for outside input.
 
 Reports and certificates must be byte-identical across runs and must
-round-trip float64 values exactly, so floats are always emitted with 17
-significant decimal digits instead of Python's shortest-roundtrip repr.
+round-trip float64 values exactly.  The standard library writes every float
+as its shortest `repr`, the shortest decimal string that reads back as the
+same double (correctly rounded in both directions, so the same text on every
+platform); sorted keys fix the order of every object.  Control and non-ASCII
+characters in strings are escaped, and a NaN or infinite float raises
+ValueError rather than writing a token that is not JSON.
 """
 
 from __future__ import annotations
 
-import functools
+import json
 import math
 import numbers
-
-import numpy as np
 
 
 def finite_number(value) -> float:
@@ -29,67 +32,7 @@ def finite_number(value) -> float:
     return out
 
 
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite float in JSON payload: {x!r}")
-    return format(x, ".16e")
-
-
-def _string_text(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-@functools.lru_cache(maxsize=256)
-def _key_text(key: str) -> str:
-    # documents repeat a few keys many times (one per certificate leaf)
-    return _string_text(key) + ":"
-
-
-def _emit(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append("," + _key_text(key) if i else _key_text(key))
-            value = obj[key]
-            if type(value) is float:  # the common leaf, without a recursive call
-                out.append(_float_text(value))
-            else:
-                _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        # a list of plain floats or of plain ints is written in one pass
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            out.append("[" + ",".join(map(_float_text, obj)) + "]")
-        elif kinds == {int}:
-            out.append("[" + ",".join(map(str, obj)) + "]")
-        else:
-            out.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(",")
-                _emit(item, out)
-            out.append("]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(_string_text(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_text(float(obj)))
-    else:
-        raise TypeError(f"unsupported JSON type: {type(obj)!r}")
-
-
 def dumps(obj) -> str:
-    """Serialize to canonical JSON: sorted keys, 17-digit decimal floats."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    """Serialize to canonical JSON: sorted keys, compact separators, shortest
+    round-trip floats; ValueError on a NaN or infinite float."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, and report stability."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -105,14 +107,38 @@ def test_eval_rejects_coordinates_whose_squared_diameter_overflows(capsys):
     assert "invalid configuration" in err and "diameter" in err
 
 
-@pytest.mark.parametrize("scale", ["1e100", "1e150"])
+@pytest.mark.parametrize("scale", ["1e100", "1e150", "1e-53", "1e-60", "1e-150"])
 def test_eval_rejects_coordinates_whose_degree_six_terms_overflow(capsys, scale):
-    # the squared diameter fits a float, the edge terms do not
+    # the squared diameter fits a float, the edge terms do not; at the small
+    # scales abcdef underflows below the smallest normal float
     points = "[[0,0],[{0},0],[{0},{0}],[0,{0}]]".format(scale)
     code, out, err = run(capsys, ["eval", "--points", points, "--format", "csv"])
     assert code == 2 and out == ""
-    assert err.startswith("error: e12 is inf ") and "do not fit a float" in err
+    first = "e12 is inf " if float(scale) > 1.0 else "abcdef is "
+    assert err.startswith("error: " + first) and "do not fit a float" in err
     assert "Warning" not in err
+
+
+def test_eval_accepts_a_small_square_whose_degree_six_terms_are_normal(capsys):
+    code, out, _ = run(capsys, ["eval", "--points", "[[0,0],[1e-50,0],[1e-50,1e-50],[0,1e-50]]"])
+    assert code == 0
+    assert json.loads(out)["audit"]["pass"] is True
+
+
+def test_eval_csv_cell_is_the_json_float(capsys):
+    code, out, _ = run(capsys, ["eval", "--points", SQUARE_JSON])
+    assert code == 0
+    edge = json.loads(out)["residual"]["edge"]
+    code, out, _ = run(capsys, ["eval", "--points", SQUARE_JSON, "--format", "csv"])
+    assert code == 0
+    cells = dict(row for row in csv.reader(io.StringIO(out)))
+    assert float(cells["residual.edge"]) == edge
+
+
+def test_eval_report_is_json_when_the_input_holds_a_newline(capsys):
+    code, out, _ = run(capsys, ["eval", "--points", "[[0,0],\n[1,0],[1,1],[0,1]]"])
+    assert code == 0
+    assert json.loads(out)["config"]["points"] == "[[0,0],\n[1,0],[1,1],[0,1]]"
 
 
 def test_check_cert_rejects_an_integer_longer_than_python_reads(tmp_path, capsys):

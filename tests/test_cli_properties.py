@@ -1,0 +1,40 @@
+"""Property tests of the command line: whatever whitespace separates the
+tokens of a valid `--points` document, `eval` ends with an exit status and
+any report it writes is JSON."""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from quadineq.cli import main  # noqa: E402
+from quadineq.geometry import DiagonalFrame, quad_from_frame  # noqa: E402
+
+_LENGTH = st.floats(min_value=0.01, max_value=1.0)
+_ANGLE = st.floats(min_value=0.01, max_value=math.pi - 0.01)
+_GAPS = st.lists(st.text(alphabet=" \n\t\r", max_size=3), min_size=26, max_size=26)
+
+
+def _tokens(quad):
+    out = ["["]
+    for i, (x, y) in enumerate(quad.vertices):
+        out += ([","] if i else []) + ["[", repr(x), ",", repr(y), "]"]
+    return out + ["]"]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(p=st.tuples(_LENGTH, _LENGTH, _LENGTH, _LENGTH), w=_ANGLE, gaps=_GAPS)
+def test_eval_of_points_with_any_whitespace_writes_json(p, w, gaps):
+    tokens = _tokens(quad_from_frame(DiagonalFrame(*p, w)))
+    text = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--points", text])
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        json.loads(out.getvalue())
