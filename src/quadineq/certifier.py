@@ -32,9 +32,6 @@ certified residual lower bound misses the target is clipped and bisected
 along the widest dimension of the clipped box, with w's width counted at
 half scale (`_split_dims`; ties broken toward p1), and the halves form the
 next level.  w spans about 2.5 rad against at most 1 - 4*margin for a p.
-Together, the clip before the split and the half-scale w cut the boxes by
-26-42% from margin 0.15 to 0.08, against format 0.3.0's bisection of the
-unclipped box by raw width.
 As a box is split exactly when its bound misses the target, a completed run
 builds the same tree in any visiting order.
 When the box budget or `_MAX_DEPTH` stops a run, unsplit boxes stay leaves
@@ -59,16 +56,17 @@ last-ulp libm wobble without weakening the bound.
 
 Certify and replay share one cheap-first evaluation, `_evaluate`, which
 clips each box once and bounds it once with the trig ("lemma") form.  Only
-where that bound misses what is needed is it tightened to "both": the edge
-mean-value form, most of the per-box cost, intersected with the lemma
-enclosure in hand.  `certify` needs the target: a box whose lemma bound
-clears it records that bound, one that misses by at most `_REACH` is
-tightened, and one further below is split on its lemma bound (about half
-the boxes are split nodes, which "both" rarely saves).  Both forms enclose
-the residual and splitting is always sound, so the policy only trades boxes
-for time.  The replay needs each leaf's recorded bound and tightens every
-miss, so its verdict is the one a full "both" replay gives and does not
-depend on how the certifier chose its enclosures.
+where that bound misses what is needed is it tightened to "both": the row
+is clipped again and bounded with the edge mean-value form, most of the
+per-box cost, which is intersected with the lemma enclosure in hand.
+`certify` needs the target: a box whose lemma bound clears it records that
+bound, one that misses by at most `_REACH` is tightened, and one further
+below is split on its lemma bound (about half the boxes are split nodes,
+which "both" rarely saves).  Both forms enclose the residual and
+splitting is always sound, so the policy only trades boxes for time.  The
+replay needs each leaf's recorded bound and tightens every miss, so its
+verdict is the one a full "both" replay gives and does not depend on how
+the certifier chose its enclosures.
 """
 
 from __future__ import annotations

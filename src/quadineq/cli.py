@@ -90,13 +90,14 @@ def _config_dict(args, fields) -> dict:
 def _cmd_eval(args) -> int:
     if (args.points is None) == (args.frame is None):
         raise UsageError("eval needs exactly one of --points or --frame")
-    doc = _load_json_argument(args.points or args.frame, "configuration")
-    if args.points and "points" not in doc:
-        doc = {"points": doc} if isinstance(doc, list) else doc
-    if args.frame and "frame" not in doc:
-        doc = {"frame": doc} if isinstance(doc, dict) and "p" in doc else doc
+    # the flag names the configuration: an object holding that key gives its
+    # value, anything else is the bare value
+    key = "points" if args.points is not None else "frame"
+    doc = _load_json_argument(getattr(args, key), "configuration")
+    if isinstance(doc, dict) and key in doc:
+        doc = doc[key]
     try:
-        config = configuration_from_json_dict(doc)
+        config = configuration_from_json_dict({key: doc})
         quad = as_quadrilateral(config)
     except GeometryError as exc:
         raise UsageError(f"invalid configuration: {exc}")
@@ -248,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one configuration")
-    p_eval.add_argument("--points", help='inline JSON or @file: {"points": [[x,y] x4]}')
-    p_eval.add_argument("--frame", help='inline JSON or @file: {"frame": {"p": [...], "w": w}}')
+    p_eval.add_argument("--points", help='inline JSON or @file: [[x,y] x4] or {"points": ...}')
+    p_eval.add_argument("--frame",
+                        help='inline JSON or @file: {"p": [...], "w": w} or {"frame": ...}')
     p_eval.add_argument("--tol", type=float, default=1e-9)
 
     p_audit = sub.add_parser("audit", help="audit identities over seeded samples")

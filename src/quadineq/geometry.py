@@ -352,7 +352,7 @@ def frame_of(q: Quadrilateral) -> DiagonalFrame:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _check_margin(margin: float) -> float:
+def check_margin(margin: float) -> float:
     margin = float(margin)
     if not (0.0 <= margin <= 0.2):
         raise GeometryError("margin must lie in [0, 0.2]")
@@ -367,7 +367,7 @@ def sample_frames(seed, n: int, margin: float = 0.05):
     which rounds as margin + (1 - 4 margin) * simplex does but allocates no
     second (n, 4) array.
     """
-    margin = _check_margin(margin)
+    margin = check_margin(margin)
     rng = np.random.default_rng(seed)
     p = rng.dirichlet((1.0, 1.0, 1.0, 1.0), size=n)
     p *= 1.0 - 4.0 * margin
@@ -416,7 +416,7 @@ def sample(seed, strategy: str = "frame-uniform", margin: float = 0.05,
     points in the unit square, relabels them counterclockwise and retries
     until convex (margin is not used there).
     """
-    margin = _check_margin(margin)
+    margin = check_margin(margin)
     if strategy not in _VALID_STRATEGIES:
         raise GeometryError(f"unknown strategy {strategy!r}")
     if strategy == "point-rejection":

@@ -37,6 +37,7 @@ with their area-quotient forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,25 +149,20 @@ class Interval:
     def __sub__(self, other: "Interval") -> "Interval":
         return self + (-other)
 
+    def _corner_hull(self, op, other: "Interval") -> "Interval":
+        # outward-rounded hull of op over the four corners of self x other
+        a, b = op(self.lo, other.lo), op(self.lo, other.hi)
+        c, d = op(self.hi, other.lo), op(self.hi, other.hi)
+        return Interval(_down(np.minimum(np.minimum(a, b), np.minimum(c, d))),
+                        _up(np.maximum(np.maximum(a, b), np.maximum(c, d))))
+
     def __mul__(self, other: "Interval") -> "Interval":
-        p1 = self.lo * other.lo
-        p2 = self.lo * other.hi
-        p3 = self.hi * other.lo
-        p4 = self.hi * other.hi
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return Interval(_down(lo), _up(hi))
+        return self._corner_hull(operator.mul, other)
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if np.any((other.lo <= 0.0) & (other.hi >= 0.0)):
             raise DivisionByZeroInterval("divisor interval contains zero")
-        q1 = self.lo / other.lo
-        q2 = self.lo / other.hi
-        q3 = self.hi / other.lo
-        q4 = self.hi / other.hi
-        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-        return Interval(_down(lo), _up(hi))
+        return self._corner_hull(operator.truediv, other)
 
     def half(self) -> "Interval":
         # multiplication by 0.5 is exact for every magnitude used here
@@ -205,24 +201,22 @@ def _has_extremum(lo, hi, offset):
     return k_hi >= k_lo
 
 
-def isin(x: Interval) -> Interval:
-    s_lo = np.sin(x.lo)
-    s_hi = np.sin(x.hi)
-    lo = _down(np.minimum(s_lo, s_hi), _TRANS_ULPS)
-    hi = _up(np.maximum(s_lo, s_hi), _TRANS_ULPS)
-    lo = np.where(_has_extremum(x.lo, x.hi, -0.5 * math.pi), -1.0, lo)
-    hi = np.where(_has_extremum(x.lo, x.hi, 0.5 * math.pi), 1.0, hi)
+def _periodic(fn, x: Interval, min_at: float, max_at: float) -> Interval:
+    # fn has period 2*pi, its minimum -1 at min_at and its maximum 1 at max_at
+    a, b = fn(x.lo), fn(x.hi)
+    lo = _down(np.minimum(a, b), _TRANS_ULPS)
+    hi = _up(np.maximum(a, b), _TRANS_ULPS)
+    lo = np.where(_has_extremum(x.lo, x.hi, min_at), -1.0, lo)
+    hi = np.where(_has_extremum(x.lo, x.hi, max_at), 1.0, hi)
     return Interval(np.clip(lo, -1.0, 1.0), np.clip(hi, -1.0, 1.0))
+
+
+def isin(x: Interval) -> Interval:
+    return _periodic(np.sin, x, -0.5 * math.pi, 0.5 * math.pi)
 
 
 def icos(x: Interval) -> Interval:
-    c_lo = np.cos(x.lo)
-    c_hi = np.cos(x.hi)
-    lo = _down(np.minimum(c_lo, c_hi), _TRANS_ULPS)
-    hi = _up(np.maximum(c_lo, c_hi), _TRANS_ULPS)
-    lo = np.where(_has_extremum(x.lo, x.hi, math.pi), -1.0, lo)
-    hi = np.where(_has_extremum(x.lo, x.hi, 0.0), 1.0, hi)
-    return Interval(np.clip(lo, -1.0, 1.0), np.clip(hi, -1.0, 1.0))
+    return _periodic(np.cos, x, math.pi, 0.0)
 
 
 def iatan2(s: Interval, c: Interval) -> Interval:

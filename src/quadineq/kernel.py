@@ -44,6 +44,7 @@ import numpy as np
 
 from .geometry import (
     QuadMetrics,
+    check_margin,
     metrics,
     metrics_from_frames,
     sample,
@@ -543,6 +544,7 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    margin = check_margin(margin)  # checked even where point-rejection ignores it
     if strategy == "frame-uniform":
         blocks = -(-min(samples, _AUDIT_CHUNK) // _AUDIT_BLOCK)
         accs = [_Accumulator() for _ in range(min(_AUDIT_WORKERS, blocks))]

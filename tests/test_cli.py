@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from quadineq import __version__
+from quadineq.certifier import verify_certificate
 from quadineq.cli import main
 
 SQUARE_JSON = '{"points": [[0,0],[1,0],[1,1],[0,1]]}'
@@ -68,6 +69,44 @@ def test_eval_rejects_nonconvex_input(capsys):
     bad = '{"points": [[0,0],[1,1],[2,2],[0,1]]}'
     code, _, err = run(capsys, ["eval", "--points", bad])
     assert code == 2 and "invalid configuration" in err
+
+
+SQUARE_FRAME = '{"p": [0.25, 0.25, 0.25, 0.25], "w": 1.5707963267948966}'
+
+
+@pytest.mark.parametrize("option, bare, wrapped", [
+    ("--points", "[[0,0],[1,0],[1,1],[0,1]]", SQUARE_JSON),
+    ("--frame", SQUARE_FRAME, '{"frame": %s}' % SQUARE_FRAME),
+], ids=["points", "frame"])
+def test_eval_reads_the_bare_and_the_wrapped_form_alike(capsys, option, bare, wrapped):
+    # the reports differ only in the config, which records the text given
+    reports, tables = [], []
+    for text in (bare, wrapped):
+        code, out, _ = run(capsys, ["eval", option, text])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"][option[2:]] == text
+        del doc["config"]
+        reports.append(doc)
+        code, out, _ = run(capsys, ["eval", option, text, "--format", "csv"])
+        assert code == 0
+        tables.append(out)
+    assert reports[0] == reports[1]
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("option, text", [
+    *[(option, text) for option in ("--points", "--frame")
+      for text in ("", "5", "null", "true")],
+    ("--frame", SQUARE_JSON),
+    ("--points", '{"frame": %s}' % SQUARE_FRAME),
+], ids=["points-empty", "points-number", "points-null", "points-boolean",
+        "frame-empty", "frame-number", "frame-null", "frame-boolean",
+        "frame-given-points", "points-given-frame"])
+def test_eval_reads_only_the_configuration_its_flag_names(capsys, option, text):
+    code, out, err = run(capsys, ["eval", option, text])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 BIG = "1" + "0" * 400  # a JSON integer beyond the float range
@@ -168,6 +207,13 @@ def test_audit_exit_zero_and_byte_identical(capsys):
     assert doc["sign_resolution"] == "plus"
 
 
+def test_audit_point_rejection_passes(capsys):
+    code, out, _ = run(capsys, ["audit", "--samples", "50", "--strategy", "point-rejection"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["audit"]["pass"] is True and doc["audit"]["samples"] == 50
+
+
 def test_audit_csv_format(capsys):
     code, out, _ = run(capsys, ["audit", "--samples", "200", "--seed", "2",
                                 "--format", "csv"])
@@ -197,6 +243,33 @@ def test_certify_and_check_cert_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, ["check-cert", str(bad_path)])
     assert code == 1
     assert json.loads(out)["verified"] is False
+
+
+def test_certify_without_out_embeds_the_certificate_it_would_write(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
+    assert code == 0
+    code, out, _ = run(capsys, ["certify", "--margin", "0.2"])
+    assert code == 0
+    embedded = json.loads(out)["certificate"]
+    assert embedded == json.loads(cert_path.read_text())
+    assert verify_certificate(embedded) is True
+
+
+@pytest.mark.parametrize("edit", [
+    {"margin": 0.3}, {"margin": 0.0}, {"margin": -0.1},
+    {"tree": ".", "leaves": [], "box_count": 0},
+], ids=["margin-too-wide", "margin-zero", "margin-negative", "no-leaves"])
+def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, edit):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
+    assert code == 0
+    doc = {**json.loads(cert_path.read_text()), **edit}
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check-cert", str(bad_path)])
+    assert code == 2 and out == ""
+    assert err == "error: malformed certificate: bad margin or empty leaf set\n"
 
 
 def test_check_cert_rejects_nan_target(tmp_path, capsys):
@@ -332,9 +405,12 @@ def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
     ["search", "--budget", "-1"], ["audit", "--margin", "0.5"],
     ["audit", "--samples", "0"], ["audit", "--samples", "-5"],
     ["audit", "--tol", "nan"], ["eval", "--tol", "nan", "--points", SQUARE_JSON],
+    *[["audit", "--strategy", "point-rejection", "--margin", margin]
+      for margin in ("nan", "-3", "0.5")],
 ], ids=["search-margin-too-wide", "search-no-starts", "search-negative-budget",
         "audit-margin-too-wide", "audit-no-samples", "audit-negative-samples",
-        "audit-tol-nan", "eval-tol-nan"])
+        "audit-tol-nan", "eval-tol-nan", "point-rejection-margin-nan",
+        "point-rejection-margin-negative", "point-rejection-margin-too-wide"])
 def test_audit_search_and_eval_reject_bad_arguments(tmp_path, capsys, argv):
     out_path = tmp_path / "report.json"
     code, out, err = run(capsys, argv + ["--out", str(out_path)])

@@ -1,6 +1,7 @@
 """Property tests of the command line: whatever whitespace separates the
-tokens of a valid `--points` document, `eval` ends with an exit status and
-any report it writes is JSON."""
+tokens of a valid `--points` document, and whatever JSON value either flag
+is given, `eval` ends with an exit status and any report it writes is
+JSON."""
 
 import contextlib
 import io
@@ -18,6 +19,22 @@ from quadineq.geometry import DiagonalFrame, quad_from_frame  # noqa: E402
 _LENGTH = st.floats(min_value=0.01, max_value=1.0)
 _ANGLE = st.floats(min_value=0.01, max_value=math.pi - 0.01)
 _GAPS = st.lists(st.text(alphabet=" \n\t\r", max_size=3), min_size=26, max_size=26)
+# any JSON value, with object keys that the configuration documents use
+_KEYS = st.sampled_from(["points", "frame", "p", "w"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16)
+
+
+def _eval(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", *argv])
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        json.loads(out.getvalue())
 
 
 def _tokens(quad):
@@ -32,9 +49,10 @@ def _tokens(quad):
 def test_eval_of_points_with_any_whitespace_writes_json(p, w, gaps):
     tokens = _tokens(quad_from_frame(DiagonalFrame(*p, w)))
     text = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--points", text])
-    assert code in (0, 1, 2)
-    if out.getvalue():
-        json.loads(out.getvalue())
+    _eval(["--points", text])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(option=st.sampled_from(["--points", "--frame"]), value=_JSON)
+def test_eval_of_any_json_value_ends_with_an_exit_status(option, value):
+    _eval([option, json.dumps(value)])
