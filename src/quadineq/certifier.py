@@ -17,25 +17,24 @@ domain.  `tests/test_symmetry.py` proves the invariance exactly.
 
 Boxes live in all five coordinates (p1, p2, p3, p4, w); the gauge plane and
 the cut are constraints, not eliminated coordinates, so every p interval
-shrinks independently under splitting.  Before evaluation each box is
-clipped, first to the gauge (p_i intersected with 1 minus the sum of the
-others), then to the cut (for example p1.lo raised to the largest lo of the
-other p_i, and p4.hi lowered to p2.hi).  Every point of the box on the gauge
-plane and in the cut survives both clips, so a leaf's bound, which encloses
-the residual over the clipped box, covers box ∩ gauge ∩ cut.  A box whose
-clipped interval is empty holds no such point and is coded '.'.  A box is
-split after the same clip, so its two halves cover the clipped box and
-with it every point of the box on the gauge plane and in the cut.
+shrinks independently under splitting.  Each node's box is clipped once
+(`_clipped`), first to the gauge (p_i intersected with 1 minus the sum of
+the others), then to the cut (for example p1.lo raised to the largest lo of
+the other p_i, and p4.hi lowered to p2.hi).  Every point of the box on the
+gauge plane and in the cut survives both clips, so a leaf's bound, which
+encloses the residual over the clipped box, covers box ∩ gauge ∩ cut.  A
+box whose clipped interval is empty holds no such point and is coded '.'.
+The one clipped box is bounded, split and checked against its code, so a
+split node's halves cover every point of its box on the plane and in the cut.
 
 The search runs level by level from the whole domain: each box whose
-certified residual lower bound misses the target is clipped and bisected
-along the widest dimension of the clipped box, with w's width counted at
-half scale (`_split_dims`; ties broken toward p1), and the halves form the
-next level.  w spans about 2.5 rad against at most 1 - 4*margin for a p.
-As a box is split exactly when its bound misses the target, a completed run
-builds the same tree in any visiting order.
-When the box budget or `_MAX_DEPTH` stops a run, unsplit boxes stay leaves
-and the certificate is flagged incomplete.
+certified residual lower bound misses the target is bisected along the
+widest dimension of its clipped box, with w's width counted at half scale
+(`_split_dims`; ties broken toward p1), and the halves form the next level.
+w spans about 2.5 rad against at most 1 - 4*margin for a p.  As a box is
+split exactly when its bound misses the target, a completed run builds the
+same tree in any visiting order.  When the box budget or `_MAX_DEPTH` stops
+a run, unsplit boxes stay leaves and the certificate is flagged incomplete.
 
 The certificate is the tree, one code per node in level order ('0'-'4'
 split along p1, p2, p3, p4 or w, 'L' leaf, '.' misses the gauge plane or
@@ -54,11 +53,11 @@ callers that want both.
 Recorded bounds are nudged at least two ulps down so replays tolerate
 last-ulp libm wobble without weakening the bound.
 
-Certify and replay share one cheap-first evaluation, `_evaluate`, which
-clips each box once and bounds it once with the trig ("lemma") form.  Only
-where that bound misses what is needed is it tightened to "both": the row
-is clipped again and bounded with the edge mean-value form, most of the
-per-box cost, which is intersected with the lemma enclosure in hand.
+Certify and replay share one cheap-first evaluation of clipped boxes,
+`_evaluate`, which bounds each box once with the trig ("lemma") form and,
+only where that bound misses what is needed, tightens it to "both": the
+edge mean-value form, most of the per-box cost, intersected with the lemma
+enclosure in hand.
 `certify` needs the target: a box whose lemma bound clears it records that
 bound, one that misses by at most `_REACH` is tightened, and one further
 below is split on its lemma bound (about half the boxes are split nodes,
@@ -217,57 +216,54 @@ def _gauge_clip(arr: np.ndarray, margin: float):
     return [Interval(l, h) for l, h in zip(lo, hi)], w, feasible
 
 
-def _evaluate(arr: np.ndarray, margin: float, need,
-              reach: float = math.inf) -> tuple:
-    """Clip and bound boxes (shape (n, 5, 2)).
+def _clipped(arr: np.ndarray, margin: float) -> tuple:
+    """`_gauge_clip` of boxes (shape (n, 5, 2)) as boxes of the same shape and
+    the feasibility mask; an infeasible box comes back with lo > hi in some p."""
+    p, w, feasible = _gauge_clip(arr, margin)
+    return np.stack([np.stack([c.lo, c.hi], axis=1) for c in (*p, w)], axis=1), feasible
 
-    Returns (feasible, bounds): which boxes meet the gauge plane and the cut,
-    and their certified residual lower bounds, NaN where a box misses one.
-    Chunks of `_EVAL_CHUNK` boxes are clipped once by `_gauge_clip` and their
-    feasible rows are bounded once with the lemma form; rows whose lemma
-    bound misses `need` (a scalar or one bound per row) by at most `reach`
-    are tightened to "both", the edge mean-value form intersected with that
-    lemma enclosure.  The retries of all chunks are gathered, clipped again
-    and tightened in blocks of `_RETRY_BLOCK` rows; every row is clipped and
+
+def _frame_box(boxes: np.ndarray, margin: float) -> FrameBox:
+    return FrameBox(*(Interval(boxes[:, i, 0], boxes[:, i, 1]) for i in range(5)), margin)
+
+
+def _evaluate(boxes: np.ndarray, margin: float, need,
+              reach: float = math.inf) -> np.ndarray:
+    """Certified residual lower bounds of clipped boxes (shape (n, 5, 2)),
+    each meeting the gauge plane and the cut.
+
+    Each box is bounded once with the lemma form, in chunks of `_EVAL_CHUNK`;
+    one whose lemma bound misses `need` (a scalar or one bound per box) by at
+    most `reach` is tightened to "both", the edge mean-value form intersected
+    with that lemma enclosure, in blocks of `_RETRY_BLOCK`.  Every box is
     bounded on its own, so the blocking moves no bound.  "both" is never
     looser than "lemma", so with the default infinite reach (the replay's) a
-    row clears `need` exactly when its "both" bound would.  A NaN lemma
-    bound is not retried: the intersection takes numpy's NaN-propagating
-    maximum.
+    box clears `need` exactly when its "both" bound would.  A NaN lemma bound
+    is not retried: the intersection takes numpy's NaN-propagating maximum.
     """
-    need = np.broadcast_to(need, len(arr))
-    feasible = np.zeros(len(arr), dtype=bool)
-    out = np.full(len(arr), np.nan)
-    lemma_lo, lemma_hi = np.empty(len(arr)), np.empty(len(arr))
-    retry = np.zeros(len(arr), dtype=bool)
-    for start in range(0, len(arr), _EVAL_CHUNK):
-        (p1, p2, p3, p4), w, ok = _gauge_clip(arr[start:start + _EVAL_CHUNK], margin)
-        rows = start + np.flatnonzero(ok)
-        coords = [Interval(c.lo[ok], c.hi[ok]) for c in (p1, p2, p3, p4, w)]
-        lemma = residual_enclosure(FrameBox(*coords, margin), "lemma")
+    out, lemma_lo, lemma_hi = (np.empty(len(boxes)) for _ in range(3))
+    for start in range(0, len(boxes), _EVAL_CHUNK):
+        rows = slice(start, start + _EVAL_CHUNK)
+        lemma = residual_enclosure(_frame_box(boxes[rows], margin), "lemma")
         lemma_lo[rows], lemma_hi[rows] = lemma.lo, lemma.hi
         # at least two extra downward ulps: replays recompute the same
         # enclosure but may wobble in the last ulp of the libm calls
-        bound = _down(np.asarray(lemma.lo, dtype=float), 2)
-        retry[rows] = (bound < need[rows]) & (bound >= need[rows] - reach)
-        feasible[rows] = True
-        out[rows] = bound
-    retry = np.flatnonzero(retry)
+        out[rows] = _down(np.asarray(lemma.lo, dtype=float), 2)
+    retry = np.flatnonzero((out < need) & (out >= need - reach))
     for start in range(0, len(retry), _RETRY_BLOCK):
         rows = retry[start:start + _RETRY_BLOCK]
-        (p1, p2, p3, p4), w, _ = _gauge_clip(arr[rows], margin)
-        both = edge_mean_value_enclosure(FrameBox(p1, p2, p3, p4, w, margin))
+        both = edge_mean_value_enclosure(_frame_box(boxes[rows], margin))
         both = both.intersect(Interval(lemma_lo[rows], lemma_hi[rows]))
         out[rows] = _down(np.asarray(both.lo, dtype=float), 2)
-    return feasible, out
+    return out
 
 
-def _clipped(arr: np.ndarray, margin: float) -> np.ndarray:
-    """`_gauge_clip` of boxes (shape (n, 5, 2)) as boxes of the same shape;
-    a box that misses the gauge plane or the cut comes back with lo > hi in
-    some p."""
-    p, w, _ = _gauge_clip(arr, margin)
-    return np.stack([np.stack([c.lo, c.hi], axis=1) for c in (*p, w)], axis=1)
+def _check_limits(margin: float, target: float, error: type) -> None:
+    # the runs `certify` makes are the only ones `verify_certificate` accepts
+    if not (0.0 < margin <= 0.2):
+        raise error("margin must lie in (0, 0.2]")
+    if not (0.0 <= target < math.inf):
+        raise error("target must be finite and nonnegative")
 
 
 def _split_dims(boxes: np.ndarray) -> np.ndarray:
@@ -320,8 +316,7 @@ def _levels(tree: str) -> list:
 
 def _decode(tree: str, margin: float) -> tuple:
     """Regenerate the boxes of a level-order tree code from the root: each
-    split node's box is clipped and bisected along the dimension its code
-    names.
+    split node's box is clipped and bisected along its coded dimension.
 
     Returns (leaf boxes, infeasible-node boxes), both (n, 5, 2) in level
     order and as the tree places them, before their own clip.  Raises MalformedCertificate where `_levels` does.
@@ -332,7 +327,7 @@ def _decode(tree: str, margin: float) -> tuple:
         leaves.append(level[node == _LEAF])
         empties.append(level[node == _EMPTY])
         split = _is_split(node)
-        level = _bisect(_clipped(level[split], margin), node[split] - _SPLIT_P1)
+        level = _bisect(_clipped(level[split], margin)[0], node[split] - _SPLIT_P1)
     return np.concatenate(leaves), np.concatenate(empties)
 
 
@@ -345,10 +340,7 @@ def certify(margin: float, target: float = 0.0,
     certificate flagged incomplete whose c_star is the best bound
     established so far.
     """
-    if not (0.0 < margin <= 0.2):
-        raise ValueError("margin must lie in (0, 0.2]")
-    if not (0.0 <= target < math.inf):
-        raise ValueError("target must be finite and nonnegative")
+    _check_limits(margin, target, ValueError)
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
 
@@ -357,7 +349,9 @@ def certify(margin: float, target: float = 0.0,
     evaluated = depth = 0
     complete = True
     while len(level):
-        feasible, bounds = _evaluate(level, margin, target, _REACH)
+        boxes, feasible = _clipped(level, margin)
+        bounds = np.full(len(level), np.nan)
+        bounds[feasible] = _evaluate(boxes[feasible], margin, target, _REACH)
         evaluated += int(np.count_nonzero(feasible))
         split = feasible & ~(bounds >= target)
         pending = np.flatnonzero(split)
@@ -366,14 +360,13 @@ def certify(margin: float, target: float = 0.0,
             # out of boxes or depth: the rest stay leaves of a partial result
             split[pending[room:]] = False
             complete = False
-        parents = _clipped(level[split], margin)
-        dims = _split_dims(parents)
+        dims = _split_dims(boxes[split])
         code = np.full(len(level), _EMPTY, dtype=np.uint8)
         code[feasible] = _LEAF
         code[split] = _SPLIT_P1 + dims
         codes.append(code.tobytes())
         leaf_bounds.append(bounds[feasible & ~split])
-        level = _bisect(parents, dims)
+        level = _bisect(boxes[split], dims)
         depth += 1
 
     bounds = np.concatenate(leaf_bounds).tolist()
@@ -384,35 +377,39 @@ def certify(margin: float, target: float = 0.0,
 
 
 def verify_certificate(cert) -> bool:
-    """Replay a certificate: regenerate every box from its tree, check each
-    node's code against the box's feasibility, and recompute the box count,
+    """Replay a certificate: regenerate every box from its tree, clip each
+    once and check its code against its feasibility, recompute the box count,
     each leaf's residual lower bound (trig-first, by `_evaluate`; a leaf
-    whose enclosure cannot be formed rejects), the global bound and the
-    completeness flag.  Accepts a Certificate or its JSON dict; returns True
-    iff all claims hold.
+    whose enclosure cannot be formed rejects) and the global bound, and check
+    that a document flagged complete has every leaf clear its target (an
+    incomplete flag claims nothing).  Accepts a Certificate or its JSON dict;
+    returns True iff all claims hold.  It raises MalformedCertificate on an
+    empty leaf set or a margin or target that `certify` refuses.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_dict(cert)
     if not isinstance(cert, Certificate):
         raise MalformedCertificate(f"cannot verify {type(cert)!r}")
-    if not (0.0 < cert.margin <= 0.2) or not cert.bounds:
-        raise MalformedCertificate("bad margin or empty leaf set")
+    _check_limits(cert.margin, cert.target, MalformedCertificate)
+    if not cert.bounds:
+        raise MalformedCertificate("empty leaf set")
 
     leaves, empties = _decode(cert.tree, cert.margin)
     recorded = np.array(cert.bounds, dtype=float)
     if len(leaves) != len(recorded) \
             or cert.box_count != len(cert.tree) - cert.tree.count("."):
         return False
-    # each code must match its box: '.' misses the gauge plane or the cut,
-    # 'L' meets both
-    if np.any(_gauge_clip(empties, cert.margin)[2]):
+    # each code must match its box: 'L' meets the gauge plane and the cut,
+    # '.' misses one
+    boxes, feasible = _clipped(leaves, cert.margin)
+    if not np.all(feasible) or np.any(_gauge_clip(empties, cert.margin)[2]):
         return False
     try:
-        feasible, recomputed = _evaluate(leaves, cert.margin, recorded)
+        recomputed = _evaluate(boxes, cert.margin, recorded)
     except IntervalError:  # an enclosure that cannot be formed proves nothing
         return False
     # comparisons are written so that a NaN on either side rejects
-    if not np.all(feasible) or np.any(~(recomputed >= recorded)):
+    if np.any(~(recomputed >= recorded)):
         return False
     if float(np.min(recorded)) != cert.c_star:
         return False

@@ -78,8 +78,8 @@ def _emit(report: dict, args, csv_rows=None) -> None:
 
 
 def _finite_tol(tol: float) -> float:
-    if not math.isfinite(tol):
-        raise UsageError(f"tol must be finite, not {tol!r}")
+    if not (0.0 <= tol < math.inf):
+        raise UsageError(f"tol must be finite and nonnegative, not {tol!r}")
     return tol
 
 

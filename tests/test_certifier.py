@@ -311,7 +311,7 @@ def test_certificate_holds_bounds_and_derives_leaf_boxes(cert):
 
 def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
     monkeypatch.setattr(certifier, "_evaluate", lambda boxes, margin, recorded=None:
-                        (np.ones(len(boxes), dtype=bool), np.full(len(boxes), np.nan)))
+                        np.full(len(boxes), np.nan))
     assert not verify_certificate(cert)
 
 
@@ -415,7 +415,7 @@ def _evaluated_boxes(cert):
     for node in certifier._levels(cert.tree):
         boxes.append(level[node != certifier._EMPTY])
         split = certifier._is_split(node)
-        level = _bisect(certifier._clipped(level[split], cert.margin),
+        level = _bisect(certifier._clipped(level[split], cert.margin)[0],
                         node[split] - certifier._SPLIT_P1)
     return np.concatenate(boxes)
 
@@ -482,6 +482,26 @@ def test_margin_015_tree_is_pinned(pinned):
     assert pinned.box_count == 2_705
     assert len(pinned.leaves) == 1_353
     assert pinned.c_star == pytest.approx(7.373508288263633e-08, rel=1e-9)
+
+
+@pytest.mark.parametrize("tree", ["pinned", "dotted"])
+def test_certify_and_replay_clip_each_node_once(request, monkeypatch, tree):
+    # each node's box is clipped once and that clip is bounded, split and
+    # checked against its code; the margin-0.18 tree has '.' nodes
+    done = request.getfixturevalue(tree)
+    rows = [0]
+    clip = certifier._gauge_clip
+
+    def counted(arr, margin):
+        rows[0] += len(arr)
+        return clip(arr, margin)
+
+    monkeypatch.setattr(certifier, "_gauge_clip", counted)
+    again = certify(margin=done.margin)
+    assert again.tree == done.tree and rows[0] == len(done.tree)
+    rows[0] = 0
+    assert verify_certificate(again)
+    assert rows[0] == len(done.tree)
 
 
 def test_leaves_cover_every_sampled_frame_carried_into_the_cut(pinned):
@@ -634,11 +654,11 @@ def test_each_split_code_bisects_the_clipped_box_along_its_dimension(code):
     # the root split along p1, its upper half a leaf and its lower half
     # split along `code` into two leaves
     leaf, low, high = _decode("0" + code + "LLL", 0.2)[0]
-    root = certifier._clipped(certifier._root_level(0.2), 0.2)[0]
+    root = certifier._clipped(certifier._root_level(0.2), 0.2)[0][0]
     lower = root.copy()
     lower[0, 1] = 0.5 * (root[0, 0] + root[0, 1])
     _assert_halves(root, lower, leaf, 0)
-    parent = certifier._clipped(lower[None], 0.2)[0]
+    parent = certifier._clipped(lower[None], 0.2)[0][0]
     assert not np.array_equal(parent, lower)  # p1 <= 0.3 moves the other p
     _assert_halves(parent, low, high, int(code))
 

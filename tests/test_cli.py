@@ -256,20 +256,45 @@ def test_certify_without_out_embeds_the_certificate_it_would_write(tmp_path, cap
     assert verify_certificate(embedded) is True
 
 
-@pytest.mark.parametrize("edit", [
-    {"margin": 0.3}, {"margin": 0.0}, {"margin": -0.1},
-    {"tree": ".", "leaves": [], "box_count": 0},
-], ids=["margin-too-wide", "margin-zero", "margin-negative", "no-leaves"])
-def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, edit):
+def _check_edited_cert(tmp_path, capsys, edit, max_boxes="1000000"):
+    """check-cert of a margin-0.2 certificate with some fields replaced."""
     cert_path = tmp_path / "cert.json"
-    code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
-    assert code == 0
+    code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--max-boxes", max_boxes,
+                              "--out", str(cert_path)])
+    assert code == (1 if max_boxes == "1" else 0)  # one box is an incomplete run
     doc = {**json.loads(cert_path.read_text()), **edit}
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, ["check-cert", str(bad_path)])
+    return run(capsys, ["check-cert", str(bad_path)])
+
+
+_BAD_MARGIN = "error: malformed certificate: margin must lie in (0, 0.2]\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"margin": 0.3}, _BAD_MARGIN), ({"margin": 0.0}, _BAD_MARGIN),
+    ({"margin": -0.1}, _BAD_MARGIN),
+    ({"tree": ".", "leaves": [], "box_count": 0},
+     "error: malformed certificate: empty leaf set\n"),
+], ids=["margin-too-wide", "margin-zero", "margin-negative", "no-leaves"])
+def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, edit,
+                                                              message):
+    code, out, err = _check_edited_cert(tmp_path, capsys, edit)
+    assert code == 2 and out == "" and err == message
+
+
+@pytest.mark.parametrize("max_boxes, edit", [
+    ("1000000", {"target": -5.0}), ("1000000", {"target": -1e-300}),
+    # one leaf whose bound lies below zero but clears the claimed target
+    ("1", {"target": -2.0, "complete": True}),
+], ids=["target-negative", "target-negative-tiny", "one-leaf-complete-at-negative-target"])
+def test_check_cert_rejects_a_target_that_certify_refuses(tmp_path, capsys, max_boxes,
+                                                          edit):
+    code, out, err = _check_edited_cert(tmp_path, capsys, edit, max_boxes)
     assert code == 2 and out == ""
-    assert err == "error: malformed certificate: bad margin or empty leaf set\n"
+    assert err == "error: malformed certificate: target must be finite and nonnegative\n"
+    code, _, err = run(capsys, ["certify", "--margin", "0.2", f"--target={edit['target']}"])
+    assert code == 2 and err == "error: target must be finite and nonnegative\n"
 
 
 def test_check_cert_rejects_nan_target(tmp_path, capsys):
@@ -405,11 +430,14 @@ def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
     ["search", "--budget", "-1"], ["audit", "--margin", "0.5"],
     ["audit", "--samples", "0"], ["audit", "--samples", "-5"],
     ["audit", "--tol", "nan"], ["eval", "--tol", "nan", "--points", SQUARE_JSON],
+    ["audit", "--samples", "100", "--tol", "-1"],
+    ["eval", "--tol", "-1", "--points", SQUARE_JSON],
     *[["audit", "--strategy", "point-rejection", "--margin", margin]
       for margin in ("nan", "-3", "0.5")],
 ], ids=["search-margin-too-wide", "search-no-starts", "search-negative-budget",
         "audit-margin-too-wide", "audit-no-samples", "audit-negative-samples",
-        "audit-tol-nan", "eval-tol-nan", "point-rejection-margin-nan",
+        "audit-tol-nan", "eval-tol-nan", "audit-tol-negative", "eval-tol-negative",
+        "point-rejection-margin-nan",
         "point-rejection-margin-negative", "point-rejection-margin-too-wide"])
 def test_audit_search_and_eval_reject_bad_arguments(tmp_path, capsys, argv):
     out_path = tmp_path / "report.json"

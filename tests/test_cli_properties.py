@@ -1,7 +1,9 @@
 """Property tests of the command line: whatever whitespace separates the
 tokens of a valid `--points` document, and whatever JSON value either flag
 is given, `eval` ends with an exit status and any report it writes is
-JSON."""
+JSON; whatever one field of a certificate is changed to, `check-cert`'s
+verifier answers or calls the document malformed, and accepts only a claim
+that `certify` could make."""
 
 import contextlib
 import io
@@ -11,8 +13,10 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from quadineq.certifier import (MalformedCertificate, certify,  # noqa: E402
+                                 verify_certificate)
 from quadineq.cli import main  # noqa: E402
 from quadineq.geometry import DiagonalFrame, quad_from_frame  # noqa: E402
 
@@ -56,3 +60,40 @@ def test_eval_of_points_with_any_whitespace_writes_json(p, w, gaps):
 @given(option=st.sampled_from(["--points", "--frame"]), value=_JSON)
 def test_eval_of_any_json_value_ends_with_an_exit_status(option, value):
     _eval([option, json.dumps(value)])
+
+
+_CERT = certify(margin=0.2).to_json_dict()
+_TREES = st.text(alphabet="01234L.x", max_size=80)
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _edits(draw):
+    """A path into the certificate document and a value to put there: tree
+    codes for the tree, finite floats for the numbers, any JSON value."""
+    path = draw(st.sampled_from([(key,) for key in sorted(_CERT)] + [("leaves", 0)])
+                | st.integers(0, len(_CERT["leaves"]) - 1).map(
+                    lambda leaf: ("leaves", leaf, "lower_bound")))
+    numeric = path[-1] in ("margin", "target", "c_star", "box_count", "lower_bound")
+    special = _TREES if path == ("tree",) else _NUMBERS if numeric else st.nothing()
+    return path, draw(special | _JSON)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(edit=_edits())
+@example(edit=(("target",), -5.0))
+def test_check_cert_of_a_tampered_certificate_accepts_only_what_certify_claims(edit):
+    (*parents, last), value = edit
+    doc = json.loads(json.dumps(_CERT))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    try:
+        verified = verify_certificate(doc)
+    except MalformedCertificate:
+        return
+    assert isinstance(verified, bool)
+    if verified:
+        assert 0.0 < doc["margin"] <= 0.2 and doc["target"] >= 0.0
+        assert not doc["complete"] or doc["c_star"] >= doc["target"]
