@@ -18,19 +18,23 @@ depend on which rows share its batch.  Runs are deterministic per (seed,
 starts, margin, budget), and a schedule's results equal those of separate
 one-margin searches.
 
-The descent is bound by the number of numpy calls, not by the rows they
-carry: most passes step a few hundred rows or fewer.  So the objective
-reads only the six lengths and four areas of the edge residual (the split
-angles of QuadMetrics are never computed for it); each pass evaluates
-every row's reflection and inside contraction in one objective call,
-though only a row whose reflection fails (a few percent) uses and counts
-its contraction; and the step avoids numpy's slow wrappers and its
-reductions over short axes.  Every value is bitwise what the plain
-formulas give, which tests/test_search.py checks.
+Each pass evaluates one trial point per row: its reflection or, where
+that reflection failed on the pass before, its inside contraction, plus
+five vertices for a row whose contraction fails and shrinks.  So the
+objective computes only points that a row counts: on the 256-start,
+three-margin search at seed 0 (768 rows, budget 2000) it computes 917,034
+rows, the 916,266 counted evaluations plus the 768 starts, in 2,224 calls,
+1,995 of them passes of 438 rows on average (768 at most).  It reads only
+the lengths and areas of the edge residual, never a split angle.  The step
+avoids numpy's slow wrappers, and takes each row's lowest and highest value
+by elementwise chains over the six columns, not by a reduction over a
+short axis.  Every value is bitwise what the plain formulas give, which
+tests/test_search.py checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,9 +47,6 @@ from .kernel import audit, normalized_residual
 COUNTEREXAMPLE_THRESHOLD = -1e-12
 
 _N_COORDS = 5  # p1..p4, w
-# centroid + t (centroid - worst): the reflection (t = 1) and the inside
-# contraction (t = -1/2) of a simplex step
-_TRIAL_STEPS = np.array([[1.0], [-0.5]])
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def _initial_points(seed: int, starts: int, margin: float) -> np.ndarray:
 def _keep_best(best_x, best_f, simplex, values) -> np.ndarray:
     """Record each row's lowest vertex where it beats the row's best so far
     (the first such vertex on ties); returns every row's lowest value."""
-    low = values.min(axis=1)
+    low = functools.reduce(np.minimum, values.T)
     improved = (low < best_f).nonzero()[0]
     best_f[improved] = low[improved]
     best_x[improved] = simplex[improved, values[improved].argmin(axis=1)]
@@ -158,8 +159,9 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
     budget caps the objective evaluations each row may spend beyond its
     start point.  The loop works on the rows still descending: a row that
     converges or cannot afford another reflection is written back to its
-    slot and dropped from the batch.  Returns each row's best point, best
-    value, evaluation count and iteration count.
+    slot and dropped from the batch, never while its contraction is
+    pending.  Returns each row's best point, best value, evaluation count
+    and iteration count.
     """
     n = len(x0)
     best_x, best_f = x0.copy(), f0.copy()
@@ -186,6 +188,8 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
     rows = np.arange(n if budget > _N_COORDS else 0)
     simplex, values, margin = simplex[rows], values[rows], margin[rows]
     bx, bf, ev, it = best_x[rows], best_f[rows], evals[rows], iters[rows]
+    # rows whose reflection failed, with its value, to contract on the next pass
+    pending, f_fail = np.zeros(rows.size, dtype=bool), np.full(rows.size, np.inf)
     while rows.size:
         # rank each row's vertices, best first, through one flat gather
         order = np.argsort(values, axis=1, kind="stable")
@@ -198,25 +202,19 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
         worst = simplex[:, -1, :]
         f_worst = values[:, -1]
 
-        # every row's reflection and inside contraction share one objective
-        # call; a contraction counts, and is used, only where the reflection
-        # fails and the row can afford it (a row that cannot afford its
-        # reflection has left the batch)
-        trial = _project(centroid[:, None, :] + _TRIAL_STEPS * (centroid - worst)[:, None, :],
+        # one trial point per row: its reflection or, where the reflection
+        # failed on the pass before (the simplex has not moved since), its
+        # inside contraction; a failed contraction shrinks in the same pass
+        trial = _project(centroid + np.where(pending, -0.5, 1.0)[:, None] * (centroid - worst),
                          margin)
         f_trial = _objective(trial)
-        f_reflect, f_contract = f_trial[:, 0], f_trial[:, 1]
         ev += 1
-        accept_reflect = f_reflect < values[:, -2]
-        need_contract = ~accept_reflect & (ev + 1 <= budget)
-        ev += need_contract
-        accept_contract = need_contract & (f_contract < np.minimum(f_worst, f_reflect))
-
-        need_shrink = need_contract & ~accept_contract & (ev + _N_COORDS <= budget)
-        simplex[accept_reflect, -1, :] = trial[accept_reflect, 0]
-        values[accept_reflect, -1] = f_reflect[accept_reflect]
-        simplex[accept_contract, -1, :] = trial[accept_contract, 1]
-        values[accept_contract, -1] = f_contract[accept_contract]
+        accept = np.where(pending, f_trial < np.minimum(f_worst, f_fail),
+                          f_trial < values[:, -2])
+        need_shrink = pending & ~accept & (ev + _N_COORDS <= budget)
+        pending, f_fail = ~pending & ~accept & (ev + 1 <= budget), f_trial
+        simplex[accept, -1, :] = trial[accept]
+        values[accept, -1] = f_trial[accept]
         if need_shrink.any():
             best_vertex = simplex[need_shrink, :1, :]
             shrunk = _project(best_vertex + 0.5 * (simplex[need_shrink, 1:, :] - best_vertex),
@@ -224,18 +222,18 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
             simplex[need_shrink, 1:, :] = shrunk
             values[need_shrink, 1:] = _objective(shrunk)
             ev[need_shrink] += _N_COORDS
-        it += accept_reflect | accept_contract | need_shrink
+        it += accept | need_shrink
 
         low = _keep_best(bx, bf, simplex, values)
-        converged = values.max(axis=1) - low <= 1e-15 * (1.0 + np.abs(low))
-        done = converged | (ev + 1 > budget)
+        converged = functools.reduce(np.maximum, values.T) - low <= 1e-15 * (1.0 + np.abs(low))
+        done = (converged | (ev + 1 > budget)) & ~pending
         if done.any():
             slots = rows[done]
             best_x[slots], best_f[slots] = bx[done], bf[done]
             evals[slots], iters[slots] = ev[done], it[done]
             keep = ~done
-            rows, simplex, values, margin, bx, bf, ev, it = (
-                a[keep] for a in (rows, simplex, values, margin, bx, bf, ev, it))
+            rows, simplex, values, margin, bx, bf, ev, it, pending, f_fail = (
+                a[keep] for a in (rows, simplex, values, margin, bx, bf, ev, it, pending, f_fail))
     return best_x, best_f, evals, iters
 
 

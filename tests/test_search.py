@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quadineq import search
 from quadineq.geometry import (DiagonalFrame, metrics, metrics_from_frames, quad_from_frame,
                                sample)
 from quadineq.ioutil import dumps
@@ -91,6 +92,31 @@ def test_trajectories_do_not_depend_on_the_other_starts(budget):
     for a, b in zip(few, many):
         assert ([t.to_json_dict() for t in a.trajectories]
                 == [t.to_json_dict() for t in b.trajectories[:k]])
+
+
+def test_search_evaluates_only_the_points_it_counts(monkeypatch):
+    # every objective row is a start point or a counted evaluation: a pass
+    # evaluates one trial point per row, and a shrink its five vertices
+    rows = []
+
+    def counting(p, w):
+        rows.append(len(w))
+        return metrics_from_frames(p, w)
+
+    monkeypatch.setattr(search, "metrics_from_frames", counting)
+    runs = boundary_trend(0, 16, [0.05, 0.005, 0.0005], 300)
+    evaluations = sum(t.evaluations for r in runs for t in r.trajectories)
+    assert sum(rows) == evaluations + 3 * 16
+
+
+def test_a_flat_objective_reflects_contracts_and_shrinks_once(monkeypatch):
+    # the initial simplex is already converged, but a row whose reflection
+    # fails still contracts and shrinks before it stops: 1 + 1 + 5 evaluations
+    monkeypatch.setattr(search, "_objective", lambda x: np.zeros(x.shape[:-1]))
+    x0 = _project(_raw_rows(np.random.default_rng(3), 8), 0.05)
+    _, best_f, evals, iters = _descend(x0, np.zeros(8), np.full(8, 0.05), 100)
+    assert (best_f == 0.0).all()
+    assert evals.tolist() == [12] * 8 and iters.tolist() == [1] * 8
 
 
 def test_budget_of_one_simplex_reports_its_best_vertex():
@@ -318,10 +344,12 @@ def _descend_reference(x0, f0, margin, budget):
     return best_x, best_f, evals, iters
 
 
-@pytest.mark.parametrize("budget", [5, 6, 7, 90, 600])
+# 8, 11, 12 and 13 are where a contraction, or the shrink after it, only
+# just fits the budget or only just misses it
+@pytest.mark.parametrize("budget", [5, 6, 7, 8, 11, 12, 13, 90, 600, 2000])
 def test_descent_is_bitwise_the_plain_loop(budget):
     rng = np.random.default_rng(budget)
-    margin = np.repeat([0.05, 0.005, 0.0005], 16)
+    margin = np.repeat([0.05, 0.005, 0.0005, 1e-6], 16)
     x0 = _project_reference(_raw_rows(rng, len(margin)), margin[:, None])
     f0 = _objective(x0)
     got = _descend(x0, f0, margin, budget)
