@@ -57,10 +57,20 @@ def _load_json_argument(text: str, what: str) -> dict:
             f"malformed JSON in {source}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # an integer literal with more digits than Python converts
         raise UsageError(f"malformed JSON in {source}: {exc}")
+    except RecursionError:
+        raise UsageError(f"malformed JSON in {source}: nested too deeply")
 
 
 def _sign_probe(seed: int) -> str:
     return audit_samples(seed, _SIGN_PROBE_SAMPLES, margin=0.05).sign_resolution
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _emit(report: dict, args, csv_rows=None) -> None:
@@ -71,8 +81,7 @@ def _emit(report: dict, args, csv_rows=None) -> None:
     else:
         text = dumps(report) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -174,8 +183,7 @@ def _cmd_certify(args) -> int:
                          f"enclosures: {exc}")
     doc = cert.to_json_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc) + "\n")
+        _write(args.out, dumps(doc) + "\n")
     summary = {
         "version": __version__,
         "command": "certify",

@@ -5,10 +5,9 @@ its operand intervals.  Outward rounding is realized by nudging endpoints
 instead of switching the FPU rounding mode, so evaluation is pure,
 thread-safe and bit-deterministic:
 
-  * exact additions/subtractions (detected with an error-free 2Sum) keep
-    their endpoints, inexact ones are widened by one ulp;
-  * multiplication, division and sqrt are widened by one ulp (sqrt is
-    correctly rounded, products are within half an ulp);
+  * sums, differences, products, quotients and sqrt are rounded to
+    nearest, so within half an ulp of the exact result, and each is
+    widened by one step, exact results included;
   * sin, cos and atan2 are widened by four ulps to cover libm error.
 
 The nudge is the branch-free successor bound of Rump, Zimmermann, Boldo and
@@ -87,16 +86,6 @@ def _up(x, ulps: int = 1):
     return x
 
 
-def _sum_with_exact_flag(a, b):
-    # 2Sum: err is the exact rounding error of a + b, so err == 0 detects
-    # exact sums without branching.
-    s = a + b
-    bv = s - a
-    av = s - bv
-    err = (b - bv) + (a - av)
-    return s, err == 0
-
-
 @dataclass(frozen=True, eq=False)
 class Interval:
     """Closed interval [lo, hi]; endpoints are floats or numpy arrays."""
@@ -138,10 +127,7 @@ class Interval:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        lo, lo_exact = _sum_with_exact_flag(self.lo, other.lo)
-        hi, hi_exact = _sum_with_exact_flag(self.hi, other.hi)
-        return Interval(np.where(lo_exact, lo, _down(lo)),
-                        np.where(hi_exact, hi, _up(hi)))
+        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)

@@ -500,6 +500,36 @@ def test_report_written_to_out_path(tmp_path, capsys):
     assert doc["command"] == "audit"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--points", SQUARE_JSON],
+    ["audit", "--samples", "10"],
+    ["certify", "--margin", "0.2"],
+    ["check-cert", "CERT"],
+    ["search", "--starts", "1", "--budget", "10"],
+], ids=["eval", "audit", "certify", "check-cert", "search"])
+def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 means a violation or an incomplete result, so an unwritable
+    # --out exits 2 like every other bad argument
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", "--margin", "0.2", "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "missing" / "report.json"
+    argv = [str(cert_path) if arg == "CERT" else arg for arg in argv]
+    code, out, err = run(capsys, argv + ["--out", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize("argv", [["check-cert", "FILE"], ["eval", "--points", "@FILE"]],
+                         ids=["check-cert", "eval"])
+def test_json_nested_deeper_than_the_parser_reaches_is_malformed(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, [arg.replace("FILE", str(path)) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed JSON in {path}: ")
+
+
 def test_audit_with_a_nan_row_reports_failure_with_exit_one(capsys, monkeypatch):
     from quadineq import kernel
 

@@ -1,6 +1,7 @@
 """Outward-rounded interval arithmetic and residual enclosures."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,9 +44,47 @@ def rand_interval(rng, lo=-5.0, hi=5.0):
 # basic arithmetic
 # ---------------------------------------------------------------------------
 
-def test_exact_addition_keeps_endpoints():
-    out = Interval(1.0, 2.0) + Interval(3.0, 4.0)
-    assert (out.lo, out.hi) == (4.0, 6.0)
+def _sum_operands(rng, n):
+    """Float pairs for the sum rule: magnitudes from 1e-300 to 1e300 with
+    mixed signs, cancelling pairs, subnormals, and sums exact in binary64."""
+    def signs(size):
+        return rng.choice([-1.0, 1.0], size)
+
+    def wide(size):
+        return signs(size) * 10.0 ** rng.uniform(-300, 300, size)
+
+    def subnormal(size):
+        return signs(size) * 2.0**-1074 * rng.integers(1, 2**52, size).astype(float)
+
+    x = wide(n)
+    cancel = -x * rng.uniform(0.5, 2.0, n)  # Sterbenz: x + cancel is exact
+    tiny = subnormal(n)
+    normal_min = signs(n) * 2.0**-1022 * rng.uniform(1.0, 4.0, n)
+    exact = [(1.0, 3.0), (0.5, 0.25), (-2.0, 2.0), (1e300, 1e300), (0.0, 0.0),
+             (2.0**-1074, 2.0**-1074), (-1e-300, 1e-300), (1.0, -0.75)]
+    a = np.concatenate([x, x, tiny, normal_min, [p for p, _ in exact]])
+    b = np.concatenate([wide(n), cancel, subnormal(n), subnormal(n),
+                        [q for _, q in exact]])
+    return a, b
+
+
+def test_every_sum_steps_outward_past_the_rounded_sum():
+    # each endpoint sum is rounded to nearest, then stepped one ulp outward:
+    # the result encloses the exact rational sum, and every endpoint lies
+    # strictly outside the rounded sum, exact sums such as 1 + 3 included
+    a, b = _sum_operands(np.random.default_rng(2112), 500)
+    out = Interval(a, a) + Interval(b, b)
+    rounded = a + b
+    assert np.all(np.isfinite(out.lo)) and np.all(np.isfinite(out.hi))
+    assert np.all(out.lo < rounded) and np.all(rounded < out.hi)
+    exact_sums = 0
+    for x, y, lo, hi, s in zip(a, b, out.lo, out.hi, rounded):
+        exact = Fraction(x) + Fraction(y)
+        assert Fraction(lo) <= exact <= Fraction(hi), (x, y)
+        exact_sums += Fraction(s) == exact
+    assert exact_sums > 1000  # the cancelling and subnormal pairs
+    scalar = Interval(1.0, 2.0) + Interval(3.0, 4.0)
+    assert (scalar.lo, scalar.hi) == (np.nextafter(4.0, 0.0), np.nextafter(6.0, 7.0))
 
 
 def test_inexact_addition_widens_outward():
@@ -70,8 +109,9 @@ def test_division_by_zero_interval_raises():
 
 
 def test_negation_and_subtraction():
+    # both differences are exact, and each still steps one ulp outward
     out = Interval(1.0, 2.0) - Interval(0.5, 3.0)
-    assert (out.lo, out.hi) == (-2.0, 1.5)
+    assert (out.lo, out.hi) == (np.nextafter(-2.0, -3.0), np.nextafter(1.5, 2.0))
 
 
 def test_square_tight_around_zero():

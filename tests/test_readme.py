@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from quadineq import __version__
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -38,3 +40,9 @@ def test_quick_start_runs_and_gives_its_commented_values():
     assert checked[:3] == ['residual(m, "edge")', 'residual(m, "expanded")',
                            'residual(m, "lemma")']
     assert checked[-1] == "audit(q).passed()"
+
+
+def test_readme_names_the_certificate_format_of_the_package():
+    # a version bump that moves the format cannot leave README naming the old one
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"It is\s+format (\d+\.\d+\.\d+)", text) == [__version__]
