@@ -57,7 +57,10 @@ Certify and replay share one cheap-first evaluation of clipped boxes,
 `_evaluate`, which bounds each box once with the trig ("lemma") form and,
 only where that bound misses what is needed, tightens it to "both": the
 edge mean-value form, most of the per-box cost, intersected with the lemma
-enclosure in hand.
+enclosure in hand.  The mean-value form is centred where its lower bound
+is largest (`interval.edge_mean_value_enclosure`), which in format 0.6.0
+took the margin-0.12 tree from 21,323 boxes to 17,545 and the margin-0.1
+tree from 83,519 to 50,159, against the box midpoint of format 0.5.0.
 `certify` needs the target: a box whose lemma bound clears it records that
 bound, one that misses by at most `_REACH` is tightened, and one further
 below is split on its lemma bound (about half the boxes are split nodes,

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -63,6 +64,19 @@ def _load_json_argument(text: str, what: str) -> dict:
 
 def _sign_probe(seed: int) -> str:
     return audit_samples(seed, _SIGN_PROBE_SAMPLES, margin=0.05).sign_resolution
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an --out path that cannot be written before any work is spent
+    on it; a file this check creates is removed again, and an existing one
+    is left as it is."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+    if not existed:
+        os.remove(path)
 
 
 def _write(path: str, text: str) -> None:
@@ -307,6 +321,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
+        if args.out:
+            _check_writable(args.out)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

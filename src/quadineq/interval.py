@@ -30,7 +30,12 @@ certifier feeds through `residual_enclosure`.
 The certified enclosure (path "both") is the intersection of exactly two
 forms of the same residual: the mean-value form of the edge expressions
 and the factored trig form, whose sin X and sin Y factors are intersected
-with their area-quotient forms.
+with their area-quotient forms.  The mean-value form is centred, per
+coordinate, at the point of the box that maximizes its lower bound
+(Baumann's lower-optimal centre): the low end where the partial's
+enclosure is nonnegative, the high end where it is nonpositive, and in
+between otherwise.  Any point of the box is a sound centre, because the
+segment from it to any other point of the box stays in the box.
 """
 
 from __future__ import annotations
@@ -105,10 +110,6 @@ class Interval:
     @property
     def width(self):
         return self.hi - self.lo
-
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
 
     def subset_of(self, other: "Interval"):
         return (other.lo <= self.lo) & (self.hi <= other.hi)
@@ -431,17 +432,31 @@ def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     return _edge_residual_core(lengths, areas)
 
 
+def _lower_optimal_centre(coord: Interval, partial: Interval):
+    # Baumann, "Optimal centered forms" (BIT 1988): the low end where the
+    # partial is nonnegative, the high end where it is nonpositive, else the
+    # point where both ends of partial * (coord - c) reach the same low value
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        inner = (partial.hi * coord.lo - partial.lo * coord.hi) / (partial.hi - partial.lo)
+    centre = np.where(partial.hi <= 0.0, coord.hi, np.clip(inner, coord.lo, coord.hi))
+    return np.where(partial.lo >= 0.0, coord.lo, centre)
+
+
 def edge_mean_value_enclosure(box: FrameBox) -> Interval:
-    """Mean-value form of the edge-path residual: the value at the box
-    center plus gradient enclosures times the coordinate deviations.  Much
-    tighter than the natural evaluation on small boxes, where the natural
-    form loses a constant factor to operand dependency."""
+    """Mean-value form of the edge-path residual: the value at the
+    lower-optimal centre c of the box (module docstring) plus gradient
+    enclosures times the coordinate deviations x - c.  Much tighter than the
+    natural evaluation on small boxes, where the natural form loses a
+    constant factor to operand dependency.  A NaN partial gives a NaN bound,
+    which no check accepts."""
     di = edge_residual_with_gradient(box)
     coords = (box.p1, box.p2, box.p3, box.p4, box.w)
-    mids = [Interval.point(c.mid) for c in coords]
-    total = residual_enclosure(FrameBox(*mids, box.margin), "edge")
-    for j, (coord, mid) in enumerate(zip(coords, mids)):
-        total = total + Interval(di.grad.lo[j], di.grad.hi[j]) * (coord - mid)
+    partials = [Interval(di.grad.lo[j], di.grad.hi[j]) for j in range(5)]
+    centres = [Interval.point(_lower_optimal_centre(c, g))
+               for c, g in zip(coords, partials)]
+    total = residual_enclosure(FrameBox(*centres, box.margin), "edge")
+    for coord, centre, partial in zip(coords, centres, partials):
+        total = total + partial * (coord - centre)
     return total
 
 

@@ -243,8 +243,9 @@ def test_wrong_box_count_is_rejected(cert):
 def test_other_version_is_malformed(cert):
     # 0.2.0 certificates tile the whole domain, with no cut; 0.3.0 trees
     # split the unclipped box by a fixed rule; 0.4.0 trees were built with
-    # exact sums kept exact, so their clips place other boxes
-    for version in ("0.1.0", "0.2.0", "0.3.0", "0.4.0"):
+    # exact sums kept exact, so their clips place other boxes; 0.5.0 trees
+    # centred the mean-value form at the box midpoint, so split other boxes
+    for version in ("0.1.0", "0.2.0", "0.3.0", "0.4.0", "0.5.0"):
         doc = _fresh(cert)
         doc["version"] = version
         with pytest.raises(MalformedCertificate, match=f"'{version}'.*'{__version__}'"):
@@ -481,9 +482,18 @@ def test_margin_015_tree_is_pinned(pinned):
     # the box count, leaf count and c* of a mid-size run: any change to
     # the enclosures, the split rule or the cut that moves the tree shows here
     assert pinned.complete
-    assert pinned.box_count == 2_653
-    assert len(pinned.leaves) == 1_327
+    assert pinned.box_count == 2_441
+    assert len(pinned.leaves) == 1_221
     assert pinned.c_star == pytest.approx(3.57205992393298e-08, rel=1e-9)
+
+
+def test_benchmark_margin_012_tree_is_pinned():
+    # the tree the benchmark's certify and replay workloads run
+    done = certify(margin=0.12)
+    assert done.complete
+    assert done.box_count == 17_545
+    assert len(done.bounds) == 8_773
+    assert done.c_star == pytest.approx(1.4382907040007736e-09, rel=1e-9)
 
 
 @pytest.mark.parametrize("tree", ["pinned", "dotted"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadineq import __version__
+from quadineq import __version__, cli
 from quadineq.certifier import verify_certificate
 from quadineq.cli import main
 
@@ -518,6 +518,26 @@ def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv
     code, out, err = run(capsys, argv + ["--out", str(bad)])
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_certify_refuses_an_unwritable_out_before_it_runs(tmp_path, capsys, monkeypatch):
+    # the branch-and-bound is never started for a certificate it cannot write
+    def never(**kwargs):
+        raise AssertionError("certify ran")
+
+    monkeypatch.setattr(cli, "certify", never)
+    bad = tmp_path / "missing" / "cert.json"
+    code, out, err = run(capsys, ["certify", "--margin", "0.1", "--out", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_out_check_keeps_an_existing_file(tmp_path, capsys):
+    # a refused run leaves a file it did not write as it found it
+    path = tmp_path / "cert.json"
+    path.write_text("keep")
+    code, _, _ = run(capsys, ["certify", "--margin", "0.3", "--out", str(path)])
+    assert code == 2 and path.read_text() == "keep"
 
 
 @pytest.mark.parametrize("argv", [["check-cert", "FILE"], ["eval", "--points", "@FILE"]],

@@ -477,12 +477,71 @@ def test_gradient_containment_by_finite_differences():
         assert np.all((lo - 1e-5 <= fd) & (fd <= hi + 1e-5)), j
 
 
-def test_mean_value_enclosure_contains_point_values():
+def _mean_value_with_centre(monkeypatch, box):
+    """The mean-value enclosure of `box` and the centre it chose, captured
+    from its point evaluation, as an (n, 5) array."""
+    seen = []
+    enclose = interval.residual_enclosure
+
+    def capture(point, path="edge"):
+        seen.append(point)
+        return enclose(point, path)
+
+    monkeypatch.setattr(interval, "residual_enclosure", capture)
+    enc = edge_mean_value_enclosure(box)
+    monkeypatch.undo()
+    (point,) = seen
+    coords = (point.p1, point.p2, point.p3, point.p4, point.w)
+    assert all(np.array_equal(c.lo, c.hi) for c in coords)
+    return enc, np.stack([c.lo for c in coords], axis=1)
+
+
+def _box_array(box):
+    coords = (box.p1, box.p2, box.p3, box.p4, box.w)
+    return np.stack([np.stack([c.lo, c.hi], axis=1) for c in coords], axis=1)
+
+
+def test_mean_value_enclosure_contains_point_values(monkeypatch):
+    # the form encloses the five-variable residual over the whole box, off
+    # the gauge plane too: every corner, the chosen centre and seeded
+    # interior points
     rng = np.random.default_rng(31337)
     box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=0.05)
-    r = residual(metrics_from_frames(p_mid, w_mid), "edge")
-    enc = edge_mean_value_enclosure(box)
-    assert np.all((enc.lo <= r) & (r <= enc.hi))
+    enc, centre = _mean_value_with_centre(monkeypatch, box)
+    arr = _box_array(box)
+    corners = [arr[:, np.arange(5), list(bits)] for bits in np.ndindex(*(2,) * 5)]
+    interior = [arr[:, :, 0] + rng.uniform(size=(len(arr), 5)) * (arr[:, :, 1] - arr[:, :, 0])
+                for _ in range(8)]
+    gauge = np.concatenate([p_mid, w_mid[:, None]], axis=1)
+    for points in [gauge, centre, *corners, *interior]:
+        r = residual(metrics_from_frames(points[:, :4], points[:, 4]), "edge")
+        assert np.all((enc.lo <= r) & (r <= enc.hi))
+
+
+def test_mean_value_centre_is_the_end_a_one_signed_partial_names(monkeypatch):
+    # where a partial's enclosure excludes 0 the residual is monotone in
+    # that coordinate, and the lower-optimal centre is the end where it is
+    # lowest: the low end for a positive partial, the high end for a
+    # negative one; elsewhere the centre stays inside the box
+    rng = np.random.default_rng(2718)
+    box, _, _ = _random_boxes(rng, 20_000, width_scale=0.02)
+    _, centre = _mean_value_with_centre(monkeypatch, box)
+    grad = edge_residual_with_gradient(box).grad
+    arr = _box_array(box)
+    lo, hi = arr[:, :, 0].T, arr[:, :, 1].T
+    rising, falling = grad.lo > 0.0, grad.hi < 0.0
+    wide = lo < hi
+    assert np.count_nonzero(rising & wide) > 1_000 and np.count_nonzero(falling & wide) > 1_000
+    assert np.array_equal(centre.T[rising], lo[rising])
+    assert np.array_equal(centre.T[falling], hi[falling])
+    assert np.all((lo <= centre.T) & (centre.T <= hi))
+    # where the partial spans 0 both ends of partial * (x - c) reach the
+    # same low value
+    spans = wide & (grad.lo < 0.0) & (grad.hi > 0.0)
+    assert np.count_nonzero(spans) > 1_000
+    low_side = (grad.hi * (centre.T - lo))[spans]
+    high_side = (-grad.lo * (hi - centre.T))[spans]
+    assert np.allclose(low_side, high_side, rtol=1e-6, atol=0.0)
 
 
 def test_inclusion_monotonicity_core_ops():
@@ -569,8 +628,8 @@ def test_whole_domain_enclosure_contains_samples():
 def test_midpoint_residual_in_enclosure():
     rng = np.random.default_rng(17)
     box, p_mid, w_mid = _random_boxes(rng, 200)
-    mids_p = np.stack([box.p1.mid, box.p2.mid, box.p3.mid, box.p4.mid], axis=1)
-    r = residual(metrics_from_frames(mids_p, box.w.mid), "edge")
+    mids = _box_array(box).mean(axis=2)
+    r = residual(metrics_from_frames(mids[:, :4], mids[:, 4]), "edge")
     enc = residual_enclosure(box, "both")
     assert np.all((enc.lo <= r) & (r <= enc.hi))
 
