@@ -50,17 +50,18 @@ dimension, so a decoded tree covers the domain by construction whatever
 dimensions its codes name, and the verifier holds no split rule.
 `Certificate.leaves` pairs the decoded leaf boxes with their bounds for
 callers that want both.
-Recorded bounds are nudged at least two ulps down so replays tolerate
-last-ulp libm wobble without weakening the bound.
+Each recorded bound is the certifier's enclosure lower end nudged at least
+two ulps down.  The replay recomputes each leaf's own enclosure and accepts
+the leaf iff that bound is finite and at least the recorded one, so a
+replay whose libm calls land an ulp or two lower still verifies, and the
+recorded bound, below a sound lower end, is sound itself.
 
 Certify and replay share one cheap-first evaluation of clipped boxes,
 `_evaluate`, which bounds each box once with the trig ("lemma") form and,
 only where that bound misses what is needed, tightens it to "both": the
 edge mean-value form, most of the per-box cost, intersected with the lemma
 enclosure in hand.  The mean-value form is centred where its lower bound
-is largest (`interval.edge_mean_value_enclosure`), which in format 0.6.0
-took the margin-0.12 tree from 21,323 boxes to 17,545 and the margin-0.1
-tree from 83,519 to 50,159, against the box midpoint of format 0.5.0.
+is largest (`interval.edge_mean_value_enclosure`).
 `certify` needs the target: a box whose lemma bound clears it records that
 bound, one that misses by at most `_REACH` is tightened, and one further
 below is split on its lemma bound (about half the boxes are split nodes,
@@ -232,8 +233,8 @@ def _frame_box(boxes: np.ndarray, margin: float) -> FrameBox:
 
 def _evaluate(boxes: np.ndarray, margin: float, need,
               reach: float = math.inf) -> np.ndarray:
-    """Certified residual lower bounds of clipped boxes (shape (n, 5, 2)),
-    each meeting the gauge plane and the cut.
+    """The lower ends of certified residual enclosures of clipped boxes
+    (shape (n, 5, 2)), each meeting the gauge plane and the cut.
 
     Each box is bounded once with the lemma form, in chunks of `_EVAL_CHUNK`;
     one whose lemma bound misses `need` (a scalar or one bound per box) by at
@@ -244,20 +245,16 @@ def _evaluate(boxes: np.ndarray, margin: float, need,
     box clears `need` exactly when its "both" bound would.  A NaN lemma bound
     is not retried: the intersection takes numpy's NaN-propagating maximum.
     """
-    out, lemma_lo, lemma_hi = (np.empty(len(boxes)) for _ in range(3))
+    out, lemma_hi = np.empty(len(boxes)), np.empty(len(boxes))
     for start in range(0, len(boxes), _EVAL_CHUNK):
         rows = slice(start, start + _EVAL_CHUNK)
         lemma = residual_enclosure(_frame_box(boxes[rows], margin), "lemma")
-        lemma_lo[rows], lemma_hi[rows] = lemma.lo, lemma.hi
-        # at least two extra downward ulps: replays recompute the same
-        # enclosure but may wobble in the last ulp of the libm calls
-        out[rows] = _down(np.asarray(lemma.lo, dtype=float), 2)
+        out[rows], lemma_hi[rows] = lemma.lo, lemma.hi
     retry = np.flatnonzero((out < need) & (out >= need - reach))
     for start in range(0, len(retry), _RETRY_BLOCK):
         rows = retry[start:start + _RETRY_BLOCK]
         both = edge_mean_value_enclosure(_frame_box(boxes[rows], margin))
-        both = both.intersect(Interval(lemma_lo[rows], lemma_hi[rows]))
-        out[rows] = _down(np.asarray(both.lo, dtype=float), 2)
+        out[rows] = both.intersect(Interval(out[rows], lemma_hi[rows])).lo
     return out
 
 
@@ -354,7 +351,9 @@ def certify(margin: float, target: float = 0.0,
     while len(level):
         boxes, feasible = _clipped(level, margin)
         bounds = np.full(len(level), np.nan)
-        bounds[feasible] = _evaluate(boxes[feasible], margin, target, _REACH)
+        # recorded two ulps below the enclosure, so that a replay whose
+        # libm calls wobble in the last ulp still reaches the recorded bound
+        bounds[feasible] = _down(_evaluate(boxes[feasible], margin, target, _REACH), 2)
         evaluated += int(np.count_nonzero(feasible))
         split = feasible & ~(bounds >= target)
         pending = np.flatnonzero(split)
@@ -381,9 +380,10 @@ def certify(margin: float, target: float = 0.0,
 
 def verify_certificate(cert) -> bool:
     """Replay a certificate: regenerate every box from its tree, clip each
-    once and check its code against its feasibility, recompute the box count,
-    each leaf's residual lower bound (trig-first, by `_evaluate`; a leaf
-    whose enclosure cannot be formed rejects) and the global bound, and check
+    once and check its code against its feasibility, recompute the box count
+    and each leaf's own residual lower bound (trig-first, by `_evaluate`),
+    which must be finite and at least the recorded, nudged bound (a leaf
+    whose enclosure cannot be formed rejects), check the global bound, and check
     that a document flagged complete has every leaf clear its target (an
     incomplete flag claims nothing).  Accepts a Certificate or its JSON dict;
     returns True iff all claims hold.  It raises MalformedCertificate on an
@@ -411,8 +411,9 @@ def verify_certificate(cert) -> bool:
         recomputed = _evaluate(boxes, cert.margin, recorded)
     except IntervalError:  # an enclosure that cannot be formed proves nothing
         return False
-    # comparisons are written so that a NaN on either side rejects
-    if np.any(~(recomputed >= recorded)):
+    # a leaf holds iff its own bound is finite and reaches the recorded one;
+    # the comparisons are written so that a NaN on either side rejects
+    if np.any(~(np.isfinite(recomputed) & (recomputed >= recorded))):
         return False
     if float(np.min(recorded)) != cert.c_star:
         return False

@@ -17,13 +17,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .certifier import Certificate, MalformedCertificate, certify, verify_certificate
 from .geometry import (
+    ANGLE_FIELDS,
     GeometryError,
+    QuadMetrics,
     as_quadrilateral,
     configuration_from_json_dict,
     frame_of,
@@ -31,7 +34,8 @@ from .geometry import (
 )
 from .interval import IntervalError
 from .ioutil import dumps
-from .kernel import RESIDUAL_PATHS, audit, audit_samples, edge_terms, residual
+from .kernel import (IDENTITY_TOL, RESIDUAL_PATHS, audit, audit_samples, edge_terms,
+                     residual)
 from .search import boundary_trend
 
 _SIGN_PROBE_SAMPLES = 256
@@ -106,8 +110,18 @@ def _finite_tol(tol: float) -> float:
     return tol
 
 
-def _config_dict(args, fields) -> dict:
-    return {name: getattr(args, name.replace("-", "_")) for name in fields}
+def _report(args, config_fields, sign_resolution, **body) -> dict:
+    """A command's report: the envelope every command shares (version,
+    command, the effective configuration named by config_fields, and the
+    sign resolution) around the command's own fields."""
+    config = {name: getattr(args, name) for name in config_fields}
+    return {"version": __version__, "command": args.command, "config": config,
+            "sign_resolution": sign_resolution, **body}
+
+
+# eval's metrics, in report order: the lengths and areas, then the angles
+_METRIC_FIELDS = tuple(f.name for f in fields(QuadMetrics)
+                       if not f.name.startswith("_")) + ANGLE_FIELDS
 
 
 def _cmd_eval(args) -> int:
@@ -139,22 +153,16 @@ def _cmd_eval(args) -> int:
                              f"its degree-six terms do not fit a float; scale it "
                              f"toward unit size")
     report_audit = audit(m, tol=_finite_tol(args.tol))
-    metric_doc = {name: float(getattr(m, name)) for name in (
-        "a", "b", "c", "d", "e", "f", "A123", "A124", "A134", "A234",
-        "alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3",
-        "beta4", "gamma1", "gamma2", "gamma3", "gamma4", "X", "Y", "W", "Wp")}
-    report = {
-        "version": __version__,
-        "command": "eval",
-        "config": _config_dict(args, ("points", "frame", "tol", "format")),
-        "input": quad.to_json_dict(),
-        "frame": frame_of(quad).normalize().to_json_dict()["frame"],
-        "metrics": metric_doc,
-        "edge_terms": {k: float(v) for k, v in terms.items()},
-        "residual": residuals,
-        "audit": report_audit.to_json_dict(),
-        "sign_resolution": report_audit.sign_resolution,
-    }
+    metric_doc = {name: float(getattr(m, name)) for name in _METRIC_FIELDS}
+    report = _report(
+        args, ("points", "frame", "tol", "format"), report_audit.sign_resolution,
+        input=quad.to_json_dict(),
+        frame=frame_of(quad).normalize().to_json_dict()["frame"],
+        metrics=metric_doc,
+        edge_terms={k: float(v) for k, v in terms.items()},
+        residual=residuals,
+        audit=report_audit.to_json_dict(),
+    )
     rows = [("quantity", "value")]
     rows += list(metric_doc.items())
     rows += [(f"edge_terms.{k}", v) for k, v in report["edge_terms"].items()]
@@ -170,14 +178,8 @@ def _cmd_audit(args) -> int:
                                      margin=args.margin, strategy=args.strategy)
     except ValueError as exc:  # GeometryError included
         raise UsageError(str(exc))
-    report = {
-        "version": __version__,
-        "command": "audit",
-        "config": _config_dict(args, ("samples", "seed", "tol", "margin",
-                                      "strategy", "format")),
-        "audit": report_audit.to_json_dict(),
-        "sign_resolution": report_audit.sign_resolution,
-    }
+    report = _report(args, ("samples", "seed", "tol", "margin", "strategy", "format"),
+                     report_audit.sign_resolution, audit=report_audit.to_json_dict())
     rows = [("check", "kind", "max_err", "min_slack", "pass")]
     for c in report_audit.checks:
         rows.append((c.id, c.kind, c.max_err, c.min_slack,
@@ -198,16 +200,9 @@ def _cmd_certify(args) -> int:
     doc = cert.to_json_dict()
     if args.out:
         _write(args.out, dumps(doc) + "\n")
-    summary = {
-        "version": __version__,
-        "command": "certify",
-        "config": _config_dict(args, ("margin", "target", "max_boxes", "out")),
-        "complete": cert.complete,
-        "c_star": cert.c_star,
-        "box_count": cert.box_count,
-        "leaves": len(cert.bounds),
-        "sign_resolution": _sign_probe(0),
-    }
+    summary = _report(args, ("margin", "target", "max_boxes", "out"), _sign_probe(0),
+                      complete=cert.complete, c_star=cert.c_star,
+                      box_count=cert.box_count, leaves=len(cert.bounds))
     if not args.out:
         summary["certificate"] = doc
     sys.stdout.write(dumps(summary) + "\n")
@@ -221,17 +216,9 @@ def _cmd_check_cert(args) -> int:
         ok = verify_certificate(cert)
     except MalformedCertificate as exc:
         raise UsageError(f"malformed certificate: {exc}")
-    report = {
-        "version": __version__,
-        "command": "check-cert",
-        "config": {"certificate": args.certificate},
-        "verified": ok,
-        "margin": cert.margin,
-        "c_star": cert.c_star,
-        "complete": cert.complete,
-        "leaves": len(cert.bounds),
-        "sign_resolution": _sign_probe(0),
-    }
+    report = _report(args, ("certificate",), _sign_probe(0), verified=ok,
+                     margin=cert.margin, c_star=cert.c_star,
+                     complete=cert.complete, leaves=len(cert.bounds))
     _emit(report, args)
     return 0 if ok else 1
 
@@ -241,17 +228,14 @@ def _cmd_search(args) -> int:
         results = boundary_trend(args.seed, args.starts, args.margin, args.budget)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = {
-        "version": __version__,
-        "command": "search",
-        "config": _config_dict(args, ("seed", "starts", "budget", "format")),
-        "margins": list(args.margin),
-        "runs": [r.to_json_dict() for r in results],
-        "best_values": [r.best_value for r in results],
-        "counterexample_candidates": sum(len(r.candidates) for r in results),
-        "genuine_counterexamples": sum(len(r.genuine_candidates) for r in results),
-        "sign_resolution": _sign_probe(args.seed),
-    }
+    report = _report(
+        args, ("seed", "starts", "budget", "format"), _sign_probe(args.seed),
+        margins=list(args.margin),
+        runs=[r.to_json_dict() for r in results],
+        best_values=[r.best_value for r in results],
+        counterexample_candidates=sum(len(r.candidates) for r in results),
+        genuine_counterexamples=sum(len(r.genuine_candidates) for r in results),
+    )
     rows = [("margin", "start", "start_value", "best_value", "iterations",
              "evaluations")]
     for r in results:
@@ -274,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--points", help='inline JSON or @file: [[x,y] x4] or {"points": ...}')
     p_eval.add_argument("--frame",
                         help='inline JSON or @file: {"p": [...], "w": w} or {"frame": ...}')
-    p_eval.add_argument("--tol", type=float, default=1e-9)
+    p_eval.add_argument("--tol", type=float, default=IDENTITY_TOL)
 
     p_audit = sub.add_parser("audit", help="audit identities over seeded samples")
     p_audit.add_argument("--samples", type=int, default=1000)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--tol", type=float, default=1e-9)
+    p_audit.add_argument("--tol", type=float, default=IDENTITY_TOL)
     p_audit.add_argument("--margin", type=float, default=0.01)
     p_audit.add_argument("--strategy", choices=("frame-uniform", "point-rejection"),
                          default="frame-uniform")

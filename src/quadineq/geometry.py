@@ -33,7 +33,7 @@ suite checks via 2 (A134 - A124) = a d sin X and 2 (A123 - A124) = c f sin Y.
 All metric functions accept either scalar floats or numpy arrays and are
 pure; batch evaluation over n configurations passes arrays through the same
 code path.  Lengths and areas are computed when a QuadMetrics is built; the
-sixteen angle fields (split angles, gamma_i, X, Y, W, W') are computed
+sixteen ANGLE_FIELDS (split angles, gamma_i, X, Y, W, W') are computed
 together, from the stored vertex coordinates, the first time one of them is
 read, so a caller that reads only lengths and areas never pays for them.
 """
@@ -147,23 +147,10 @@ class DiagonalFrame:
         return {"frame": {"p": list(self.p), "w": self.w}}
 
 
-class _AngleField:
-    """One angle field of QuadMetrics.  Its first read on an instance
-    computes all sixteen angle fields from the vertex coordinates and stores
-    them on the instance, where later reads find them directly (a non-data
-    descriptor, like functools.cached_property).  The coordinates are
-    released then: held through the rest of an audit block, a batch's
-    coordinate arrays made its temporaries land on fresh pages, and a
-    1M-sample audit took six times the page faults."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, m, owner=None):
-        if m is None:
-            return self
-        m.__dict__.update(_angles_from_coords(*m._coords), _coords=None)
-        return m.__dict__[self.name]
+# The sixteen angle fields of QuadMetrics, in report order.
+ANGLE_FIELDS = ("alpha1", "alpha2", "alpha3", "alpha4",
+                "beta1", "beta2", "beta3", "beta4",
+                "gamma1", "gamma2", "gamma3", "gamma4", "X", "Y", "W", "Wp")
 
 
 @dataclass(frozen=True)
@@ -171,10 +158,10 @@ class QuadMetrics:
     """Every scalar quantity of one configuration used by the inequality.
 
     Fields are floats for a single quadrilateral or same-shape numpy arrays
-    for a batch.  The sixteen angle fields (alpha_i, beta_i, gamma_i, X, Y,
-    W, Wp) are not constructor fields: they are computed together, the first
-    time one of them is read, from the vertex coordinates (x1, y1, ..., x4,
-    y4) in _coords, which are None from then on.
+    for a batch.  The sixteen ANGLE_FIELDS are not constructor fields: they
+    are computed together, the first time one of them is read, from the
+    vertex coordinates (x1, y1, ..., x4, y4) in _coords, and stored on the
+    instance, where later reads find them directly.
     """
 
     a: object
@@ -189,22 +176,17 @@ class QuadMetrics:
     A234: object
     _coords: tuple
 
-    alpha1 = _AngleField()
-    alpha2 = _AngleField()
-    alpha3 = _AngleField()
-    alpha4 = _AngleField()
-    beta1 = _AngleField()
-    beta2 = _AngleField()
-    beta3 = _AngleField()
-    beta4 = _AngleField()
-    gamma1 = _AngleField()
-    gamma2 = _AngleField()
-    gamma3 = _AngleField()
-    gamma4 = _AngleField()
-    X = _AngleField()
-    Y = _AngleField()
-    W = _AngleField()
-    Wp = _AngleField()
+    def __getattr__(self, name):
+        # reached only for a name the instance does not hold yet
+        if name not in ANGLE_FIELDS:
+            raise AttributeError(f"QuadMetrics has no attribute {name!r}")
+        # The coordinates are released once the angles exist: held through
+        # the rest of an audit block, a batch's coordinate arrays made its
+        # temporaries land on fresh pages, and a 1M-sample audit took six
+        # times the page faults.
+        self.__dict__.update(zip(ANGLE_FIELDS, _angles_from_coords(*self._coords)),
+                             _coords=None)
+        return self.__dict__[name]
 
 
 def _angle(px, py, ax, ay, bx, by):
@@ -218,8 +200,8 @@ def _angle(px, py, ax, ay, bx, by):
     return np.arctan2(ux * vy - uy * vx, ux * vx + uy * vy)
 
 
-def _angles_from_coords(x1, y1, x2, y2, x3, y3, x4, y4) -> dict:
-    """The sixteen angle-derived QuadMetrics fields, by name."""
+def _angles_from_coords(x1, y1, x2, y2, x3, y3, x4, y4) -> tuple:
+    """The sixteen angle fields of QuadMetrics, in ANGLE_FIELDS order."""
     alpha1 = _angle(x1, y1, x2, y2, x3, y3)
     beta1 = _angle(x1, y1, x3, y3, x4, y4)
     alpha2 = _angle(x2, y2, x3, y3, x4, y4)
@@ -228,16 +210,12 @@ def _angles_from_coords(x1, y1, x2, y2, x3, y3, x4, y4) -> dict:
     beta3 = _angle(x3, y3, x1, y1, x2, y2)
     alpha4 = _angle(x4, y4, x1, y1, x2, y2)
     beta4 = _angle(x4, y4, x2, y2, x3, y3)
-    return dict(
-        alpha1=alpha1, alpha2=alpha2, alpha3=alpha3, alpha4=alpha4,
-        beta1=beta1, beta2=beta2, beta3=beta3, beta4=beta4,
-        gamma1=alpha1 + beta1, gamma2=alpha2 + beta2,
-        gamma3=alpha3 + beta3, gamma4=alpha4 + beta4,
-        X=0.5 * ((alpha2 + beta1) - (alpha4 + beta3)),
-        Y=0.5 * ((alpha1 + beta4) - (alpha3 + beta2)),
-        W=0.5 * ((alpha2 + beta1) + (alpha4 + beta3)),
-        Wp=0.5 * ((alpha1 + beta4) + (alpha3 + beta2)),
-    )
+    return (alpha1, alpha2, alpha3, alpha4, beta1, beta2, beta3, beta4,
+            alpha1 + beta1, alpha2 + beta2, alpha3 + beta3, alpha4 + beta4,
+            0.5 * ((alpha2 + beta1) - (alpha4 + beta3)),
+            0.5 * ((alpha1 + beta4) - (alpha3 + beta2)),
+            0.5 * ((alpha2 + beta1) + (alpha4 + beta3)),
+            0.5 * ((alpha1 + beta4) + (alpha3 + beta2)))
 
 
 def _metrics_from_coords(x1, y1, x2, y2, x3, y3, x4, y4) -> QuadMetrics:

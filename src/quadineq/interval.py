@@ -25,10 +25,12 @@ tests are the contract for these widths, not the mechanism itself.
 
 Endpoints may be scalars or same-shape numpy arrays; a batch of boxes is
 just an Interval with array endpoints, which is what the branch-and-bound
-certifier feeds through `residual_enclosure`.
+certifier feeds to the two functions it calls: `residual_enclosure(box,
+"lemma")` on every box, and `edge_mean_value_enclosure(box)` on the boxes
+whose lemma bound falls short, intersected with their lemma enclosure.
 
-The certified enclosure (path "both") is the intersection of exactly two
-forms of the same residual: the mean-value form of the edge expressions
+The certified enclosure (path "both") is the intersection of exactly those
+two forms of the same residual: the mean-value form of the edge expressions
 and the factored trig form, whose sin X and sin Y factors are intersected
 with their area-quotient forms.  The mean-value form is centred, per
 coordinate, at the point of the box that maximizes its lower bound

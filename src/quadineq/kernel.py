@@ -53,6 +53,11 @@ from .geometry import (
 
 RESIDUAL_PATHS = ("edge", "expanded", "lemma")
 
+# The audit's tolerances: an identity's gap (over abcdef where it has length^6
+# units) must be at most IDENTITY_TOL, an inequality's slack at least -INEQ_TOL.
+IDENTITY_TOL = 1e-9
+INEQ_TOL = 1e-12
+
 # Boundary slack for the closed angle-sum hypotheses gamma2+gamma3 <= pi and
 # gamma3+gamma4 <= pi: rectangles sit exactly on the boundary and must not
 # fall out of the filter through angle roundoff.
@@ -464,7 +469,7 @@ def _nonfinite(n: int) -> dict:
     return {"nonfinite": n} if n else {}
 
 
-def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
+def _finalize(acc: _Accumulator, seed, samples, tol) -> AuditReport:
     # A check with a non-finite entry fails; its max_err / min_slack cover
     # the finite entries and are None when there are none.
     checks: list[CheckResult] = []
@@ -495,7 +500,7 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
         n = acc.counts.get(cid, 0)
         bad = acc.nonfinite.get(cid, 0)
         if n == 0 and not bad:
-            checks.append(CheckResult(id=cid, kind="inequality", tol=ineq_tol,
+            checks.append(CheckResult(id=cid, kind="inequality", tol=INEQ_TOL,
                                       passed=True, skipped=True,
                                       extra={"in_hypothesis": 0}))
             continue
@@ -503,31 +508,29 @@ def _finalize(acc: _Accumulator, seed, samples, tol, ineq_tol) -> AuditReport:
         extra = _nonfinite(bad)
         if filtered:
             extra["in_hypothesis"] = n
-        checks.append(CheckResult(id=cid, kind="inequality", tol=ineq_tol,
-                                  passed=not bad and slack >= -ineq_tol,
+        checks.append(CheckResult(id=cid, kind="inequality", tol=INEQ_TOL,
+                                  passed=not bad and slack >= -INEQ_TOL,
                                   min_slack=slack, extra=extra))
 
-    return AuditReport(seed=seed, samples=samples, tol=tol, ineq_tol=ineq_tol,
+    return AuditReport(seed=seed, samples=samples, tol=tol, ineq_tol=INEQ_TOL,
                        checks=checks, sign_resolution=resolution)
 
 
-def audit(q, tol: float = 1e-9, ineq_tol: float = 1e-12) -> AuditReport:
+def audit(q, tol: float = IDENTITY_TOL) -> AuditReport:
     """Audit every identity and inequality on a single configuration.
 
     Accepts a Quadrilateral or a precomputed QuadMetrics.  Identity errors
     are normalized by abcdef and compared against tol; inequality slacks
-    are dimensionless and compared against -ineq_tol.
+    are dimensionless and compared against -INEQ_TOL.
     """
     m = q if isinstance(q, QuadMetrics) else metrics(q)
     acc = _Accumulator()
     _accumulate_checks(acc, m)
-    return _finalize(acc, seed=None, samples=int(np.size(m.a)), tol=tol,
-                     ineq_tol=ineq_tol)
+    return _finalize(acc, seed=None, samples=int(np.size(m.a)), tol=tol)
 
 
-def audit_samples(seed: int, samples: int, tol: float = 1e-9,
-                  ineq_tol: float = 1e-12, margin: float = 0.01,
-                  strategy: str = "frame-uniform") -> AuditReport:
+def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
+                  margin: float = 0.01, strategy: str = "frame-uniform") -> AuditReport:
     """Audit over a seeded batch of random convex quadrilaterals.
 
     frame-uniform draws _AUDIT_CHUNK rows per sample_frames([seed, part])
@@ -563,7 +566,7 @@ def audit_samples(seed: int, samples: int, tol: float = 1e-9,
             _accumulate_checks(acc, metrics(q))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _finalize(acc, seed=seed, samples=samples, tol=tol, ineq_tol=ineq_tol)
+    return _finalize(acc, seed=seed, samples=samples, tol=tol)
 
 
 def _audit_chunks(accs, pool, seed, samples: int, margin: float) -> None:

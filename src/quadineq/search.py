@@ -4,8 +4,9 @@ Multi-start derivative-free descent (reflect / contract / shrink simplex
 steps with feasibility projection) minimizes the scale-free objective
 residual / abcdef over the margin-truncated frame domain.  The search is a
 falsifier, not a prover: any frame whose normalized residual dips below
--1e-12 is flagged as a counterexample candidate and re-audited through the
-full identity suite before being reported as genuine.
+-INEQ_TOL, the audit's inequality tolerance, is flagged as a counterexample
+candidate and re-audited through the full identity suite before being
+reported as genuine.
 
 A margin schedule runs as one lockstep descent: every (margin, start) pair
 is a row of one batch, with its own margin, and each loop pass steps every
@@ -42,9 +43,10 @@ import numpy as np
 
 from .geometry import (DiagonalFrame, metrics_from_frames, quad_from_frame,
                        sample_frames)
-from .kernel import audit, normalized_residual
+from .kernel import INEQ_TOL, audit, normalized_residual
 
-COUNTEREXAMPLE_THRESHOLD = -1e-12
+# the test the re-audit's residual-nonneg check applies
+COUNTEREXAMPLE_THRESHOLD = -INEQ_TOL
 
 _N_COORDS = 5  # p1..p4, w
 

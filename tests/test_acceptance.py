@@ -56,8 +56,7 @@ _INEQUALITY_CHECKS = (
 @pytest.fixture(scope="module")
 def big_audit():
     start = time.perf_counter()
-    report = audit_samples(AUDIT_SEED, N_SAMPLES, tol=IDENTITY_TOL,
-                           ineq_tol=INEQ_TOL, margin=0.01)
+    report = audit_samples(AUDIT_SEED, N_SAMPLES, tol=IDENTITY_TOL, margin=0.01)
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -337,27 +337,43 @@ def test_verify_rejects_a_leaf_without_an_enclosure():
     assert verify_certificate(doc) is False
 
 
-def _nudged_bound(boxes, margin, path):
-    """The lower end of one enclosure path over feasible boxes, nudged down
-    as the certifier records it."""
+def _enclosure_lo(boxes, margin, path):
+    """The lower end of one enclosure path over feasible boxes."""
     (p1, p2, p3, p4), w, _ = _gauge_clip(boxes, margin)
     enc = residual_enclosure(FrameBox(p1, p2, p3, p4, w, margin), path)
-    return _down(np.asarray(enc.lo, dtype=float), 2)
+    return np.asarray(enc.lo, dtype=float)
 
 
 def _replay_bounds(cert):
-    """Each leaf's nudged lemma bound and its nudged "both" bound."""
+    """Each leaf's lemma bound and its "both" bound, not nudged."""
     boxes = _decode(cert.tree, cert.margin)[0]
-    return (_nudged_bound(boxes, cert.margin, "lemma"),
-            _nudged_bound(boxes, cert.margin, "both"))
+    return (_enclosure_lo(boxes, cert.margin, "lemma"),
+            _enclosure_lo(boxes, cert.margin, "both"))
 
 
 @pytest.fixture(scope="module")
 def both_cert(cert):
-    """The fixture tree with each leaf bound raised to its "both" bound: what
-    a certifier that bounds every box with "both" records, in the same format."""
-    both = _replay_bounds(cert)[1].tolist()
+    """The fixture tree with each leaf bound raised to its nudged "both"
+    bound: what a certifier that bounds every box with "both" records, in the
+    same format."""
+    both = _down(_replay_bounds(cert)[1], 2).tolist()
     return dataclasses.replace(cert, bounds=both, c_star=min(both))
+
+
+@pytest.mark.parametrize("margin", [0.2, MARGIN])
+def test_replay_tolerates_the_two_ulp_nudge(margin):
+    # each bound is recorded two ulps below the certifier's enclosure, and
+    # the replay compares its own enclosure against it: one ulp of libm
+    # wobble still verifies, a claim above the enclosure does not
+    doc = _fresh(certify(margin=margin))
+    bounds = np.array([leaf["lower_bound"] for leaf in doc["leaves"]])
+    for ulps, verdict in ((1, True), (3, False)):
+        raised = bounds
+        for _ in range(ulps):
+            raised = np.nextafter(raised, np.inf)
+        doc["leaves"] = [{"lower_bound": float(b)} for b in raised]
+        doc["c_star"] = float(raised.min())
+        assert verify_certificate(doc) is verdict, ulps
 
 
 def test_trig_first_replay_is_exact_at_the_full_bound(both_cert):
@@ -426,13 +442,14 @@ def _evaluated_boxes(cert):
 def test_leaf_bound_is_lemma_where_it_clears_else_both(policy_cert):
     lemma, both = _replay_bounds(policy_cert)
     clears = lemma >= policy_cert.target
-    assert np.array_equal(np.array(policy_cert.bounds), np.where(clears, lemma, both))
+    assert np.array_equal(np.array(policy_cert.bounds),
+                          _down(np.where(clears, lemma, both), 2))
 
 
 def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
     target = policy_cert.target
     boxes = _evaluated_boxes(policy_cert)
-    lemma = _nudged_bound(boxes, policy_cert.margin, "lemma")
+    lemma = _enclosure_lo(boxes, policy_cert.margin, "lemma")
     near = int(np.count_nonzero((lemma < target)
                                 & (lemma >= target - certifier._REACH)))
     rows = _counted_enclosures(monkeypatch)

@@ -174,6 +174,58 @@ def test_eval_csv_cell_is_the_json_float(capsys):
     assert float(cells["residual.edge"]) == edge
 
 
+# eval's metrics in report order: the lengths and areas, then the angles
+METRIC_ORDER = ["a", "b", "c", "d", "e", "f", "A123", "A124", "A134", "A234",
+                "alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3",
+                "beta4", "gamma1", "gamma2", "gamma3", "gamma4", "X", "Y", "W", "Wp"]
+
+
+def test_eval_reports_lengths_and_areas_then_the_angles(capsys):
+    code, out, _ = run(capsys, ["eval", "--points", SQUARE_JSON])
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    assert len(metrics) == len(METRIC_ORDER) and set(metrics) == set(METRIC_ORDER)
+    code, out, _ = run(capsys, ["eval", "--points", SQUARE_JSON, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["quantity", "value"]
+    assert [row[0] for row in rows[1:len(METRIC_ORDER) + 1]] == METRIC_ORDER
+    assert rows[len(METRIC_ORDER) + 1][0] == "edge_terms.e12"
+    assert all(float(row[1]) == metrics[row[0]] for row in rows[1:len(METRIC_ORDER) + 1])
+
+
+# each command's arguments, its config keys and its other report fields
+ENVELOPE_CASES = {
+    "eval": (["--points", SQUARE_JSON], {"points", "frame", "tol", "format"},
+             {"input", "frame", "metrics", "edge_terms", "residual", "audit"}),
+    "audit": (["--samples", "20"], {"samples", "seed", "tol", "margin", "strategy", "format"},
+              {"audit"}),
+    "certify": (["--margin", "0.2"], {"margin", "target", "max_boxes", "out"},
+                {"complete", "c_star", "box_count", "leaves", "certificate"}),
+    "check-cert": ([], {"certificate"},
+                   {"verified", "margin", "c_star", "complete", "leaves"}),
+    "search": (["--starts", "2", "--budget", "20"], {"seed", "starts", "budget", "format"},
+               {"margins", "runs", "best_values", "counterexample_candidates",
+                "genuine_counterexamples"}),
+}
+
+
+@pytest.mark.parametrize("command", list(ENVELOPE_CASES))
+def test_every_report_carries_the_shared_envelope(tmp_path, capsys, command):
+    argv, config, body = ENVELOPE_CASES[command]
+    if command == "check-cert":
+        cert_path = tmp_path / "cert.json"
+        assert run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])[0] == 0
+        argv = [str(cert_path)]
+    code, out, _ = run(capsys, [command, *argv])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["version"] == __version__ and doc["command"] == command
+    assert set(doc["config"]) == config
+    assert doc["sign_resolution"] in ("plus", "minus")
+    assert set(doc) == {"version", "command", "config", "sign_resolution"} | body
+
+
 def test_eval_report_is_json_when_the_input_holds_a_newline(capsys):
     code, out, _ = run(capsys, ["eval", "--points", "[[0,0],\n[1,0],[1,1],[0,1]]"])
     assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quadineq.geometry import (
+    ANGLE_FIELDS,
     DiagonalFrame,
     DuplicatePoints,
     GeometryError,
@@ -304,6 +305,22 @@ def test_batch_metrics_match_scalar_path():
         for name in ("a", "f", "A123", "A234", "alpha1", "beta4", "X", "W"):
             assert getattr(batch, name)[i] == pytest.approx(getattr(m, name),
                                                             rel=1e-12, abs=1e-12)
+
+
+def test_angles_are_computed_together_on_first_read():
+    m = metrics(quad_from_points(*RECT21))
+    assert not set(ANGLE_FIELDS) & set(vars(m)) and m._coords is not None
+    assert m.X == pytest.approx(0.0, abs=ANGLE_TOL)
+    assert set(ANGLE_FIELDS) <= set(vars(m)) and m._coords is None
+
+
+@pytest.mark.parametrize("name", ["alpha5", "gamma", "Z", "angles"])
+def test_metrics_have_no_attribute_outside_their_fields(name):
+    m = metrics(quad_from_points(*SQUARE))
+    with pytest.raises(AttributeError, match=name):
+        getattr(m, name)
+    assert not hasattr(m, name)
+    assert m._coords is not None  # an unknown name computes no angle
 
 
 def test_frame_vertices_shapes():

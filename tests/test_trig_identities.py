@@ -1,0 +1,132 @@
+"""Exact proofs of the rational identities that the trig enclosure intersects.
+
+`interval._frame_angles` encloses each split angle as atan2(opposite,
+adjacent) with a positive first argument, so every split angle lies in
+(0, pi).  Divided by the side it is measured against, that pair is the
+angle's sine and cosine, rational in the frame coordinates p1..p4,
+c = cos w, s = sin w and the side length:
+
+    alpha1: (p2 s, p1 - p2 c) / c      beta1: (p4 s, p1 + p4 c) / d
+    alpha2: (p3 s, p2 + p3 c) / a      beta2: (p1 s, p2 - p1 c) / c
+    alpha3: (p4 s, p3 - p4 c) / f      beta3: (p2 s, p3 + p2 c) / a
+    alpha4: (p1 s, p4 + p1 c) / d      beta4: (p3 s, p4 - p3 c) / f
+
+`_group_trig_factors` intersects sin X and sin Y with area quotients, and
+`_lemma_angles` intersects two expressions each of X, Y, diff14 and diff12.
+Each intersection is sound only if its two expressions are equal.  The
+tests prove with sympy, using s^2 + c^2 = 1 and the law of cosines for each
+squared side, the quotients and the four triangle relations that make the
+expressions equal.  They reuse the symbols of tests/test_symmetry.py.
+"""
+
+import numpy as np
+import pytest
+
+from quadineq.geometry import metrics_from_frames, sample_frames
+from quadineq.interval import FrameBox, Interval, _frame_angles, icos, isin
+
+sp = pytest.importorskip("sympy")
+
+from test_symmetry import COS, P, SIN, SYMBOLS, _frame_quantities  # noqa: E402
+
+p1, p2, p3, p4 = P
+# split angle -> (opposite, adjacent, the side both are divided by)
+SPLIT = {
+    "alpha1": (p2 * SIN, p1 - p2 * COS, "c"),
+    "beta1": (p4 * SIN, p1 + p4 * COS, "d"),
+    "alpha2": (p3 * SIN, p2 + p3 * COS, "a"),
+    "beta2": (p1 * SIN, p2 - p1 * COS, "c"),
+    "alpha3": (p4 * SIN, p3 - p4 * COS, "f"),
+    "beta3": (p2 * SIN, p3 + p2 * COS, "a"),
+    "alpha4": (p1 * SIN, p4 + p1 * COS, "d"),
+    "beta4": (p3 * SIN, p4 - p3 * COS, "f"),
+}
+SIDES = ("a", "c", "d", "f")
+
+
+def _sin_cos(name):
+    opposite, adjacent, side = SPLIT[name]
+    return opposite / SYMBOLS[side], adjacent / SYMBOLS[side]
+
+
+def _vanishes(expr) -> bool:
+    """Whether a rational expression is zero once each squared side is its
+    law-of-cosines polynomial and s^2 = 1 - c^2: its numerator is reduced
+    modulo those relations, one variable at a time."""
+    squared = _frame_quantities()
+    num = sp.expand(sp.numer(sp.together(expr)))
+    for side in SIDES:
+        num = sp.rem(num, SYMBOLS[side] ** 2 - squared[side], SYMBOLS[side])
+    return sp.expand(sp.rem(sp.expand(num), SIN ** 2 + COS ** 2 - 1, SIN)) == 0
+
+
+def test_each_pair_is_the_sine_and_cosine_of_its_split_angle():
+    # opposite^2 + adjacent^2 is the squared side, so each pair lies on the
+    # unit circle; its opposite is positive, so the angle is in (0, pi)
+    for name in SPLIT:
+        sin, cos = _sin_cos(name)
+        assert _vanishes(sin ** 2 + cos ** 2 - 1), name
+
+
+def test_pairs_match_the_geometry_and_the_interval_angles():
+    p, w = sample_frames(17, 200, 0.05)
+    m = metrics_from_frames(p, w)
+    args = (*P, COS, SIN)
+    values = (*p.T, np.cos(w), np.sin(w))
+    point = Interval(w, w)
+    box = FrameBox(*(Interval(p[:, i], p[:, i]) for i in range(4)), point, 0.05)
+    enclosed = _frame_angles(box, isin(point), icos(point))
+    for name, (opposite, adjacent, _) in SPLIT.items():
+        angle = np.arctan2(sp.lambdify(args, opposite)(*values),
+                           sp.lambdify(args, adjacent)(*values))
+        np.testing.assert_allclose(angle, getattr(m, name), rtol=0, atol=1e-12)
+        assert np.all((enclosed[name].lo <= angle) & (angle <= enclosed[name].hi)), name
+
+
+def test_sin_x_is_its_area_quotient():
+    # X = alpha2 - alpha4: sin X = s (p3 p4 - p1 p2) / (a d)
+    (sa2, ca2), (sa4, ca4) = _sin_cos("alpha2"), _sin_cos("alpha4")
+    quotient = SIN * (p3 * p4 - p1 * p2) / (SYMBOLS["a"] * SYMBOLS["d"])
+    assert _vanishes(sa2 * ca4 - ca2 * sa4 - quotient)
+
+
+def test_sin_y_is_its_area_quotient():
+    # Y = beta4 - beta2: sin Y = s (p2 p3 - p1 p4) / (c f)
+    (sb4, cb4), (sb2, cb2) = _sin_cos("beta4"), _sin_cos("beta2")
+    quotient = SIN * (p2 * p3 - p1 * p4) / (SYMBOLS["c"] * SYMBOLS["f"])
+    assert _vanishes(sb4 * cb2 - cb4 * sb2 - quotient)
+
+
+# (u, v, the sign of cos w in cos(u + v)): u + v is pi - w or w
+TRIANGLES = [("alpha1", "beta2", -1), ("alpha2", "beta3", 1),
+             ("alpha3", "beta4", -1), ("alpha4", "beta1", 1)]
+
+
+@pytest.mark.parametrize("u, v, sign", TRIANGLES,
+                         ids=[f"{u}+{v}" for u, v, _ in TRIANGLES])
+def test_triangle_relation(u, v, sign):
+    # cos(u + v) = sign cos w and sin(u + v) = sin w > 0.  u + v lies in
+    # (0, 2 pi); the positive sine puts it in (0, pi), where the cosine
+    # fixes it: u + v = pi - w for sign -1 and w for sign +1.
+    (su, cu), (sv, cv) = _sin_cos(u), _sin_cos(v)
+    assert _vanishes(cu * cv - su * sv - sign * COS)
+    assert _vanishes(su * cv + cu * sv - SIN)
+
+
+def test_triangle_relations_make_the_intersected_forms_equal():
+    # with the four relations, each pair that _lemma_angles intersects is one
+    # angle, and the crossing angles W and W' of geometry are w and pi - w
+    a1, a2, a3, a4, w = sp.symbols("alpha1:5 w")
+    relations = {"beta2": sp.pi - w - a1, "beta3": w - a2,
+                 "beta4": sp.pi - w - a3, "beta1": w - a4}
+    b1, b2, b3, b4 = (relations[f"beta{i}"] for i in range(1, 5))
+    pairs = {
+        "X": (a2 - a4, b1 - b3),
+        "Y": (b4 - b2, a1 - a3),
+        "diff14": (a1 - b4, a3 - b2),
+        "diff12": (b1 - a2, b3 - a4),
+        "W": (((a2 + b1) + (a4 + b3)) / 2, w),
+        "Wp": (((a1 + b4) + (a3 + b2)) / 2, sp.pi - w),
+    }
+    for name, (left, right) in pairs.items():
+        assert sp.simplify(left - right) == 0, name
