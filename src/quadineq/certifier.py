@@ -318,17 +318,22 @@ def _decode(tree: str, margin: float) -> tuple:
     """Regenerate the boxes of a level-order tree code from the root: each
     split node's box is clipped and bisected along its coded dimension.
 
-    Returns (leaf boxes, infeasible-node boxes), both (n, 5, 2) in level
-    order and as the tree places them, before their own clip.  Raises MalformedCertificate where `_levels` does.
+    Returns (leaf boxes, infeasible-node boxes, whether every split node's
+    clipped box is feasible); the boxes are (n, 5, 2) arrays in level order,
+    as the tree places them, before their own clip.  Raises
+    MalformedCertificate where `_levels` does.
     """
     level = _root_level(margin)
     leaves, empties = [], []
+    splits_feasible = True
     for node in _levels(tree):
         leaves.append(level[node == _LEAF])
         empties.append(level[node == _EMPTY])
         split = _is_split(node)
-        level = _bisect(_clipped(level[split], margin)[0], node[split] - _SPLIT_P1)
-    return np.concatenate(leaves), np.concatenate(empties)
+        boxes, feasible = _clipped(level[split], margin)
+        splits_feasible = splits_feasible and bool(np.all(feasible))
+        level = _bisect(boxes, node[split] - _SPLIT_P1)
+    return np.concatenate(leaves), np.concatenate(empties), splits_feasible
 
 
 def certify(margin: float, target: float = 0.0,
@@ -380,14 +385,15 @@ def certify(margin: float, target: float = 0.0,
 
 def verify_certificate(cert) -> bool:
     """Replay a certificate: regenerate every box from its tree, clip each
-    once and check its code against its feasibility, recompute the box count
-    and each leaf's own residual lower bound (trig-first, by `_evaluate`),
-    which must be finite and at least the recorded, nudged bound (a leaf
-    whose enclosure cannot be formed rejects), check the global bound, and check
-    that a document flagged complete has every leaf clear its target (an
-    incomplete flag claims nothing).  Accepts a Certificate or its JSON dict;
-    returns True iff all claims hold.  It raises MalformedCertificate on an
-    empty leaf set or a margin or target that `certify` refuses.
+    once and check its code, split codes included, against its feasibility,
+    recompute the box count and each leaf's own residual lower bound
+    (trig-first, by `_evaluate`), which must be finite and at least the
+    recorded, nudged bound (a leaf whose enclosure cannot be formed
+    rejects), check the global bound, and check that a document flagged
+    complete has every leaf clear its target (an incomplete flag claims
+    nothing).  Accepts a Certificate or its JSON dict; returns True iff all
+    claims hold.  It raises MalformedCertificate on an empty leaf set or a
+    margin or target that `certify` refuses.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_dict(cert)
@@ -397,15 +403,16 @@ def verify_certificate(cert) -> bool:
     if not cert.bounds:
         raise MalformedCertificate("empty leaf set")
 
-    leaves, empties = _decode(cert.tree, cert.margin)
+    leaves, empties, splits_feasible = _decode(cert.tree, cert.margin)
     recorded = np.array(cert.bounds, dtype=float)
     if len(leaves) != len(recorded) \
             or cert.box_count != len(cert.tree) - cert.tree.count("."):
         return False
-    # each code must match its box: 'L' meets the gauge plane and the cut,
-    # '.' misses one
+    # each code must match its box: a split code and 'L' meet the gauge
+    # plane and the cut, '.' misses one
     boxes, feasible = _clipped(leaves, cert.margin)
-    if not np.all(feasible) or np.any(_gauge_clip(empties, cert.margin)[2]):
+    if not (splits_feasible and np.all(feasible)) \
+            or np.any(_gauge_clip(empties, cert.margin)[2]):
         return False
     try:
         recomputed = _evaluate(boxes, cert.margin, recorded)

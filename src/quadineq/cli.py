@@ -25,12 +25,12 @@ from . import __version__
 from .certifier import Certificate, MalformedCertificate, certify, verify_certificate
 from .geometry import (
     ANGLE_FIELDS,
+    STRATEGIES,
     GeometryError,
     QuadMetrics,
-    as_quadrilateral,
-    configuration_from_json_dict,
     frame_of,
     metrics,
+    quad_from_json,
 )
 from .interval import IntervalError
 from .ioutil import dumps
@@ -134,8 +134,7 @@ def _cmd_eval(args) -> int:
     if isinstance(doc, dict) and key in doc:
         doc = doc[key]
     try:
-        config = configuration_from_json_dict({key: doc})
-        quad = as_quadrilateral(config)
+        quad = quad_from_json(key, doc)
     except GeometryError as exc:
         raise UsageError(f"invalid configuration: {exc}")
 
@@ -265,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--tol", type=float, default=IDENTITY_TOL)
     p_audit.add_argument("--margin", type=float, default=0.01)
-    p_audit.add_argument("--strategy", choices=("frame-uniform", "point-rejection"),
-                         default="frame-uniform")
+    p_audit.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
 
     p_cert = sub.add_parser("certify", help="branch-and-bound residual certification")
     p_cert.add_argument("--margin", type=float, default=0.1)

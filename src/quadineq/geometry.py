@@ -51,7 +51,8 @@ from .ioutil import finite_number
 # fraction of the squared configuration diameter (scale-free rejection).
 COLLINEARITY_TOL = 1e-12
 
-_VALID_STRATEGIES = ("frame-uniform", "point-rejection")
+# the sampling strategies of `sample` and of the audit
+STRATEGIES = ("frame-uniform", "point-rejection")
 
 
 class GeometryError(ValueError):
@@ -395,7 +396,7 @@ def sample(seed, strategy: str = "frame-uniform", margin: float = 0.05,
     until convex (margin is not used there).
     """
     margin = check_margin(margin)
-    if strategy not in _VALID_STRATEGIES:
+    if strategy not in STRATEGIES:
         raise GeometryError(f"unknown strategy {strategy!r}")
     if strategy == "point-rejection":
         return _sample_point_rejection(np.random.default_rng(seed), max_tries)
@@ -407,32 +408,19 @@ def sample(seed, strategy: str = "frame-uniform", margin: float = 0.05,
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def configuration_from_json_dict(doc: dict):
-    """Parse {"points": [[x,y] x4]} or {"frame": {"p": [...], "w": w}}."""
-    if not isinstance(doc, dict):
-        raise GeometryError("configuration document must be a JSON object")
-    if "points" in doc:
-        pts = doc["points"]
-        if not (isinstance(pts, list) and len(pts) == 4):
+def quad_from_json(key: str, value) -> Quadrilateral:
+    """The quadrilateral of a JSON configuration: for key "points", a list of
+    four [x, y] pairs; for key "frame", an object {"p": [four lengths],
+    "w": w}.  Raises GeometryError on anything else."""
+    if key == "points":
+        if not (isinstance(value, list) and len(value) == 4):
             raise GeometryError('"points" must list exactly four [x, y] pairs')
-        return quad_from_points(*pts)
-    if "frame" in doc:
-        fr = doc["frame"]
-        try:
-            p = [finite_number(v) for v in fr["p"]]
-            w = finite_number(fr["w"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GeometryError('"frame" must carry four finite "p" and a finite "w"') from exc
-        if len(p) != 4:
-            raise GeometryError('"frame.p" must list exactly four lengths')
-        return DiagonalFrame(p[0], p[1], p[2], p[3], w)
-    raise GeometryError('configuration needs a "points" or "frame" key')
-
-
-def as_quadrilateral(obj) -> Quadrilateral:
-    """Coerce a Quadrilateral or DiagonalFrame to a Quadrilateral."""
-    if isinstance(obj, Quadrilateral):
-        return obj
-    if isinstance(obj, DiagonalFrame):
-        return quad_from_frame(obj)
-    raise GeometryError(f"cannot interpret {type(obj)!r} as a quadrilateral")
+        return quad_from_points(*value)
+    try:
+        p = [finite_number(v) for v in value["p"]]
+        w = finite_number(value["w"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GeometryError('"frame" must carry four finite "p" and a finite "w"') from exc
+    if len(p) != 4:
+        raise GeometryError('"frame.p" must list exactly four lengths')
+    return quad_from_frame(DiagonalFrame(p[0], p[1], p[2], p[3], w))

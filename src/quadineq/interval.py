@@ -266,12 +266,12 @@ class DiffInterval:
         return DiffInterval(self.val.clamp(lo, hi), self.grad)
 
 
-def _grad_along(index: int, partial: Interval, like: Interval) -> Interval:
-    # gradient whose only nonzero partial is the one along coordinate `index`
-    lo = np.zeros((5,) + np.shape(like.lo))
-    hi = np.zeros((5,) + np.shape(like.lo))
+def _seed(value: Interval, index: int, partial: Interval) -> DiffInterval:
+    # value whose only nonzero partial is `partial`, along coordinate `index`
+    lo = np.zeros((5,) + np.shape(value.lo))
+    hi = np.zeros((5,) + np.shape(value.lo))
     lo[index], hi[index] = partial.lo, partial.hi
-    return Interval(lo, hi)
+    return DiffInterval(value, Interval(lo, hi))
 
 
 def d_sqr(x: DiffInterval) -> DiffInterval:
@@ -281,19 +281,6 @@ def d_sqr(x: DiffInterval) -> DiffInterval:
 def d_sqrt(x: DiffInterval) -> DiffInterval:
     root = isqrt(x.val)
     return DiffInterval(root, (ONE / root.double()) * x.grad)
-
-
-def d_sin_w(w: Interval) -> DiffInterval:
-    # sin of the w coordinate itself: d/dw = cos w, other partials zero
-    return DiffInterval(isin(w), _grad_along(4, icos(w), w))
-
-
-def d_cos_w(w: Interval) -> DiffInterval:
-    return DiffInterval(icos(w), _grad_along(4, -isin(w), w))
-
-
-def d_coordinate(iv: Interval, index: int) -> DiffInterval:
-    return DiffInterval(iv, _grad_along(index, ONE, iv))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +412,10 @@ def _edge_residual_core(lengths: dict, areas: dict):
 def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     """Edge-path residual with partial-derivative enclosures with respect to
     (p1, p2, p3, p4, w) over the box."""
-    p = [d_coordinate(getattr(box, f"p{i + 1}"), i) for i in range(4)]
-    sin_w = d_sin_w(box.w).clamp(0.0, 1.0)
-    cos_w = d_cos_w(box.w).clamp(-1.0, 1.0)
+    p = [_seed(getattr(box, f"p{i + 1}"), i, ONE) for i in range(4)]
+    sin, cos = isin(box.w), icos(box.w)
+    sin_w = _seed(sin, 4, cos).clamp(0.0, 1.0)
+    cos_w = _seed(cos, 4, -sin).clamp(-1.0, 1.0)
     one = DiffInterval(ONE, Interval(0.0, 0.0))
     lengths = _lengths_core(p[0], p[1], p[2], p[3], cos_w, one, d_sqr, d_sqrt)
     areas = _areas_core(p[0], p[1], p[2], p[3], sin_w)
@@ -462,15 +450,16 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
     return total
 
 
-def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
-                        sin_w: Interval) -> dict:
-    """Enclosures of the angular factors entering the factored group forms
-    and the closed multiplicity-two expression.
+def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
+                    cos_w: Interval) -> Interval:
+    """The factored trig form: the group factors and the closed
+    multiplicity-two expression, summed first and scaled once by abcdef,
+    which keeps interval sub-distributivity on our side.
 
     sin X and sin Y are intersected with their exact area-quotient forms
     sin X = s (p3 p4 - p1 p2) / (a d) and sin Y = s (p2 p3 - p1 p4) / (c f),
-    which are free of angle-chain dependency and sin W is `sin_w`."""
-    q = _lemma_angles(box, angles)
+    which are free of angle-chain dependency; sin W is `sin_w` itself."""
+    q = _lemma_angles(box, _frame_angles(box, sin_w, cos_w))
     X, Y, W, Wp = q["X"], q["Y"], q["W"], q["Wp"]
     gamma13, diff14, diff12 = q["gamma13"], q["diff14"], q["diff12"]
 
@@ -491,28 +480,15 @@ def _group_trig_factors(box: FrameBox, angles: dict, lengths: dict,
     sin_d14 = isin(diff14.half())
     sin_d12 = isin(diff12.half())
 
+    group_x = sin_X * sin_hWp * sin_hY * sin_d14
+    group_y = sin_Y * sin_hW * sin_hX * sin_d12
+    group_w = sin_w * cos_hX * cos_hY * sin_hg13
     even_part = (isqr(sin_hX) * isqr(cos_hW) * isqr(cos_hY)
                  + isqr(cos_hX) * isqr(cos_hWp) * isqr(sin_hY)).double()
     odd_part = (sin_d14 * sin_d12 * sin_hg13).double()
-    return {
-        "group_x": sin_X * sin_hWp * sin_hY * sin_d14,
-        "group_y": sin_Y * sin_hW * sin_hX * sin_d12,
-        "group_w": sin_w * cos_hX * cos_hY * sin_hg13,
-        "mult2": -(even_part + odd_part),
-    }
-
-
-def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
-                    cos_w: Interval) -> Interval:
-    # the trig factors are summed first and scaled once by abcdef, which
-    # keeps interval sub-distributivity on our side
-    factors = _group_trig_factors(box, _frame_angles(box, sin_w, cos_w),
-                                  lengths, sin_w)
     K = ((lengths["a"] * lengths["b"]) * (lengths["c"] * lengths["d"])) \
         * (lengths["e"] * lengths["f"])
-    angular = ((factors["group_x"] + factors["group_y"]) + factors["group_w"]) \
-        + factors["mult2"]
-    return K * angular
+    return K * (((group_x + group_y) + group_w) - (even_part + odd_part))
 
 
 def residual_enclosure(box: FrameBox, path: str = "edge") -> Interval:

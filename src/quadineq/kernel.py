@@ -329,7 +329,6 @@ class AuditReport:
     seed: int | None
     samples: int
     tol: float
-    ineq_tol: float
     checks: list
     sign_resolution: str
 
@@ -347,7 +346,7 @@ class AuditReport:
             "seed": self.seed,
             "samples": self.samples,
             "tol": self.tol,
-            "ineq_tol": self.ineq_tol,
+            "ineq_tol": INEQ_TOL,
             "checks": [c.to_json_dict() for c in self.checks],
             "sign_resolution": self.sign_resolution,
             "pass": self.passed(),
@@ -512,8 +511,8 @@ def _finalize(acc: _Accumulator, seed, samples, tol) -> AuditReport:
                                   passed=not bad and slack >= -INEQ_TOL,
                                   min_slack=slack, extra=extra))
 
-    return AuditReport(seed=seed, samples=samples, tol=tol, ineq_tol=INEQ_TOL,
-                       checks=checks, sign_resolution=resolution)
+    return AuditReport(seed=seed, samples=samples, tol=tol, checks=checks,
+                       sign_resolution=resolution)
 
 
 def audit(q, tol: float = IDENTITY_TOL) -> AuditReport:
@@ -559,13 +558,10 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
         acc = accs[0]
         for other in accs[1:]:
             acc.merge(other)
-    elif strategy == "point-rejection":
+    else:  # `sample` refuses a strategy outside geometry.STRATEGIES
         acc = _Accumulator()
         for i in range(samples):
-            q = sample([seed, i], strategy="point-rejection")
-            _accumulate_checks(acc, metrics(q))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+            _accumulate_checks(acc, metrics(sample([seed, i], strategy=strategy)))
     return _finalize(acc, seed=seed, samples=samples, tol=tol)
 
 

@@ -504,13 +504,38 @@ def test_margin_015_tree_is_pinned(pinned):
     assert pinned.c_star == pytest.approx(3.57205992393298e-08, rel=1e-9)
 
 
-def test_benchmark_margin_012_tree_is_pinned():
-    # the tree the benchmark's certify and replay workloads run
-    done = certify(margin=0.12)
-    assert done.complete
-    assert done.box_count == 17_545
-    assert len(done.bounds) == 8_773
-    assert done.c_star == pytest.approx(1.4382907040007736e-09, rel=1e-9)
+@pytest.fixture(scope="module")
+def bench():
+    """The tree the benchmark's certify and replay workloads run."""
+    return certify(margin=0.12)
+
+
+def test_benchmark_margin_012_tree_is_pinned(bench):
+    assert bench.complete
+    assert bench.box_count == 17_545
+    assert len(bench.bounds) == 8_773
+    assert bench.c_star == pytest.approx(1.4382907040007736e-09, rel=1e-9)
+
+
+def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch):
+    # the benchmark's per-layer replay clips `Certificate.leaves` itself, and
+    # a second clip moves some margin-0.12 leaves, so `.leaves` must give the
+    # boxes as the tree places them, unclipped
+    bounded = []
+    evaluate = certifier._evaluate
+
+    def kept(boxes, *args):
+        bounded.append(boxes)
+        return evaluate(boxes, *args)
+
+    monkeypatch.setattr(certifier, "_evaluate", kept)
+    assert verify_certificate(bench)
+    boxes = np.array([leaf.box for leaf in bench.leaves], dtype=float)
+    (p1, p2, p3, p4), w, feasible = _gauge_clip(boxes, bench.margin)
+    assert np.all(feasible)
+    for i, coord in enumerate((p1, p2, p3, p4, w)):
+        assert np.array_equal(coord.lo, bounded[0][:, i, 0])
+        assert np.array_equal(coord.hi, bounded[0][:, i, 1])
 
 
 @pytest.mark.parametrize("tree", ["pinned", "dotted"])
@@ -568,9 +593,28 @@ def test_verify_rejects_an_infeasible_code_on_a_box_that_meets_the_cut(pinned):
     assert verify_certificate(doc) is False
 
 
+def test_verify_rejects_a_split_code_on_an_infeasible_box(dotted):
+    # the first '.' node recoded '0' with two '.' children: the children of
+    # an infeasible box are infeasible too, so only the split code is false
+    doc = _fresh(dotted)
+    tree = doc["tree"]
+    pos = tree.index(".")
+    end = 0
+    for level in certifier._levels(tree):
+        start, end = end, end + len(level)
+        if pos < end:
+            break
+    # the node's children follow those of the split nodes before it
+    child = end + 2 * int(np.count_nonzero(certifier._is_split(level[:pos - start])))
+    doc["tree"] = tree[:pos] + "0" + tree[pos + 1:child] + ".." + tree[child:]
+    doc["box_count"] += 1
+    assert verify_certificate(doc) is False
+
+
 def test_clip_keeps_every_point_of_a_box_on_the_plane_and_in_the_cut(pinned):
     # every leaf and '.' box of the tree, with 20 random points each
-    boxes = np.repeat(np.concatenate(_decode(pinned.tree, pinned.margin)), 20, axis=0)
+    boxes = np.repeat(np.concatenate(_decode(pinned.tree, pinned.margin)[:2]), 20,
+                      axis=0)
     rng = np.random.default_rng(23)
     point = rng.uniform(boxes[:, :, 0], boxes[:, :, 1])
     point[:, 3] = 1.0 - point[:, :3].sum(axis=1)

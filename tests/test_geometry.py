@@ -12,12 +12,12 @@ from quadineq.geometry import (
     GeometryError,
     InvalidFrame,
     NonConvex,
-    configuration_from_json_dict,
     frame_of,
     frame_vertices,
     metrics,
     metrics_from_frames,
     quad_from_frame,
+    quad_from_json,
     quad_from_points,
     sample,
     sample_frames,
@@ -337,24 +337,22 @@ def test_frame_vertices_shapes():
 def test_points_json_round_trip():
     q = quad_from_points(*RECT21)
     doc = q.to_json_dict()
-    q2 = configuration_from_json_dict(doc)
+    q2 = quad_from_json("points", doc["points"])
     assert q2.vertices == q.vertices
 
 
 def test_frame_json_round_trip():
     fr = DiagonalFrame(0.3, 0.2, 0.25, 0.25, 1.0, normalized=True)
     doc = fr.to_json_dict()
-    fr2 = configuration_from_json_dict(doc)
-    assert fr2.p == fr.p and fr2.w == fr.w
+    q = quad_from_json("frame", doc["frame"])
+    assert q.vertices == quad_from_frame(fr).vertices
 
 
 def test_malformed_configuration_rejected():
     with pytest.raises(GeometryError):
-        configuration_from_json_dict({"points": [[0, 0], [1, 0]]})
+        quad_from_json("points", [[0, 0], [1, 0]])
     with pytest.raises(GeometryError):
-        configuration_from_json_dict({"frame": {"p": [1, 2, 3], "w": 1.0}})
-    with pytest.raises(GeometryError):
-        configuration_from_json_dict({})
+        quad_from_json("frame", {"p": [1, 2, 3], "w": 1.0})
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e160])

@@ -11,7 +11,7 @@ c = cos w, s = sin w and the side length:
     alpha3: (p4 s, p3 - p4 c) / f      beta3: (p2 s, p3 + p2 c) / a
     alpha4: (p1 s, p4 + p1 c) / d      beta4: (p3 s, p4 - p3 c) / f
 
-`_group_trig_factors` intersects sin X and sin Y with area quotients, and
+`_lemma_residual` intersects sin X and sin Y with area quotients, and
 `_lemma_angles` intersects two expressions each of X, Y, diff14 and diff12.
 Each intersection is sound only if its two expressions are equal.  The
 tests prove with sympy, using s^2 + c^2 = 1 and the law of cosines for each
