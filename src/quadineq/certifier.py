@@ -36,6 +36,18 @@ split exactly when its bound misses the target, a completed run builds the
 same tree in any visiting order.  When the box budget or `_MAX_DEPTH` stops
 a run, unsplit boxes stay leaves and the certificate is flagged incomplete.
 
+Whether a box splits depends on its bound, but the halves it would get do
+not, so the levels near the root, which are small, are bounded ahead:
+`_speculate` appends the clipped children of every feasible box of the last
+level while the batch holds fewer than `_LOOKAHEAD` rows (never past the
+rows the budget has left or past `_MAX_DEPTH`), one `_evaluate` call bounds
+the batch, and the levels are then committed one by one as if each had been
+bounded alone.  A committed level's split boxes take their children from the
+level below by rank, and the children of boxes that did not split are
+dropped.  Each bound depends on its own box alone, so the tree and every
+bound are the ones a call per level gives; the extra rows buy fewer calls,
+each of which has a fixed cost of a few milliseconds.
+
 The certificate is the tree, one code per node in level order ('0'-'4'
 split along p1, p2, p3, p4 or w, 'L' leaf, '.' misses the gauge plane or
 the cut), plus each leaf's bound in the same order; the in-memory
@@ -87,6 +99,9 @@ from .ioutil import finite_number
 # what a document must carry verbatim to be read as this format
 HEADER = {"version": __version__, "gauge": "psum1"}
 _EVAL_CHUNK = 8192
+# `certify` bounds the children a level's boxes would have together with the
+# level while the batch holds fewer rows than this (`_speculate`)
+_LOOKAHEAD = 1024
 # the rows a call of the edge mean-value form takes at most: its stacked
 # gradient costs more per row in larger calls, and each call has a fixed cost
 _RETRY_BLOCK = 2048
@@ -336,6 +351,29 @@ def _decode(tree: str, margin: float) -> tuple:
     return np.concatenate(leaves), np.concatenate(empties), splits_feasible
 
 
+def _speculate(level: np.ndarray, margin: float, depth: int, budget: int) -> list:
+    """The levels one `_evaluate` call of `certify` bounds: the clipped level
+    (at `depth`) and, while the batch holds fewer than `_LOOKAHEAD` rows, the
+    clipped children of every feasible box of the last level, as if each
+    were split.  A level is added only if the batch then stays within
+    `budget` rows and its depth within `_MAX_DEPTH`.
+
+    Returns one (clipped boxes, feasibility mask) pair per level; a level's
+    children follow its feasible boxes in order, two each.
+    """
+    spec = [_clipped(level, margin)]
+    rows = int(np.count_nonzero(spec[0][1]))
+    while rows < _LOOKAHEAD and depth + len(spec) <= _MAX_DEPTH and spec[-1][1].any():
+        boxes, feasible = spec[-1]
+        parents = boxes[feasible]
+        children = _clipped(_bisect(parents, _split_dims(parents)), margin)
+        rows += int(np.count_nonzero(children[1]))
+        if rows > budget:
+            break
+        spec.append(children)
+    return spec
+
+
 def certify(margin: float, target: float = 0.0,
             max_boxes: int = 1_000_000) -> Certificate:
     """Certify residual >= target over the margin-truncated domain.
@@ -354,27 +392,40 @@ def certify(margin: float, target: float = 0.0,
     evaluated = depth = 0
     complete = True
     while len(level):
-        boxes, feasible = _clipped(level, margin)
-        bounds = np.full(len(level), np.nan)
+        # one batch bounds the level and the levels below it that fit, as
+        # if every box split; the levels are then committed one by one
+        spec = _speculate(level, margin, depth, max_boxes - evaluated)
+        found = _evaluate(np.concatenate([boxes[feasible] for boxes, feasible in spec]),
+                          margin, target, _REACH)
         # recorded two ulps below the enclosure, so that a replay whose
         # libm calls wobble in the last ulp still reaches the recorded bound
-        bounds[feasible] = _down(_evaluate(boxes[feasible], margin, target, _REACH), 2)
-        evaluated += int(np.count_nonzero(feasible))
-        split = feasible & ~(bounds >= target)
-        pending = np.flatnonzero(split)
-        room = (max_boxes - evaluated) // 2 if depth < _MAX_DEPTH else 0
-        if len(pending) > room:
-            # out of boxes or depth: the rest stay leaves of a partial result
-            split[pending[room:]] = False
-            complete = False
-        dims = _split_dims(boxes[split])
-        code = np.full(len(level), _EMPTY, dtype=np.uint8)
-        code[feasible] = _LEAF
-        code[split] = _SPLIT_P1 + dims
-        codes.append(code.tobytes())
-        leaf_bounds.append(bounds[feasible & ~split])
+        found = np.split(_down(found, 2), np.cumsum([np.count_nonzero(f) for _, f in spec]))
+        rows = np.arange(len(level))  # the committed level's rows in `spec[k]`
+        for k, (all_boxes, all_feasible) in enumerate(spec):
+            all_bounds = np.full(len(all_boxes), np.nan)
+            all_bounds[all_feasible] = found[k]
+            boxes, feasible, bounds = all_boxes[rows], all_feasible[rows], all_bounds[rows]
+            evaluated += int(np.count_nonzero(feasible))
+            split = feasible & ~(bounds >= target)
+            pending = np.flatnonzero(split)
+            room = (max_boxes - evaluated) // 2 if depth < _MAX_DEPTH else 0
+            if len(pending) > room:
+                # out of boxes or depth: the rest stay leaves of a partial result
+                split[pending[room:]] = False
+                complete = False
+            dims = _split_dims(boxes[split])
+            code = np.full(len(rows), _EMPTY, dtype=np.uint8)
+            code[feasible] = _LEAF
+            code[split] = _SPLIT_P1 + dims
+            codes.append(code.tobytes())
+            leaf_bounds.append(bounds[feasible & ~split])
+            depth += 1
+            if k + 1 == len(spec) or not split.any():
+                break
+            # the split boxes' children, two per feasible box before them
+            parents = (np.cumsum(all_feasible) - 1)[rows[split]]
+            rows = np.stack([2 * parents, 2 * parents + 1], axis=1).ravel()
         level = _bisect(boxes[split], dims)
-        depth += 1
 
     bounds = np.concatenate(leaf_bounds).tolist()
     return Certificate(

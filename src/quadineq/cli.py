@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--margin", type=float, nargs="+", default=[0.05])
     p_search.add_argument("--budget", type=int, default=2000)
 
-    for p in (p_eval, p_audit, p_cert, p_check, p_search):
+    p_cert.add_argument("--out", help="write the certificate to this path; the summary "
+                                      "goes to stdout without it")
+    for p in (p_eval, p_audit, p_check, p_search):
         p.add_argument("--out", help="write the report to this path")
     for p in (p_eval, p_audit, p_search):
         p.add_argument("--format", choices=("json", "csv"), default="json")

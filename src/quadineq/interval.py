@@ -38,10 +38,18 @@ coordinate, at the point of the box that maximizes its lower bound
 enclosure is nonnegative, the high end where it is nonpositive, and in
 between otherwise.  Any point of the box is a sound centre, because the
 segment from it to any other point of the box stays in the box.
+
+The partials come from forward mode (`DiffInterval`) that stores only the
+partials a quantity can have: a side length depends on two or three of the
+five coordinates and an area on four, so most of the gradient's work
+before the edge terms runs on two to four rows, not five.  A partial that
+only one operand of a sum has is still rounded once, so every partial is
+bit for bit what a dense five-row gradient gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -228,59 +236,110 @@ def iatan2(s: Interval, c: Interval) -> Interval:
 # Forward-mode derivative enclosures (for mean-value forms)
 # ---------------------------------------------------------------------------
 
+_ALL = (0, 1, 2, 3, 4)  # the coordinates p1, p2, p3, p4, w by index
+
+
+def _runs(sub: tuple, deps: tuple) -> tuple:
+    # where the coordinates `sub` sit among `deps`, as (rows of deps, rows of
+    # sub) slice pairs, one per run of consecutive rows: slices index numpy
+    # rows faster than index arrays do
+    runs = []
+    for k, i in enumerate(sub):
+        at = deps.index(i)
+        if runs and runs[-1][0].stop == at:
+            runs[-1] = (slice(runs[-1][0].start, at + 1), slice(runs[-1][1].start, k + 1))
+        else:
+            runs.append((slice(at, at + 1), slice(k, k + 1)))
+    return tuple(runs)
+
+
+@functools.cache  # at most 32 x 32 pairs of coordinate tuples
+def _union(a: tuple, b: tuple) -> tuple:
+    # the sorted union of two coordinate tuples and the runs of each in it
+    deps = tuple(sorted(set(a) | set(b)))
+    return deps, _runs(a, deps), _runs(b, deps)
+
+
+def _grad_sum(g: Interval, g_deps: tuple, h: Interval, h_deps: tuple,
+              shape: tuple) -> tuple:
+    """(g + h, its coordinates) for partials along `g_deps` and `h_deps`
+    whose rows have the given shape.
+
+    A row only one operand has is still rounded once, as its sum with an
+    exact zero: what a dense gradient of five rows computes there, up to
+    the other operand's structurally zero row (a few subnormals at most)."""
+    if g_deps == h_deps:
+        return g + h, g_deps
+    deps, g_runs, h_runs = _union(g_deps, h_deps)
+    lo, hi = np.zeros((len(deps),) + shape), np.zeros((len(deps),) + shape)
+    for into, rows in g_runs:
+        lo[into], hi[into] = g.lo[rows], g.hi[rows]
+    for into, rows in h_runs:
+        lo[into] += h.lo[rows]
+        hi[into] += h.hi[rows]
+    return Interval(_down(lo), _up(hi)), deps
+
+
 @dataclass(frozen=True, eq=False)
 class DiffInterval:
     """Interval value together with interval enclosures of its partial
     derivatives with respect to the five frame coordinates.
 
-    `grad` is one Interval whose endpoints carry a leading axis of length 5
-    (d/dp1..d/dp4, d/dw) ahead of the value's shape, so each operator is a
-    single broadcast expression; the scalar Interval(0.0, 0.0) serves as a
-    zero gradient.  The five coordinates of a box share one endpoint shape.
+    `deps` is the sorted tuple of coordinates (0-4 for p1..p4, w) along
+    which a partial may be nonzero; every other partial is exactly zero and
+    is not stored.  `grad` is one Interval whose endpoints carry a leading
+    axis of length len(deps), one row per coordinate of `deps` in order,
+    ahead of the value's shape, so each operator is a single broadcast
+    expression.  A seed depends on one coordinate and a constant on none;
+    a sum or product depends on the union of its operands' coordinates.
     """
 
     val: Interval
     grad: Interval
+    deps: tuple
 
     def __add__(self, other: "DiffInterval") -> "DiffInterval":
-        return DiffInterval(self.val + other.val, self.grad + other.grad)
+        val = self.val + other.val
+        return DiffInterval(val, *_grad_sum(self.grad, self.deps, other.grad,
+                                            other.deps, np.shape(val.lo)))
 
     def __neg__(self) -> "DiffInterval":
-        return DiffInterval(-self.val, -self.grad)
+        return DiffInterval(-self.val, -self.grad, self.deps)
 
     def __sub__(self, other: "DiffInterval") -> "DiffInterval":
         return self + (-other)
 
     def __mul__(self, other: "DiffInterval") -> "DiffInterval":
-        return DiffInterval(self.val * other.val,
-                            self.val * other.grad + other.val * self.grad)
+        val = self.val * other.val
+        return DiffInterval(val, *_grad_sum(self.val * other.grad, other.deps,
+                                            other.val * self.grad, self.deps,
+                                            np.shape(val.lo)))
 
     def half(self) -> "DiffInterval":
-        return DiffInterval(self.val.half(), self.grad.half())
+        return DiffInterval(self.val.half(), self.grad.half(), self.deps)
 
     def double(self) -> "DiffInterval":
-        return DiffInterval(self.val.double(), self.grad.double())
+        return DiffInterval(self.val.double(), self.grad.double(), self.deps)
 
     def clamp(self, lo: float, hi: float) -> "DiffInterval":
         # tightening the value range by a proven bound leaves partials alone
-        return DiffInterval(self.val.clamp(lo, hi), self.grad)
+        return DiffInterval(self.val.clamp(lo, hi), self.grad, self.deps)
 
 
 def _seed(value: Interval, index: int, partial: Interval) -> DiffInterval:
     # value whose only nonzero partial is `partial`, along coordinate `index`
-    lo = np.zeros((5,) + np.shape(value.lo))
-    hi = np.zeros((5,) + np.shape(value.lo))
-    lo[index], hi[index] = partial.lo, partial.hi
-    return DiffInterval(value, Interval(lo, hi))
+    lo, hi = np.empty((1,) + np.shape(value.lo)), np.empty((1,) + np.shape(value.lo))
+    lo[0], hi[0] = partial.lo, partial.hi
+    return DiffInterval(value, Interval(lo, hi), (index,))
 
 
 def d_sqr(x: DiffInterval) -> DiffInterval:
-    return DiffInterval(isqr(x.val), (x.val * x.grad).double())
+    return DiffInterval(isqr(x.val), (x.val * x.grad).double(), x.deps)
 
 
 def d_sqrt(x: DiffInterval) -> DiffInterval:
     root = isqrt(x.val)
-    return DiffInterval(root, (ONE / root.double()) * x.grad)
+    return DiffInterval(root, (ONE / root.double()) * x.grad, x.deps)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +475,13 @@ def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     sin, cos = isin(box.w), icos(box.w)
     sin_w = _seed(sin, 4, cos).clamp(0.0, 1.0)
     cos_w = _seed(cos, 4, -sin).clamp(-1.0, 1.0)
-    one = DiffInterval(ONE, Interval(0.0, 0.0))
+    none = np.zeros((0,) + np.shape(box.w.lo))  # the partials of a constant
+    one = DiffInterval(ONE, Interval(none, none), ())
     lengths = _lengths_core(p[0], p[1], p[2], p[3], cos_w, one, d_sqr, d_sqrt)
     areas = _areas_core(p[0], p[1], p[2], p[3], sin_w)
-    return _edge_residual_core(lengths, areas)
+    residual = _edge_residual_core(lengths, areas)
+    assert residual.deps == _ALL  # every partial, in the order of _ALL
+    return residual
 
 
 def _lower_optimal_centre(coord: Interval, partial: Interval):

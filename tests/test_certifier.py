@@ -447,6 +447,8 @@ def test_leaf_bound_is_lemma_where_it_clears_else_both(policy_cert):
 
 
 def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
+    # one level per `_evaluate` call: no box beyond the tree is bounded
+    monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
     target = policy_cert.target
     boxes = _evaluated_boxes(policy_cert)
     lemma = _enclosure_lo(boxes, policy_cert.margin, "lemma")
@@ -460,7 +462,21 @@ def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
     assert 0 < near < np.count_nonzero(lemma < target)
 
 
+def _kept_batches(monkeypatch):
+    """Keep every batch of clipped boxes that `_evaluate` bounds."""
+    batches = []
+    evaluate = certifier._evaluate
+
+    def kept(boxes, *args):
+        batches.append(boxes)
+        return evaluate(boxes, *args)
+
+    monkeypatch.setattr(certifier, "_evaluate", kept)
+    return batches
+
+
 def test_each_evaluated_box_pays_the_lemma_form_once(both_cert, monkeypatch):
+    monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)  # one level per call
     rows = [0]
     lemma = interval._lemma_residual
 
@@ -474,6 +490,51 @@ def test_each_evaluated_box_pays_the_lemma_form_once(both_cert, monkeypatch):
     # both runs tighten some rows to "both", built from the lemma enclosure
     # each row already has
     assert rows[0] == again.box_count + len(both_cert.bounds)
+
+
+def test_each_bounded_row_pays_the_lemma_form_once(both_cert, monkeypatch):
+    # the default schedule bounds more rows than the tree has boxes, each
+    # with the lemma form once
+    rows = [0]
+    lemma = interval._lemma_residual
+
+    def counted(box, *args):
+        rows[0] += np.size(box.p1.lo)
+        return lemma(box, *args)
+
+    monkeypatch.setattr(interval, "_lemma_residual", counted)
+    batches = _kept_batches(monkeypatch)
+    again = certify(margin=MARGIN, target=0.0, max_boxes=300_000)
+    bounded = sum(map(len, batches))
+    assert bounded > again.box_count
+    assert verify_certificate(both_cert)
+    assert rows[0] == bounded + len(both_cert.bounds)
+
+
+def _row_keys(boxes):
+    return [row.tobytes() for row in np.ascontiguousarray(boxes).reshape(len(boxes), -1)]
+
+
+def test_lookahead_bounds_each_node_once_and_both_only_near_the_target(
+        policy_cert, monkeypatch):
+    # the default schedule also bounds the children of boxes that clear, in
+    # fewer and larger batches; each node of the tree is bounded once among
+    # them, and "both" is tightened on exactly the rows near the target
+    target = policy_cert.target
+    batches = _kept_batches(monkeypatch)
+    rows = _counted_enclosures(monkeypatch)
+    again = certify(margin=MARGIN, target=target, max_boxes=300_000)
+    assert again.tree == policy_cert.tree
+    bounded = np.concatenate(batches)
+    keys = _row_keys(bounded)
+    assert len(set(keys)) == len(keys)  # no row twice
+    nodes = _row_keys(certifier._clipped(_evaluated_boxes(policy_cert), MARGIN)[0])
+    assert len(set(nodes)) == policy_cert.box_count and set(nodes) <= set(keys)
+    assert len(batches) < len(certifier._levels(policy_cert.tree))
+    assert len(keys) > policy_cert.box_count
+    lemma = residual_enclosure(certifier._frame_box(bounded, MARGIN), "lemma").lo
+    near = int(np.count_nonzero((lemma < target) & (lemma >= target - certifier._REACH)))
+    assert rows == {"lemma": len(keys), "both": near}
 
 
 def test_positive_target_run_completes_and_verifies(raised_cert):
@@ -541,7 +602,9 @@ def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch)
 @pytest.mark.parametrize("tree", ["pinned", "dotted"])
 def test_certify_and_replay_clip_each_node_once(request, monkeypatch, tree):
     # each node's box is clipped once and that clip is bounded, split and
-    # checked against its code; the margin-0.135 tree has '.' nodes
+    # checked against its code; the margin-0.135 tree has '.' nodes.  With
+    # one level per `_evaluate` call certify clips the tree's boxes alone
+    monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
     done = request.getfixturevalue(tree)
     rows = [0]
     clip = certifier._gauge_clip
@@ -556,6 +619,62 @@ def test_certify_and_replay_clip_each_node_once(request, monkeypatch, tree):
     rows[0] = 0
     assert verify_certificate(again)
     assert rows[0] == len(done.tree)
+
+
+@pytest.mark.parametrize("tree", ["pinned", "dotted"])
+def test_lookahead_clips_each_node_once_and_the_replay_too(request, monkeypatch, tree):
+    # the default schedule clips the children of boxes that clear as well,
+    # each once; the replay clips exactly the tree's nodes
+    done = request.getfixturevalue(tree)
+    clipped = []
+    clip = certifier._gauge_clip
+
+    def kept(arr, margin):
+        clipped.append(arr)
+        return clip(arr, margin)
+
+    monkeypatch.setattr(certifier, "_gauge_clip", kept)
+    again = certify(margin=done.margin)
+    assert again.tree == done.tree
+    keys = _row_keys(np.concatenate(clipped))
+    assert len(set(keys)) == len(keys) > len(done.tree)
+    clipped.clear()
+    assert verify_certificate(again)
+    assert sum(map(len, clipped)) == len(done.tree)
+
+
+@pytest.mark.parametrize("margin", [0.2, 0.16, 0.135])
+@pytest.mark.parametrize("target", [0.0, 1e-5])
+def test_lookahead_changes_no_certificate_byte(monkeypatch, margin, target):
+    # each bound depends on its own box alone, so bounding the children of
+    # boxes that end up leaves, and cutting a round at the box budget or
+    # the depth limit, leaves every tree and bound where one level per
+    # `_evaluate` call puts it
+    for max_boxes in (1, 7, 100, 1000, 1_000_000):
+        monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
+        alone = dumps(certify(margin, target, max_boxes).to_json_dict())
+        monkeypatch.undo()
+        assert dumps(certify(margin, target, max_boxes).to_json_dict()) == alone, max_boxes
+
+
+def test_lookahead_stops_at_the_depth_limit(monkeypatch):
+    # the deepest level a run may bound is `_MAX_DEPTH`: levels 0 to 3 hold
+    # at most 1 + 2 + 4 + 8 boxes
+    lookahead = certifier._LOOKAHEAD
+    monkeypatch.setattr(certifier, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
+    alone = certify(0.15)
+    monkeypatch.setattr(certifier, "_LOOKAHEAD", lookahead)
+    batches = _kept_batches(monkeypatch)
+    assert certify(0.15) == alone
+    assert len(batches) == 1 and len(batches[0]) <= 15
+
+
+def test_a_budget_of_one_box_bounds_one_row(monkeypatch):
+    batches = _kept_batches(monkeypatch)
+    one = certify(0.2, max_boxes=1)
+    assert [len(batch) for batch in batches] == [1]
+    assert one.tree == "L" and not one.complete
 
 
 def test_leaves_cover_every_sampled_frame_carried_into_the_cut(pinned):

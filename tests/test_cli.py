@@ -308,6 +308,18 @@ def test_certify_without_out_embeds_the_certificate_it_would_write(tmp_path, cap
     assert verify_certificate(embedded) is True
 
 
+def test_certify_help_says_out_takes_the_certificate(capsys):
+    # `certify --out` writes the certificate; the summary stays on stdout
+    code, out, _ = run(capsys, ["certify", "--help"])
+    assert code == 0
+    help_text = " ".join(out.split())
+    assert "--out OUT write the certificate to this path; the summary goes to stdout" \
+        in help_text
+    assert "report" not in help_text
+    code, out, _ = run(capsys, ["check-cert", "--help"])
+    assert "--out OUT write the report to this path" in " ".join(out.split())
+
+
 def _check_edited_cert(tmp_path, capsys, edit, max_boxes="1000000"):
     """check-cert of a margin-0.2 certificate with some fields replaced."""
     cert_path = tmp_path / "cert.json"

@@ -447,6 +447,51 @@ def test_edge_table_enclosures_equal_the_written_out_core_bit_for_bit(monkeypatc
         assert np.array_equal(table.hi, formula.hi)
 
 
+def _dense_seed(value, index, partial):
+    # a seed that carries all five partials, four of them exactly zero: the
+    # dense gradient, whose every sum and product runs over five rows
+    lo, hi = np.zeros((5,) + np.shape(value.lo)), np.zeros((5,) + np.shape(value.lo))
+    lo[index], hi[index] = partial.lo, partial.hi
+    return interval.DiffInterval(value, Interval(lo, hi), (0, 1, 2, 3, 4))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_sparse_partials_match_dense_ones_bit_for_bit(monkeypatch):
+    # a partial that is structurally zero is not stored; a dense row holds
+    # at most a few subnormals there, which no sum with a stored row feels
+    rng = np.random.default_rng(5)
+    box, _, _ = _random_boxes(rng, 8_192)
+    quantities = {}
+    core = interval._edge_residual_core
+
+    def kept(lengths, areas):
+        quantities.update(lengths, **areas)
+        return core(lengths, areas)
+
+    monkeypatch.setattr(interval, "_edge_residual_core", kept)
+    sparse = edge_residual_with_gradient(box)
+    monkeypatch.undo()
+    sparse_mv = edge_mean_value_enclosure(box)
+    p1, p2, p3, p4, w = range(5)
+    expected = {"a": (p2, p3, w), "b": (p1, p3), "c": (p1, p2, w), "d": (p1, p4, w),
+                "e": (p2, p4), "f": (p3, p4, w), "A123": (p1, p2, p3, w),
+                "A124": (p1, p2, p4, w), "A134": (p1, p3, p4, w), "A234": (p2, p3, p4, w)}
+    assert {name: q.deps for name, q in quantities.items()} == expected
+    for q in quantities.values():
+        assert np.shape(q.grad.lo) == (len(q.deps), 8_192)
+    monkeypatch.setattr(interval, "_seed", _dense_seed)
+    dense = edge_residual_with_gradient(box)
+    dense_mv = edge_mean_value_enclosure(box)
+    assert sparse.deps == dense.deps == (0, 1, 2, 3, 4)
+    for ours, theirs in ((sparse.val, dense.val), (sparse.grad, dense.grad),
+                         (sparse_mv, dense_mv)):
+        assert np.array_equal(_bits(ours.lo), _bits(theirs.lo))
+        assert np.array_equal(_bits(ours.hi), _bits(theirs.hi))
+
+
 def test_both_is_mean_value_intersected_with_lemma():
     rng = np.random.default_rng(4096)
     box, _, _ = _random_boxes(rng, 20_000, width_scale=0.1)
