@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import EDGES
+from .kernel import EDGES, lemma_form
 
 _TRANS_ULPS = 4  # outward ulps after sin/cos/atan2
 
@@ -514,9 +514,7 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
 
 def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
                     cos_w: Interval) -> Interval:
-    """The factored trig form: the group factors and the closed
-    multiplicity-two expression, summed first and scaled once by abcdef,
-    which keeps interval sub-distributivity on our side.
+    """The factored trig form, kernel.lemma_form, over intervals.
 
     sin X and sin Y are intersected with their exact area-quotient forms
     sin X = s (p3 p4 - p1 p2) / (a d) and sin Y = s (p2 p3 - p1 p4) / (c f),
@@ -530,27 +528,17 @@ def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
     quot_y = ((p2 * p3 - p1 * p4) * sin_w) / (lengths["c"] * lengths["f"])
     sin_X = isin(X).intersect(quot_x.clamp(-1.0, 1.0))
     sin_Y = isin(Y).intersect(quot_y.clamp(-1.0, 1.0))
-    sin_hW = isin(W.half()).clamp(0.0, 1.0)
-    sin_hWp = isin(Wp.half()).clamp(0.0, 1.0)
-    cos_hW = icos(W.half()).clamp(0.0, 1.0)
-    cos_hWp = icos(Wp.half()).clamp(0.0, 1.0)
-    sin_hX = isin(X.half())
-    sin_hY = isin(Y.half())
-    cos_hX = icos(X.half()).clamp(0.0, 1.0)
-    cos_hY = icos(Y.half()).clamp(0.0, 1.0)
-    sin_hg13 = isin(gamma13.half()).clamp(0.0, 1.0)
-    sin_d14 = isin(diff14.half())
-    sin_d12 = isin(diff12.half())
+    # W/2 and W'/2 lie in [0, pi/2], X/2 and Y/2 in [-pi/2, pi/2], and
+    # gamma13/2 in [0, pi]
+    sin_X2, sin_Y2 = isin(X.half()), isin(Y.half())
+    cos_X2, cos_Y2, cos_W2, cos_Wp2 = (icos(v.half()).clamp(0.0, 1.0) for v in (X, Y, W, Wp))
+    sin_W2, sin_Wp2, sin_g13 = (isin(v.half()).clamp(0.0, 1.0) for v in (W, Wp, gamma13))
+    sin_a1b4, sin_b1a2 = isin(diff14.half()), isin(diff12.half())
 
-    group_x = sin_X * sin_hWp * sin_hY * sin_d14
-    group_y = sin_Y * sin_hW * sin_hX * sin_d12
-    group_w = sin_w * cos_hX * cos_hY * sin_hg13
-    even_part = (isqr(sin_hX) * isqr(cos_hW) * isqr(cos_hY)
-                 + isqr(cos_hX) * isqr(cos_hWp) * isqr(sin_hY)).double()
-    odd_part = (sin_d14 * sin_d12 * sin_hg13).double()
     K = ((lengths["a"] * lengths["b"]) * (lengths["c"] * lengths["d"])) \
         * (lengths["e"] * lengths["f"])
-    return K * (((group_x + group_y) + group_w) - (even_part + odd_part))
+    return lemma_form(K, sin_X, sin_Y, sin_w, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
+                      sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, isqr, Interval.double)[-1]
 
 
 def residual_enclosure(box: FrameBox, path: str = "edge") -> Interval:
@@ -558,8 +546,8 @@ def residual_enclosure(box: FrameBox, path: str = "edge") -> Interval:
 
     The value enclosed is the raw length^6 residual at the gauge
     p1+p2+p3+p4 = 1.  Paths: "edge" is the natural evaluation of the six
-    edge expressions; "lemma" is the factored trig form (group factors times
-    abcdef); "both" intersects the edge mean-value form with the lemma form.
+    edge expressions; "lemma" is the factored trig form (kernel.lemma_form);
+    "both" intersects the edge mean-value form with the lemma form.
     Every path encloses the same function, so the intersection is also a
     valid, tighter enclosure.
     """

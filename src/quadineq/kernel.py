@@ -15,8 +15,9 @@ multiplicity-one terms split into three groups of eight by which length pair
 they avoid ({a,d} -> X group, {c,f} -> Y group, {b,e} -> W group), and each
 group collapses to a single product of abcdef with sines of the derived
 angles.  The multiplicity-two terms collapse to abcdef times a closed
-angular expression.  This module evaluates the residual through all of these
-routes and audits every identity and inequality along the way.
+angular expression; lemma_form writes both once, for floats and intervals.
+This module evaluates the residual through all of these routes and audits
+every identity and inequality along the way.
 
 forms(m) evaluates every quantity the audit compares, each written once
 with its formula in the docstring, and computes each sine and cosine that
@@ -124,6 +125,31 @@ def _sum_terms(m: QuadMetrics, terms):
     return total
 
 
+def lemma_form(K, sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
+               sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, sqr, double):
+    """The factored trig form, one text for floats, intervals and sympy
+    symbols, with arguments named as in forms.  It returns the parts
+
+        x     sin X sin(W'/2) sin(Y/2) sin((alpha1 - beta4)/2)
+        y     sin Y sin(W/2)  sin(X/2) sin((beta1 - alpha2)/2)
+        w     sin W cos(X/2)  cos(Y/2) sin((gamma1 + gamma3)/2)
+        even  2 sin^2(X/2) cos^2(W/2) cos^2(Y/2) + 2 cos^2(X/2) cos^2(W'/2) sin^2(Y/2)
+        odd   2 sin((alpha1 - beta4)/2) sin((beta1 - alpha2)/2) sin((gamma1 + gamma3)/2)
+
+    and the residual K (((x + y) + w) - (even + odd)), K = abcdef: summed
+    first and scaled once, which keeps interval sub-distributivity on our
+    side.  sqr and double must be exact.  Certificates depend on the order
+    of these products bit for bit.
+    """
+    x = sin_X * sin_Wp2 * sin_Y2 * sin_a1b4
+    y = sin_Y * sin_W2 * sin_X2 * sin_b1a2
+    w = sin_W * cos_X2 * cos_Y2 * sin_g13
+    even = double(sqr(sin_X2) * sqr(cos_W2) * sqr(cos_Y2)
+                  + sqr(cos_X2) * sqr(cos_Wp2) * sqr(sin_Y2))
+    odd = double(sin_a1b4 * sin_b1a2 * sin_g13)
+    return x, y, w, even, odd, K * (((x + y) + w) - (even + odd))
+
+
 def forms(m: QuadMetrics) -> dict:
     """Every quantity the audit compares, by name.  With K = abcdef:
 
@@ -131,24 +157,15 @@ def forms(m: QuadMetrics) -> dict:
 
         edge                 E12 + E23 + E34 + E41 - E13 - E24
         expanded             the 30 expanded terms, summed one by one
-        lemma                mult1-x + mult1-y + mult1-w + mult2-closed
+        lemma                lemma_form's residual
         normalized-residual  edge / K
 
     The multiplicity-one groups, each raw (mult1-x-raw, mult1-y-raw,
-    mult1-w-raw: its eight terms summed) and factored:
+    mult1-w-raw: its eight terms summed) and factored (mult1-x = K x, and
+    so on, from lemma_form).  The multiplicity-two sum, raw (mult2-raw: its
+    six area products) and closed, mult2-closed = K (p1-closed + p2-closed)
+    with p1-closed = 1/2 - even and p2-closed = -1/2 - odd, and by definition
 
-        mult1-x  K sin X sin(W'/2) sin(Y/2) sin((alpha1 - beta4)/2)
-        mult1-y  K sin Y sin(W/2)  sin(X/2) sin((beta1 - alpha2)/2)
-        mult1-w  K sin W cos(X/2)  cos(Y/2) sin((gamma1 + gamma3)/2)
-
-    The multiplicity-two sum, raw (mult2-raw: its six area products) and
-    closed, mult2-closed = K (p1-closed + p2-closed), from the even and odd
-    angular parts
-
-        p1-closed      1/2 - 2 sin^2(X/2) cos^2(W/2)  cos^2(Y/2)
-                           - 2 cos^2(X/2) cos^2(W'/2) sin^2(Y/2)
-        p2-closed     -1/2 - 2 sin((alpha1 - beta4)/2) sin((beta1 - alpha2)/2)
-                               sin((gamma1 + gamma3)/2)
         p1-definition  (cos(alpha1 + beta4) + cos(alpha3 + beta2)
                         + cos(alpha4 + beta3) + cos(alpha2 + beta1)
                         + cos(gamma1 - gamma3) + cos(gamma2 - gamma4)) / 4
@@ -175,9 +192,8 @@ def forms(m: QuadMetrics) -> dict:
         sine-bound-2  sin((W - X)/2)  - |sin((beta1 - alpha2)/2)|
         sine-bound-3  sin((gamma1 + gamma3)/2) - sin((X + Y)/2)
 
-    The sign-case chain.  angular-core, the factored groups over K plus the
-    even deficit p1-closed - 1/2, and final-chain are nonnegative under the
-    angle-sum hypotheses; core-split is angular-core split as
+    The sign-case chain.  angular-core = ((x + y) + w) - even and final-chain
+    are nonnegative under the angle-sum hypotheses; core-split splits it as
 
         core-split   2 sin((W' - Y)/2) sin((W - X)/2) sin((X + Y)/2) + remainder
         remainder    2 sin X sin(W'/2) sin(Y/2) sin(alpha3/2) cos(beta2/2)
@@ -217,14 +233,13 @@ def forms(m: QuadMetrics) -> dict:
     d5, d6 = co(m.gamma1 + m.gamma3), co(m.gamma2 + m.gamma4)
 
     K = _abcdef(m)
-    x = K * sin_X * sin_Wp2 * sin_Y2 * sin_a1b4
-    y = K * sin_Y * sin_W2 * sin_X2 * sin_b1a2
-    w = K * sin_W * cos_X2 * cos_Y2 * sin_g13
-    odd = 2.0 * sin_a1b4 * sin_b1a2 * sin_g13
-    p1 = 0.5 - 2.0 * sin_X2 ** 2 * cos_W2 ** 2 * cos_Y2 ** 2 \
-        - 2.0 * cos_X2 ** 2 * cos_Wp2 ** 2 * sin_Y2 ** 2
-    p2 = -0.5 - odd
-    mult2 = K * (p1 + p2)
+    x, y, w, even, odd, lemma = lemma_form(
+        K, sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
+        sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, np.square, lambda v: 2.0 * v)
+    core = ((x + y) + w) - even  # from the unscaled parts, which the next line drops
+    x, y, w = K * x, K * y, K * w
+    p1, p2 = 0.5 - even, -0.5 - odd
+    del even
     sines = -sa1 * sb4 - sa3 * sb2 - sa4 * sb3 - sa2 * sb1 + sg1 * sg3
     head = 2.0 * sin_WpY * sin_WX * sin_XY
     tail = 2.0 * sin_W * cos_X2 * cos_Y2 * cos_g1_2 * sin_g3_2
@@ -234,14 +249,14 @@ def forms(m: QuadMetrics) -> dict:
     return {
         "edge": edge,
         "expanded": residual(m, "expanded"),
-        "lemma": x + y + w + mult2,
+        "lemma": lemma,
         "normalized-residual": edge / K,
         "mult1-x": x, "mult1-y": y, "mult1-w": w,
         **{f"mult1-{g}-raw": _sum_terms(m, terms) for g, terms in _MULT1_TERMS.items()},
         "mult2-raw": (-2.0 * m.a * m.d * (m.A123 * m.A234 + m.A124 * m.A134)
                       - 2.0 * m.c * m.f * (m.A124 * m.A123 + m.A134 * m.A234)
                       + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234)),
-        "mult2-closed": mult2,
+        "mult2-closed": K * (p1 + p2),
         "mult2-plus": 0.5 * K * (sines + sg2 * sg4),
         "mult2-minus": 0.5 * K * (sines - sg2 * sg4),
         "p1-closed": p1,
@@ -256,9 +271,7 @@ def forms(m: QuadMetrics) -> dict:
         "sine-bound-1": sin_WpY - np.abs(sin_a1b4),
         "sine-bound-2": sin_WX - np.abs(sin_b1a2),
         "sine-bound-3": sin_g13 - sin_XY,
-        "angular-core": (sin_X * sin_Wp2 * sin_Y2 * sin_a1b4
-                         + sin_Y * sin_W2 * sin_X2 * sin_b1a2
-                         + sin_W * cos_X2 * cos_Y2 * sin_g13 + (p1 - 0.5)),
+        "angular-core": core,
         "remainder": remainder,
         "core-split": head + remainder,
         "final-chain": head - odd + tail,
@@ -271,8 +284,7 @@ def residual(m: QuadMetrics, path: str = "edge"):
 
         edge      difference of the six composite edge expressions
         expanded  sum of the 30 individual terms
-        lemma     factored multiplicity-one groups plus the closed
-                  multiplicity-two form (see forms)
+        lemma     the factored trig form, lemma_form
     """
     if path == "edge":
         t = edge_terms(m)

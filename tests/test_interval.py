@@ -447,6 +447,34 @@ def test_edge_table_enclosures_equal_the_written_out_core_bit_for_bit(monkeypatc
         assert np.array_equal(table.hi, formula.hi)
 
 
+def _written_out_lemma_form(K, sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2,
+                            cos_W2, sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, sqr, double):
+    # the interval products in the order the certificates were written with
+    group_x = sin_X * sin_Wp2 * sin_Y2 * sin_a1b4
+    group_y = sin_Y * sin_W2 * sin_X2 * sin_b1a2
+    group_w = sin_W * cos_X2 * cos_Y2 * sin_g13
+    even_part = (isqr(sin_X2) * isqr(cos_W2) * isqr(cos_Y2)
+                 + isqr(cos_X2) * isqr(cos_Wp2) * isqr(sin_Y2)).double()
+    odd_part = (sin_a1b4 * sin_b1a2 * sin_g13).double()
+    residual = K * (((group_x + group_y) + group_w) - (even_part + odd_part))
+    return group_x, group_y, group_w, even_part, odd_part, residual
+
+
+def test_lemma_enclosures_equal_the_written_out_products_bit_for_bit(monkeypatch):
+    # the trig form is shared with the audit's floats; a regrouping of its
+    # products would move every certificate, and fails here first
+    rng = np.random.default_rng(8192)
+    box, _, _ = _random_boxes(rng, 8_192, width_scale=0.05)
+    shared = residual_enclosure(box, "lemma")
+    calls = []
+    monkeypatch.setattr(interval, "lemma_form",
+                        lambda *args: calls.append(1) or _written_out_lemma_form(*args))
+    written = residual_enclosure(box, "lemma")
+    assert calls == [1]
+    assert np.array_equal(_bits(shared.lo), _bits(written.lo))
+    assert np.array_equal(_bits(shared.hi), _bits(written.hi))
+
+
 def _dense_seed(value, index, partial):
     # a seed that carries all five partials, four of them exactly zero: the
     # dense gradient, whose every sum and product runs over five rows

@@ -17,11 +17,19 @@ Each intersection is sound only if its two expressions are equal.  The
 tests prove with sympy, using s^2 + c^2 = 1 and the law of cosines for each
 squared side, the quotients and the four triangle relations that make the
 expressions equal.  They reuse the symbols of tests/test_symmetry.py.
+
+The factored form itself is one function, kernel.lemma_form, that the
+audit calls with floats and the certifier with intervals; the last test
+calls it with symbols, which is where a proof of the half-angle identities
+starts.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+from quadineq import interval, kernel
 from quadineq.geometry import metrics_from_frames, sample_frames
 from quadineq.interval import FrameBox, Interval, _frame_angles, icos, isin
 
@@ -130,3 +138,25 @@ def test_triangle_relations_make_the_intersected_forms_equal():
     }
     for name, (left, right) in pairs.items():
         assert sp.simplify(left - right) == 0, name
+
+
+def test_the_factored_form_is_one_text_for_floats_intervals_and_symbols():
+    assert interval.lemma_form is kernel.lemma_form
+    names = list(inspect.signature(kernel.lemma_form).parameters)[:-2]  # all but sqr, double
+    symbols = sp.symbols(names)
+    *_, lemma = kernel.lemma_form(*symbols, lambda v: v ** 2, lambda v: 2 * v)
+    m = metrics_from_frames(*sample_frames(29, 2_000, 0.01))
+    s, c = np.sin, np.cos
+    values = {
+        "K": m.a * m.b * m.c * m.d * m.e * m.f,
+        "sin_X": s(m.X), "sin_Y": s(m.Y), "sin_W": s(m.W),
+        "sin_X2": s(m.X / 2), "cos_X2": c(m.X / 2), "sin_Y2": s(m.Y / 2), "cos_Y2": c(m.Y / 2),
+        "sin_W2": s(m.W / 2), "cos_W2": c(m.W / 2),
+        "sin_Wp2": s(m.Wp / 2), "cos_Wp2": c(m.Wp / 2),
+        "sin_g13": s((m.gamma1 + m.gamma3) / 2),
+        "sin_a1b4": s((m.alpha1 - m.beta4) / 2), "sin_b1a2": s((m.beta1 - m.alpha2) / 2),
+    }
+    assert list(values) == names
+    symbolic = sp.lambdify(symbols, lemma, "numpy")(*values.values())
+    gap = np.abs(symbolic - kernel.forms(m)["lemma"]) / values["K"]
+    assert np.max(gap) < 1e-14

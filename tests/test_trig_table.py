@@ -28,13 +28,15 @@ co = np.cos
 def reference_forms(m):
     """Every closed form, each trig factor evaluated where it is used."""
     K = m.a * m.b * m.c * m.d * m.e * m.f
-    x = K * s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s((m.alpha1 - m.beta4) / 2)
-    y = K * s(m.Y) * s(m.W / 2) * s(m.X / 2) * s((m.beta1 - m.alpha2) / 2)
-    w = K * s(m.W) * co(m.X / 2) * co(m.Y / 2) * s((m.gamma1 + m.gamma3) / 2)
-    p1 = 0.5 - 2.0 * s(m.X / 2) ** 2 * co(m.W / 2) ** 2 * co(m.Y / 2) ** 2 \
-        - 2.0 * co(m.X / 2) ** 2 * co(m.Wp / 2) ** 2 * s(m.Y / 2) ** 2
-    p2 = -0.5 - 2.0 * s((m.alpha1 - m.beta4) / 2) \
-        * s((m.beta1 - m.alpha2) / 2) * s((m.gamma1 + m.gamma3) / 2)
+    gx = s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s((m.alpha1 - m.beta4) / 2)
+    gy = s(m.Y) * s(m.W / 2) * s(m.X / 2) * s((m.beta1 - m.alpha2) / 2)
+    gw = s(m.W) * co(m.X / 2) * co(m.Y / 2) * s((m.gamma1 + m.gamma3) / 2)
+    even = 2.0 * (s(m.X / 2) ** 2 * co(m.W / 2) ** 2 * co(m.Y / 2) ** 2
+                  + co(m.X / 2) ** 2 * co(m.Wp / 2) ** 2 * s(m.Y / 2) ** 2)
+    odd = 2.0 * (s((m.alpha1 - m.beta4) / 2) * s((m.beta1 - m.alpha2) / 2)
+                 * s((m.gamma1 + m.gamma3) / 2))
+    p1 = 0.5 - even
+    p2 = -0.5 - odd
     d1 = 0.25 * (co(m.alpha1 + m.beta4) + co(m.alpha3 + m.beta2)
                  + co(m.alpha4 + m.beta3) + co(m.alpha2 + m.beta1)
                  + co(m.gamma1 - m.gamma3) + co(m.gamma2 - m.gamma4))
@@ -50,21 +52,17 @@ def reference_forms(m):
 
     u, v, t = m.beta4 - m.alpha1, m.alpha2 - m.beta1, m.gamma1 + m.gamma3
     return {
-        "mult1-x": x, "mult1-y": y, "mult1-w": w,
+        "mult1-x": K * gx, "mult1-y": K * gy, "mult1-w": K * gw,
         "mult2-closed": K * (p1 + p2),
         "mult2-plus": scalar(1.0), "mult2-minus": scalar(-1.0),
         "p1-closed": p1, "p2-closed": p2, "p1-definition": d1, "p2-definition": d2,
-        "lemma": x + y + w + K * (p1 + p2),
+        "lemma": K * (((gx + gy) + gw) - (even + odd)),
         "cosine-triple-cos": co(u) + co(v) + co(t),
         "cosine-triple-sin": 1.0 + 4.0 * s(u / 2) * s(v / 2) * s(t / 2),
         "sine-bound-1": s((m.Wp - m.Y) / 2) - np.abs(s((m.alpha1 - m.beta4) / 2)),
         "sine-bound-2": s((m.W - m.X) / 2) - np.abs(s((m.beta1 - m.alpha2) / 2)),
         "sine-bound-3": s((m.gamma1 + m.gamma3) / 2) - s((m.X + m.Y) / 2),
-        "angular-core": (
-            s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s((m.alpha1 - m.beta4) / 2)
-            + s(m.Y) * s(m.W / 2) * s(m.X / 2) * s((m.beta1 - m.alpha2) / 2)
-            + s(m.W) * co(m.X / 2) * co(m.Y / 2) * s((m.gamma1 + m.gamma3) / 2)
-            + (p1 - 0.5)),
+        "angular-core": ((gx + gy) + gw) - even,
         "core-split": (
             2.0 * s((m.Wp - m.Y) / 2) * s((m.W - m.X) / 2) * s((m.X + m.Y) / 2)
             + (2.0 * s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s(m.alpha3 / 2) * co(m.beta2 / 2)
