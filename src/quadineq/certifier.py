@@ -175,6 +175,8 @@ class Certificate:
             margin = finite_number(doc["margin"])
             tree = _typed(doc, "tree", str)
             _levels(tree)  # an unparsable tree is malformed, not false
+            if any(len(entry) != 1 for entry in doc["leaves"]):  # e.g. format 0.1.0's box
+                raise ValueError(f"a leaf of format {__version__} holds its lower_bound alone")
             return Certificate(
                 margin=margin,
                 target=finite_number(doc["target"]),

@@ -34,8 +34,8 @@ from .geometry import (
 )
 from .interval import IntervalError
 from .ioutil import dumps
-from .kernel import (IDENTITY_TOL, RESIDUAL_PATHS, audit, audit_samples, edge_terms,
-                     residual)
+from .kernel import (IDENTITY_TOL, RESIDUAL_PATHS, abcdef, audit, audit_samples,
+                     edge_terms, residual)
 from .search import boundary_trend
 
 _SIGN_PROBE_SAMPLES = 256
@@ -142,11 +142,11 @@ def _cmd_eval(args) -> int:
         m = metrics(quad)
         terms = edge_terms(m)
         residuals = {path: float(residual(m, path)) for path in RESIDUAL_PATHS}
+        scale = float(abcdef(vars(m)))
     # coordinates near 1e100 pass the diameter check, but the degree-six
     # terms overflow a float; near 1e-53 they underflow, and the audit's
     # checks, scaled by abcdef, become 0/0
-    abcdef = math.prod(float(getattr(m, k)) for k in "abcdef")
-    for name, value in [*terms.items(), *residuals.items(), ("abcdef", abcdef)]:
+    for name, value in [*terms.items(), *residuals.items(), ("abcdef", scale)]:
         if not math.isfinite(value) or (name == "abcdef" and value < sys.float_info.min):
             raise UsageError(f"{name} is {float(value)!r} for this configuration: "
                              f"its degree-six terms do not fit a float; scale it "

@@ -24,20 +24,16 @@ The rounding-primitive tests, the containment fuzz and the mpmath oracle
 tests are the contract for these widths, not the mechanism itself.
 
 Endpoints may be scalars or same-shape numpy arrays; a batch of boxes is
-just an Interval with array endpoints, which is what the branch-and-bound
-certifier feeds to the two functions it calls: `residual_enclosure(box,
-"lemma")` on every box, and `edge_mean_value_enclosure(box)` on the boxes
-whose lemma bound falls short, intersected with their lemma enclosure.
-
-The certified enclosure (path "both") is the intersection of exactly those
-two forms of the same residual: the mean-value form of the edge expressions
-and the factored trig form, whose sin X and sin Y factors are intersected
-with their area-quotient forms.  The mean-value form is centred, per
-coordinate, at the point of the box that maximizes its lower bound
-(Baumann's lower-optimal centre): the low end where the partial's
-enclosure is nonnegative, the high end where it is nonpositive, and in
-between otherwise.  Any point of the box is a sound centre, because the
-segment from it to any other point of the box stays in the box.
+just an Interval with array endpoints.  The branch-and-bound certifier
+calls two enclosures of the residual: `residual_enclosure(box, "lemma")`,
+kernel.lemma_form over intervals, on every box, and
+`edge_mean_value_enclosure(box)`, the mean-value form of kernel.edge_form,
+on the boxes whose lemma bound falls short, intersected with their lemma
+enclosure (path "both").  Both texts are the kernel's own, which the audit
+also runs on floats and the sympy tests on symbols.  The mean-value form is
+centred, per coordinate, at the point of the box that maximizes its lower
+bound (Baumann's lower-optimal centre); any point of the box is a sound
+centre, because the segment from it to any other point stays in the box.
 
 The partials come from forward mode (`DiffInterval`) that stores only the
 partials a quantity can have: a side length depends on two or three of the
@@ -56,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import EDGES, lemma_form
+from .kernel import abcdef, edge_form, lemma_form
 
 _TRANS_ULPS = 4  # outward ulps after sin/cos/atan2
 
@@ -459,13 +455,8 @@ def frame_quantities(box: FrameBox) -> dict:
             **ang, **_lemma_angles(box, ang)}
 
 
-def _edge_residual_core(lengths: dict, areas: dict):
-    # every edge slack is a sum of two triangle inequalities, hence >= 0
-    q = {**lengths, **areas}
-    E = {name: q[free] * q[A1] * q[A2]
-         * ((q[s1] + q[s2]) + (q[s3] + q[s4]) - q[twice].double()).clamp(0.0, np.inf)
-         for name, _, free, A1, A2, (s1, s2, s3, s4), twice in EDGES}
-    return ((E["e12"] + E["e23"]) + (E["e34"] + E["e41"])) - (E["e13"] + E["e24"])
+_double = operator.methodcaller("double")
+_nonneg = operator.methodcaller("clamp", 0.0, np.inf)
 
 
 def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
@@ -477,9 +468,8 @@ def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     cos_w = _seed(cos, 4, -sin).clamp(-1.0, 1.0)
     none = np.zeros((0,) + np.shape(box.w.lo))  # the partials of a constant
     one = DiffInterval(ONE, Interval(none, none), ())
-    lengths = _lengths_core(p[0], p[1], p[2], p[3], cos_w, one, d_sqr, d_sqrt)
-    areas = _areas_core(p[0], p[1], p[2], p[3], sin_w)
-    residual = _edge_residual_core(lengths, areas)
+    residual = edge_form({**_lengths_core(*p, cos_w, one, d_sqr, d_sqrt),
+                          **_areas_core(*p, sin_w)}, _double, _nonneg)[1]
     assert residual.deps == _ALL  # every partial, in the order of _ALL
     return residual
 
@@ -535,28 +525,27 @@ def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
     sin_W2, sin_Wp2, sin_g13 = (isin(v.half()).clamp(0.0, 1.0) for v in (W, Wp, gamma13))
     sin_a1b4, sin_b1a2 = isin(diff14.half()), isin(diff12.half())
 
-    K = ((lengths["a"] * lengths["b"]) * (lengths["c"] * lengths["d"])) \
-        * (lengths["e"] * lengths["f"])
-    return lemma_form(K, sin_X, sin_Y, sin_w, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
-                      sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, isqr, Interval.double)[-1]
+    return lemma_form(abcdef(lengths), sin_X, sin_Y, sin_w, sin_X2, cos_X2, sin_Y2, cos_Y2,
+                      sin_W2, cos_W2, sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, isqr,
+                      _double)[-1]
 
 
 def residual_enclosure(box: FrameBox, path: str = "edge") -> Interval:
     """Certified enclosure of the inequality residual over a frame box.
 
     The value enclosed is the raw length^6 residual at the gauge
-    p1+p2+p3+p4 = 1.  Paths: "edge" is the natural evaluation of the six
-    edge expressions; "lemma" is the factored trig form (kernel.lemma_form);
-    "both" intersects the edge mean-value form with the lemma form.
-    Every path encloses the same function, so the intersection is also a
-    valid, tighter enclosure.
+    p1+p2+p3+p4 = 1.  Paths: "edge" is the natural evaluation of
+    kernel.edge_form; "lemma" is that of kernel.lemma_form; "both"
+    intersects the edge mean-value form with the lemma form.  Every path
+    encloses the same function, so the intersection is also a valid,
+    tighter enclosure.
     """
     sin_w = isin(box.w).clamp(0.0, 1.0)
     cos_w = icos(box.w)
     p = (box.p1, box.p2, box.p3, box.p4)
     lengths = _lengths_core(*p, cos_w, ONE, isqr, isqrt)
     if path == "edge":
-        return _edge_residual_core(lengths, _areas_core(*p, sin_w))
+        return edge_form({**lengths, **_areas_core(*p, sin_w)}, _double, _nonneg)[1]
     if path == "lemma":
         return _lemma_residual(box, lengths, sin_w, cos_w)
     if path == "both":

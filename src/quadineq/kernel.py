@@ -7,31 +7,23 @@ sum of the two triangle-inequality slacks at that side, e.g.
     E12 = f A123 A124 (a + b + e + d - 2c)
 
 The inequality under audit is E12 + E23 + E34 + E41 >= E13 + E24.  EDGES
-writes the six expressions once; edge_terms, the term tables below and the
-interval edge enclosure read them from it.  Expanding every edge expression
-yields 30 terms: 24 in which a length enters with coefficient +1
-(multiplicity one) and 6 with coefficient -2 (multiplicity two).  The
-multiplicity-one terms split into three groups of eight by which length pair
-they avoid ({a,d} -> X group, {c,f} -> Y group, {b,e} -> W group), and each
-group collapses to a single product of abcdef with sines of the derived
-angles.  The multiplicity-two terms collapse to abcdef times a closed
-angular expression; lemma_form writes both once, for floats and intervals.
-This module evaluates the residual through all of these routes and audits
-every identity and inequality along the way.
+tabulates the six expressions; edge_form writes them and the residual, and
+abcdef the product of the six lengths, once for floats, intervals and
+symbols, so the audit, the search and the interval enclosures share one
+grouping.  Expanded, the edge expressions give 30 terms: 24 in which a
+length enters with coefficient +1 (multiplicity one) and 6 with coefficient
+-2 (multiplicity two).  The former split into three groups of eight by
+which length pair they avoid ({a,d} -> X group, {c,f} -> Y group, {b,e} ->
+W group), and each group collapses to a single product of abcdef with sines
+of the derived angles.  The latter collapse to abcdef times a closed
+angular expression; lemma_form writes both once.
 
 forms(m) evaluates every quantity the audit compares, each written once
 with its formula in the docstring, and computes each sine and cosine that
 they share once.  The edge and expanded residuals and the raw group sums use
 no trig at all, so each identity still compares two independent
 computations.  The audit is two tables, _IDENTITIES and _INEQUALITIES, that
-name the forms each check compares.  A frame-uniform audit draws
-_AUDIT_CHUNK rows per sample_frames call and evaluates them in blocks of
-_AUDIT_BLOCK rows, small enough that a block's temporaries stay in cache.
-It deals each chunk's blocks to _AUDIT_WORKERS workers (the calling thread
-and pool threads), since most of a block's time is spent in numpy calls
-that release the interpreter lock; each worker keeps its own running
-maxima, minima and counts, and these merge exactly, so the report is the
-same for any block size and any number of workers.
+name the forms each check compares.
 """
 
 from __future__ import annotations
@@ -74,10 +66,6 @@ _AUDIT_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaf
                      else os.cpu_count() or 1)
 
 
-def _abcdef(m: QuadMetrics):
-    return m.a * m.b * m.c * m.d * m.e * m.f
-
-
 # The six edge expressions as (name, sign, free length, area, area, the
 # four slack lengths, the doubled length): the row ("e12", 1, "f", "A123",
 # "A124", ("a", "b", "e", "d"), "c") is E12 = f A123 A124 (a + b + e + d - 2c),
@@ -92,12 +80,35 @@ EDGES = (
 )
 
 
+def edge_form(q, double, nonneg):
+    """The six edge expressions by name, in EDGES order, and the residual
+    ((E12 + E23) + (E34 + E41)) - (E13 + E24), for q mapping each length and
+    area name to its value: E12 = f A123 A124 nonneg(((a + b) + (e + d)) -
+    double(c)).  double is exact; nonneg clamps an interval slack, a sum of
+    two triangle inequalities, to its proven range [0, inf), and is the
+    identity elsewhere.  Certificates depend on this order bit for bit."""
+    E = {name: q[free] * q[A1] * q[A2]
+         * nonneg(((q[s1] + q[s2]) + (q[s3] + q[s4])) - double(q[twice]))
+         for name, _, free, A1, A2, (s1, s2, s3, s4), twice in EDGES}
+    return E, ((E["e12"] + E["e23"]) + (E["e34"] + E["e41"])) - (E["e13"] + E["e24"])
+
+
+def abcdef(q):
+    """((a b) (c d)) (e f): the six lengths in q, multiplied in one order."""
+    return ((q["a"] * q["b"]) * (q["c"] * q["d"])) * (q["e"] * q["f"])
+
+
+def _double(v):
+    return 2.0 * v
+
+
+def _same(v):
+    return v
+
+
 def edge_terms(m: QuadMetrics) -> dict:
     """The six edge expressions by name, in EDGES order."""
-    v = vars(m)  # the search objective's hot path: a dict read beats getattr
-    return {name: v[free] * v[A1] * v[A2]
-            * (v[s1] + v[s2] + v[s3] + v[s4] - 2.0 * v[twice])
-            for name, _, free, A1, A2, (s1, s2, s3, s4), twice in EDGES}
+    return edge_form(vars(m), _double, _same)[0]
 
 
 # The 30 expanded terms as (coefficient, free length, companion length,
@@ -148,6 +159,17 @@ def lemma_form(K, sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, c
                   + sqr(cos_X2) * sqr(cos_Wp2) * sqr(sin_Y2))
     odd = double(sin_a1b4 * sin_b1a2 * sin_g13)
     return x, y, w, even, odd, K * (((x + y) + w) - (even + odd))
+
+
+def _lemma_trig(m: QuadMetrics) -> tuple:
+    """The 14 sines and cosines that lemma_form reads after K, in order."""
+    s, co = np.sin, np.cos
+    sin_X, sin_Y, sin_W = s(m.X), s(m.Y), s(m.W)
+    sin_X2, sin_Y2, sin_W2, sin_Wp2 = s(m.X / 2), s(m.Y / 2), s(m.W / 2), s(m.Wp / 2)
+    cos_X2, cos_Y2, cos_W2, cos_Wp2 = co(m.X / 2), co(m.Y / 2), co(m.W / 2), co(m.Wp / 2)
+    return (sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2, sin_Wp2,
+            cos_Wp2, s((m.gamma1 + m.gamma3) / 2), s((m.alpha1 - m.beta4) / 2),
+            s((m.beta1 - m.alpha2) / 2))
 
 
 def forms(m: QuadMetrics) -> dict:
@@ -209,13 +231,9 @@ def forms(m: QuadMetrics) -> dict:
     angles).  A trailing 2 halves an angle (sin_X2 = sin(X/2)); a letter
     pair is a halved sum or difference (sin_a1b4 = sin((alpha1 - beta4)/2)).
     """
+    (sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
+     sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2) = trig = _lemma_trig(m)
     s, co = np.sin, np.cos
-    sin_X, sin_Y, sin_W = s(m.X), s(m.Y), s(m.W)
-    sin_X2, sin_Y2, sin_W2, sin_Wp2 = s(m.X / 2), s(m.Y / 2), s(m.W / 2), s(m.Wp / 2)
-    cos_X2, cos_Y2, cos_W2, cos_Wp2 = co(m.X / 2), co(m.Y / 2), co(m.W / 2), co(m.Wp / 2)
-    sin_a1b4 = s((m.alpha1 - m.beta4) / 2)
-    sin_b1a2 = s((m.beta1 - m.alpha2) / 2)
-    sin_g13 = s((m.gamma1 + m.gamma3) / 2)
     sin_WpY = s((m.Wp - m.Y) / 2)
     sin_WX = s((m.W - m.X) / 2)
     sin_XY = s((m.X + m.Y) / 2)
@@ -232,10 +250,8 @@ def forms(m: QuadMetrics) -> dict:
     d1, d2, d3, d4 = (co(u - v) for u, v in pairs)
     d5, d6 = co(m.gamma1 + m.gamma3), co(m.gamma2 + m.gamma4)
 
-    K = _abcdef(m)
-    x, y, w, even, odd, lemma = lemma_form(
-        K, sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
-        sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2, np.square, lambda v: 2.0 * v)
+    K = abcdef(vars(m))
+    x, y, w, even, odd, lemma = lemma_form(K, *trig, np.square, _double)
     core = ((x + y) + w) - even  # from the unscaled parts, which the next line drops
     x, y, w = K * x, K * y, K * w
     p1, p2 = 0.5 - even, -0.5 - odd
@@ -287,18 +303,17 @@ def residual(m: QuadMetrics, path: str = "edge"):
         lemma     the factored trig form, lemma_form
     """
     if path == "edge":
-        t = edge_terms(m)
-        return (t["e12"] + t["e23"] + t["e34"] + t["e41"]) - (t["e13"] + t["e24"])
+        return edge_form(vars(m), _double, _same)[1]
     if path == "expanded":
         return _sum_terms(m, _EXPANDED_TERMS)
     if path == "lemma":
-        return forms(m)["lemma"]
+        return lemma_form(abcdef(vars(m)), *_lemma_trig(m), np.square, _double)[-1]
     raise ValueError(f"unknown residual path {path!r}")
 
 
 def normalized_residual(m: QuadMetrics, path: str = "edge"):
     """Dimensionless residual / abcdef, for scale-free reporting."""
-    return residual(m, path) / _abcdef(m)
+    return residual(m, path) / abcdef(vars(m))
 
 
 def angle_sum_hypotheses(m: QuadMetrics):
@@ -465,7 +480,7 @@ _INEQUALITIES = (
 
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
     f = forms(m)
-    K = _abcdef(m)
+    K = abcdef(vars(m))
     for cid, form, other, scaled in _IDENTITIES:
         gap = np.abs(f[form] - f[other])
         acc.err(cid, gap / K if scaled else gap)
@@ -550,7 +565,8 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     metrics_from_frames call and one forms call per block, sized so
     that the block's temporaries stay in cache.  The blocks of a chunk are
     dealt round-robin to up to _AUDIT_WORKERS workers, each with its own
-    accumulator; an audit of one block starts no thread.  A chunk is
+    accumulator, since numpy releases the interpreter lock for most of a
+    block's time; an audit of one block starts no thread.  A chunk is
     released before the next one is drawn.  Maxima, minima and counts merge
     exactly in any order, so the report does not depend on the block size
     or the number of workers.  The slower point-rejection strategy draws

@@ -23,8 +23,8 @@ Each pass evaluates one trial point per row: its reflection or, where
 that reflection failed on the pass before, its inside contraction, plus
 five vertices for a row whose contraction fails and shrinks.  So the
 objective computes only points that a row counts: on the 256-start,
-three-margin search at seed 0 (768 rows, budget 2000) it computes 917,034
-rows, the 916,266 counted evaluations plus the 768 starts, in 2,224 calls,
+three-margin search at seed 0 (768 rows, budget 2000) it computes 917,001
+rows, the 916,233 counted evaluations plus the 768 starts, in 2,224 calls,
 1,995 of them passes of 438 rows on average (768 at most).  It reads only
 the lengths and areas of the edge residual, never a split angle.  The step
 avoids numpy's slow wrappers, and takes each row's lowest and highest value

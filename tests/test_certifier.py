@@ -211,6 +211,19 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
                 Certificate.from_json_dict(doc)
 
 
+def test_a_leaf_field_besides_the_bound_is_malformed(cert, tmp_path, capsys):
+    # e.g. the box that format 0.1.0 wrote beside each bound: the top level
+    # refuses unknown fields, and so does every leaf entry
+    doc = _fresh(cert)
+    doc["leaves"][-1]["box"] = {"p1": [0.2, 0.4]}
+    with pytest.raises(MalformedCertificate, match="lower_bound alone"):
+        Certificate.from_json_dict(doc)
+    path = tmp_path / "leaf_box.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-cert", str(path)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
 def test_unknown_split_rule_is_malformed(cert):
     # the codes name each split, so a document that names a split rule is
     # not of this format

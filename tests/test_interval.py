@@ -414,11 +414,11 @@ def test_residual_enclosure_containment_fuzz():
         assert np.all((enc.lo <= r) & (r <= enc.hi)), path
 
 
-def _written_out_edge_residual(lengths, areas):
-    a, b, c = lengths["a"], lengths["b"], lengths["c"]
-    d, e, f = lengths["d"], lengths["e"], lengths["f"]
-    A123, A124 = areas["A123"], areas["A124"]
-    A134, A234 = areas["A134"], areas["A234"]
+def _written_out_edge_form(q, double, nonneg):
+    # the interval sums and products in the order the certificates were
+    # written with
+    a, b, c, d, e, f = (q[name] for name in "abcdef")
+    A123, A124, A134, A234 = q["A123"], q["A124"], q["A134"], q["A234"]
 
     def slack(s1, s2, s3, s4, twice):
         return ((s1 + s2) + (s3 + s4) - twice.double()).clamp(0.0, np.inf)
@@ -429,17 +429,23 @@ def _written_out_edge_residual(lengths, areas):
     E41 = a * A124 * A134 * slack(c, e, b, f, d)
     E13 = e * A123 * A134 * slack(c, a, d, f, b)
     E24 = b * A124 * A234 * slack(c, d, a, f, e)
-    return ((E12 + E23) + (E34 + E41)) - (E13 + E24)
+    terms = {"e12": E12, "e23": E23, "e34": E34, "e41": E41, "e13": E13, "e24": E24}
+    return terms, ((E12 + E23) + (E34 + E41)) - (E13 + E24)
 
 
 def test_edge_table_enclosures_equal_the_written_out_core_bit_for_bit(monkeypatch):
+    # the edge form is shared with the audit's floats; a regrouping of its
+    # sums or products would move every certificate, and fails here first
     rng = np.random.default_rng(8192)
     box, _, _ = _random_boxes(rng, 8_192, width_scale=0.05)
     natural = residual_enclosure(box, "edge")
     derived = edge_residual_with_gradient(box)
-    monkeypatch.setattr(interval, "_edge_residual_core", _written_out_edge_residual)
+    calls = []
+    monkeypatch.setattr(interval, "edge_form",
+                        lambda *args: calls.append(1) or _written_out_edge_form(*args))
     written = residual_enclosure(box, "edge")
     written_derived = edge_residual_with_gradient(box)
+    assert calls == [1, 1]
     pairs = ((natural, written), (derived.val, written_derived.val),
              (derived.grad, written_derived.grad))
     for table, formula in pairs:
@@ -493,13 +499,13 @@ def test_sparse_partials_match_dense_ones_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(5)
     box, _, _ = _random_boxes(rng, 8_192)
     quantities = {}
-    core = interval._edge_residual_core
+    form = interval.edge_form
 
-    def kept(lengths, areas):
-        quantities.update(lengths, **areas)
-        return core(lengths, areas)
+    def kept(q, double, nonneg):
+        quantities.update(q)
+        return form(q, double, nonneg)
 
-    monkeypatch.setattr(interval, "_edge_residual_core", kept)
+    monkeypatch.setattr(interval, "edge_form", kept)
     sparse = edge_residual_with_gradient(box)
     monkeypatch.undo()
     sparse_mv = edge_mean_value_enclosure(box)

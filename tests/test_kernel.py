@@ -215,20 +215,23 @@ def test_edge_table_equals_the_written_out_formulas_bit_for_bit():
     m = metrics_from_frames(p, w)
     a, b, c, d, e, f = m.a, m.b, m.c, m.d, m.e, m.f
     A123, A124, A134, A234 = m.A123, m.A124, m.A134, m.A234
+    # the sums in the order the interval enclosures take them
     written = {
-        "e12": f * A123 * A124 * (a + b + e + d - 2.0 * c),
-        "e23": d * A123 * A234 * (c + b + e + f - 2.0 * a),
-        "e34": c * A134 * A234 * (d + b + e + a - 2.0 * f),
-        "e41": a * A124 * A134 * (c + e + b + f - 2.0 * d),
-        "e13": e * A123 * A134 * (c + a + d + f - 2.0 * b),
-        "e24": b * A124 * A234 * (c + d + a + f - 2.0 * e),
+        "e12": f * A123 * A124 * (((a + b) + (e + d)) - 2.0 * c),
+        "e23": d * A123 * A234 * (((c + b) + (e + f)) - 2.0 * a),
+        "e34": c * A134 * A234 * (((d + b) + (e + a)) - 2.0 * f),
+        "e41": a * A124 * A134 * (((c + e) + (b + f)) - 2.0 * d),
+        "e13": e * A123 * A134 * (((c + a) + (d + f)) - 2.0 * b),
+        "e24": b * A124 * A234 * (((c + d) + (a + f)) - 2.0 * e),
     }
     terms = edge_terms(m)
     assert list(terms) == list(written)
     for name, value in written.items():
         assert np.array_equal(terms[name], value), name
-    lhs = written["e12"] + written["e23"] + written["e34"] + written["e41"]
+    lhs = (written["e12"] + written["e23"]) + (written["e34"] + written["e41"])
     assert np.array_equal(residual(m, "edge"), lhs - (written["e13"] + written["e24"]))
+    assert np.array_equal(normalized_residual(m),
+                          residual(m, "edge") / (((a * b) * (c * d)) * (e * f)))
 
 
 def test_group_sums_recompose_expanded_residual():

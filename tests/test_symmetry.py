@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dihedral import REFLECTION, ROTATION, act, in_cut, into_cut
+from quadineq import interval, kernel
 from quadineq.geometry import QuadMetrics, metrics_from_frames, sample_frames
 from quadineq.kernel import residual
 
@@ -96,6 +97,9 @@ def test_residual_polynomial_is_invariant_under_each_generator(order):
 
 
 def test_edge_and_expanded_residuals_are_one_polynomial():
+    # the edge text proved here is the one the mean-value enclosure runs
+    assert interval.edge_form is kernel.edge_form
+    assert interval.abcdef is kernel.abcdef
     m = _symbolic_metrics()
     edge = sp.expand(residual(m, "edge"))
     assert len(edge.args) == 30  # the 30 expanded terms, none cancelling

@@ -27,7 +27,7 @@ co = np.cos
 
 def reference_forms(m):
     """Every closed form, each trig factor evaluated where it is used."""
-    K = m.a * m.b * m.c * m.d * m.e * m.f
+    K = ((m.a * m.b) * (m.c * m.d)) * (m.e * m.f)
     gx = s(m.X) * s(m.Wp / 2) * s(m.Y / 2) * s((m.alpha1 - m.beta4) / 2)
     gy = s(m.Y) * s(m.W / 2) * s(m.X / 2) * s((m.beta1 - m.alpha2) / 2)
     gw = s(m.W) * co(m.X / 2) * co(m.Y / 2) * s((m.gamma1 + m.gamma3) / 2)
@@ -110,7 +110,15 @@ def test_table_forms_equal_the_formulas_bit_for_bit(shape):
     for path in ("edge", "expanded", "lemma"):
         assert np.array_equal(table[path], residual(m, path)), path
     assert np.array_equal(table["normalized-residual"],
-                          residual(m) / (m.a * m.b * m.c * m.d * m.e * m.f))
+                          residual(m) / (((m.a * m.b) * (m.c * m.d)) * (m.e * m.f)))
+
+
+def test_the_lemma_residual_computes_no_audit_table(monkeypatch):
+    # residual(m, "lemma") evaluates the 14 trig inputs of lemma_form alone
+    table = forms(frames_of(31, 4_096, 0.01))["lemma"]
+    monkeypatch.setattr(kernel, "forms", lambda m: pytest.fail("residual called forms"))
+    alone = residual(frames_of(31, 4_096, 0.01), "lemma")
+    assert alone.tobytes() == table.tobytes()
 
 
 def test_one_forms_call_makes_47_trig_calls(monkeypatch):
