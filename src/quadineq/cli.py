@@ -201,7 +201,7 @@ def _cmd_certify(args) -> int:
         _write(args.out, dumps(doc) + "\n")
     summary = _report(args, ("margin", "target", "max_boxes", "out"), _sign_probe(0),
                       complete=cert.complete, c_star=cert.c_star,
-                      box_count=cert.box_count, leaves=len(cert.bounds))
+                      box_count=cert.box_count, leaves=cert.tree.count("L"))
     if not args.out:
         summary["certificate"] = doc
     sys.stdout.write(dumps(summary) + "\n")
@@ -217,7 +217,7 @@ def _cmd_check_cert(args) -> int:
         raise UsageError(f"malformed certificate: {exc}")
     report = _report(args, ("certificate",), _sign_probe(0), verified=ok,
                      margin=cert.margin, c_star=cert.c_star,
-                     complete=cert.complete, leaves=len(cert.bounds))
+                     complete=cert.complete, leaves=cert.tree.count("L"))
     _emit(report, args)
     return 0 if ok else 1
 

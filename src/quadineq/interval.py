@@ -40,7 +40,9 @@ partials a quantity can have: a side length depends on two or three of the
 five coordinates and an area on four, so most of the gradient's work
 before the edge terms runs on two to four rows, not five.  A partial that
 only one operand of a sum has is still rounded once, so every partial is
-bit for bit what a dense five-row gradient gives.
+bit for bit what a dense five-row gradient gives.  A coordinate that is one
+point in every row of a batch, as the certifier's p1 = 1 is, is a constant
+with no partial: its mean-value term would multiply x - c = 0.
 """
 
 from __future__ import annotations
@@ -85,15 +87,25 @@ _PHI = 2.0**-53 * (1.0 + 2.0**-52)  # the successor bound's relative step
 _ETA = 2.0**-1074  # smallest subnormal: the step at and near zero
 
 
+def _step(x):
+    # |x| phi + eta, formed in one array; x itself is never written
+    step = np.abs(x)
+    step *= _PHI
+    step += _ETA
+    return step
+
+
 def _down(x, ulps: int = 1):
     for _ in range(ulps):
-        x = x - (np.abs(x) * _PHI + _ETA)
+        step = _step(x)
+        x = np.subtract(x, step, out=step) if isinstance(step, np.ndarray) else x - step
     return x
 
 
 def _up(x, ulps: int = 1):
     for _ in range(ulps):
-        x = x + (np.abs(x) * _PHI + _ETA)
+        step = _step(x)
+        x = np.add(x, step, out=step) if isinstance(step, np.ndarray) else x + step
     return x
 
 
@@ -346,10 +358,11 @@ def d_sqrt(x: DiffInterval) -> DiffInterval:
 class FrameBox:
     """Intervals for the five diagonal-frame coordinates.
 
-    Enclosure claims apply to the points of the box satisfying the gauge
-    p1+p2+p3+p4 = 1, so a box is only meaningful if it intersects the
-    margin-truncated simplex.  p4 is a dimension of its own: the certifier
-    clips every coordinate against the gauge plane before building a box.
+    Enclosure claims apply to every point of the box, whatever the sum of
+    p1..p4: the residual is homogeneous of degree six in them.  The
+    certifier's boxes are charted at p1 = [1, 1], with p2, p3 and p4 clipped
+    to the cut and the margin before a box is built; `margin` records that
+    domain for callers that rebuild boxes, and no enclosure reads it.
     """
 
     p1: Interval
@@ -459,18 +472,33 @@ _double = operator.methodcaller("double")
 _nonneg = operator.methodcaller("clamp", 0.0, np.inf)
 
 
+def _coords(box: FrameBox) -> tuple:
+    return box.p1, box.p2, box.p3, box.p4, box.w
+
+
 def edge_residual_with_gradient(box: FrameBox) -> DiffInterval:
     """Edge-path residual with partial-derivative enclosures with respect to
-    (p1, p2, p3, p4, w) over the box."""
-    p = [_seed(getattr(box, f"p{i + 1}"), i, ONE) for i in range(4)]
-    sin, cos = isin(box.w), icos(box.w)
-    sin_w = _seed(sin, 4, cos).clamp(0.0, 1.0)
-    cos_w = _seed(cos, 4, -sin).clamp(-1.0, 1.0)
+    each of (p1, p2, p3, p4, w) that varies over the box."""
+    coords = _coords(box)
+    # a coordinate fixed at one point in every row, such as the chart's p1,
+    # is a constant: its partial would only multiply x - c = 0
+    varies = [not np.array_equal(c.lo, c.hi) for c in coords]
     none = np.zeros((0,) + np.shape(box.w.lo))  # the partials of a constant
+
+    def seed(value, index, partial):
+        if varies[index]:
+            return _seed(value, index, partial)
+        return DiffInterval(value, Interval(none, none), ())
+
+    p = [seed(coords[i], i, ONE) for i in range(4)]
+    sin, cos = isin(box.w), icos(box.w)
+    sin_w = seed(sin, 4, cos).clamp(0.0, 1.0)
+    cos_w = seed(cos, 4, -sin).clamp(-1.0, 1.0)
     one = DiffInterval(ONE, Interval(none, none), ())
     residual = edge_form({**_lengths_core(*p, cos_w, one, d_sqr, d_sqrt),
                           **_areas_core(*p, sin_w)}, _double, _nonneg)[1]
-    assert residual.deps == _ALL  # every partial, in the order of _ALL
+    # every partial of a coordinate that varies, in the order of _ALL
+    assert residual.deps == tuple(i for i in _ALL if varies[i])
     return residual
 
 
@@ -492,13 +520,14 @@ def edge_mean_value_enclosure(box: FrameBox) -> Interval:
     constant factor to operand dependency.  A NaN partial gives a NaN bound,
     which no check accepts."""
     di = edge_residual_with_gradient(box)
-    coords = (box.p1, box.p2, box.p3, box.p4, box.w)
-    partials = [Interval(di.grad.lo[j], di.grad.hi[j]) for j in range(5)]
-    centres = [Interval.point(_lower_optimal_centre(c, g))
-               for c, g in zip(coords, partials)]
+    coords = _coords(box)
+    partials = {i: Interval(di.grad.lo[j], di.grad.hi[j]) for j, i in enumerate(di.deps)}
+    # a coordinate without a partial is one point, its own centre
+    centres = [Interval.point(_lower_optimal_centre(c, partials[i])) if i in partials else c
+               for i, c in enumerate(coords)]
     total = residual_enclosure(FrameBox(*centres, box.margin), "edge")
-    for coord, centre, partial in zip(coords, centres, partials):
-        total = total + partial * (coord - centre)
+    for i, partial in partials.items():
+        total = total + partial * (coords[i] - centres[i])
     return total
 
 
@@ -533,8 +562,10 @@ def _lemma_residual(box: FrameBox, lengths: dict, sin_w: Interval,
 def residual_enclosure(box: FrameBox, path: str = "edge") -> Interval:
     """Certified enclosure of the inequality residual over a frame box.
 
-    The value enclosed is the raw length^6 residual at the gauge
-    p1+p2+p3+p4 = 1.  Paths: "edge" is the natural evaluation of
+    The value enclosed is the raw length^6 residual at every point of the
+    box; the certifier's boxes have p1 = [1, 1], and it divides by
+    (1 + p2 + p3 + p4)^6 to bound the residual at the gauge p1+p2+p3+p4 = 1.
+    Paths: "edge" is the natural evaluation of
     kernel.edge_form; "lemma" is that of kernel.lemma_form; "both"
     intersects the edge mean-value form with the lemma form.  Every path
     encloses the same function, so the intersection is also a valid,

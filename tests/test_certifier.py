@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from quadineq.certifier import (
     verify_certificate,
 )
 from quadineq.geometry import metrics_from_frames, sample_frames
-from quadineq.interval import FrameBox, Interval, _down, residual_enclosure
+from quadineq.interval import Interval, _down, residual_enclosure
 from quadineq.ioutil import dumps
 from quadineq.kernel import residual
 
@@ -38,9 +39,31 @@ def _rejected(doc):
         return True
 
 
-def _leaf_index(tree, pos):
-    """Index into the leaf bounds of the node at `pos`, had it been a leaf."""
-    return tree.count("L", 0, pos)
+def _in_domain(p, margin):
+    """Mask of chart points (shape (n, 4), p1 = 1) in the cut and the margin."""
+    return in_cut(p) & np.all(p[:, 1:] >= margin * p.sum(axis=1, keepdims=True), axis=1)
+
+
+def _gauge_residual(p, w):
+    """The residual at the gauge p1+p2+p3+p4 = 1 of frames (shape (n, 4))."""
+    return residual(metrics_from_frames(p / p.sum(axis=1, keepdims=True), w), "edge")
+
+
+def _grown(margin, rule, depth=30):
+    """The level-order tree that splits each feasible box along `rule(box,
+    depth)`, or leaves it where the rule gives None; infeasible boxes are '.'."""
+    level, codes = certifier._root_level(margin), []
+    for d in range(depth):
+        boxes, feasible = certifier._clipped(level, margin)
+        dims = [rule(box, d) if ok else None for box, ok in zip(boxes, feasible)]
+        code = ["." if not ok else "L" if dim is None else str(dim)
+                for ok, dim in zip(feasible, dims)]
+        codes += code
+        split = [i for i, c in enumerate(code) if c in "01234"]
+        if not split:
+            return "".join(codes)
+        level = _bisect(boxes[split], np.array([dims[i] for i in split]))
+    raise AssertionError("the rule grows past the depth")
 
 
 @pytest.fixture(scope="module")
@@ -50,20 +73,35 @@ def cert():
 
 @pytest.fixture(scope="module")
 def dotted():
-    """A small tree with '.' nodes: the margin-0.135 tree has two, both
-    outside the cut (the trees from margin 0.2 down to 0.14 have none).
-    Every test of '.' nodes reads this tree, so it must hold one."""
-    tree = certify(margin=0.135)
-    assert "." in tree.tree
-    return tree
+    """A small incomplete certificate with a '.' node.  Widest-first trees
+    never bisect a box into an empty half (no tree from margin 0.2 down to
+    0.04 has a '.'), so this one is grown by hand: p2's lowest box is halved
+    four times, down to the margin, and then split along p3, whose upper half
+    lifts the margin's floor on p2 above that box.  Every test of '.' nodes
+    reads this tree, so it must hold one."""
+    margin = 0.2
+    low = certifier._clipped(certifier._root_level(margin), margin)[0][0, 1, 0]
+
+    def rule(box, depth):
+        if box[1, 0] != low or depth > 4:
+            return None
+        return 1 if depth < 4 else 2
+
+    tree = _grown(margin, rule)
+    assert "." in tree
+    claim = Certificate(margin, 0.0, False, -math.inf, len(tree) - tree.count("."), tree)
+    c_star = min(leaf.lower_bound for leaf in claim.leaves)
+    return dataclasses.replace(claim, c_star=c_star)
 
 
 def test_certify_completes_with_positive_bound(cert):
     assert cert.complete
     assert cert.c_star > 0.0
     assert cert.box_count <= 300_000
-    assert all(leaf.lower_bound >= 0.0 for leaf in cert.leaves)
-    assert min(leaf.lower_bound for leaf in cert.leaves) == cert.c_star
+    bounds = [leaf.lower_bound for leaf in cert.leaves]
+    assert min(bounds) >= 0.0
+    # the claim is the least leaf bound, nudged two ulps down
+    assert _down(min(bounds), 2) == cert.c_star
 
 
 def test_certify_is_deterministic(cert):
@@ -81,21 +119,28 @@ def test_verify_accepts_json_round_trip(cert):
 
 
 def test_verify_rejects_inflated_bound(cert):
-    doc = json.loads(dumps(cert.to_json_dict()))
-    doc["leaves"][7]["lower_bound"] = 10.0 * doc["leaves"][7]["lower_bound"] + 1.0
+    # c_star is the one bound a document claims
+    doc = _fresh(cert)
+    doc["c_star"] = 10.0 * doc["c_star"] + 1.0
     assert not verify_certificate(doc)
 
 
 def test_verify_rejects_missing_leaf(cert):
-    doc = json.loads(dumps(cert.to_json_dict()))
-    del doc["leaves"][3]
-    assert not verify_certificate(doc)
+    # without its last code the tree ends inside a level
+    doc = _fresh(cert)
+    pos = doc["tree"].rindex("L")
+    doc["tree"] = doc["tree"][:pos] + doc["tree"][pos + 1:]
+    doc["box_count"] -= 1
+    assert _rejected(doc)
 
 
 def test_verify_rejects_tampered_c_star(cert):
-    doc = json.loads(dumps(cert.to_json_dict()))
-    doc["c_star"] = doc["c_star"] / 2.0
+    doc = _fresh(cert)
+    doc["c_star"] = 2.0 * cert.c_star
     assert not verify_certificate(doc)
+    # a lower claim is weaker and still true
+    doc["c_star"] = cert.c_star / 2.0
+    assert verify_certificate(doc)
 
 
 def test_verify_rejects_changed_target_or_margin(cert):
@@ -108,17 +153,19 @@ def test_verify_rejects_changed_target_or_margin(cert):
 
 
 def test_verify_rejects_duplicate_leaf(cert):
-    doc = json.loads(dumps(cert.to_json_dict()))
-    doc["leaves"].append(doc["leaves"][0])
-    assert not verify_certificate(doc)
+    # one leaf too many: the tree continues past its last level
+    doc = _fresh(cert)
+    doc["tree"] += "L"
+    doc["box_count"] += 1
+    assert _rejected(doc)
 
 
 def test_verify_rejects_out_of_domain_leaf(dotted):
-    # an infeasible node recoded as a leaf, with a bound of its own, so only
-    # the leaf's position outside the domain is wrong
+    # an infeasible node recoded as a leaf, so only the leaf's position
+    # outside the domain is wrong
+    assert verify_certificate(_fresh(dotted))
     doc = _fresh(dotted)
     pos = doc["tree"].index(".")
-    doc["leaves"].insert(_leaf_index(doc["tree"], pos), {"lower_bound": 1.0})
     doc["tree"] = doc["tree"][:pos] + "L" + doc["tree"][pos + 1:]
     doc["box_count"] += 1
     assert verify_certificate(doc) is False
@@ -127,9 +174,7 @@ def test_verify_rejects_out_of_domain_leaf(dotted):
 def test_verify_rejects_feasible_node_coded_infeasible(cert):
     doc = _fresh(cert)
     pos = doc["tree"].index("L")
-    del doc["leaves"][_leaf_index(doc["tree"], pos)]
     doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
-    doc["c_star"] = min(leaf["lower_bound"] for leaf in doc["leaves"])
     doc["box_count"] -= 1
     assert verify_certificate(doc) is False
 
@@ -178,11 +223,10 @@ def test_malformed_document_raises(cert):
 
 
 def test_non_finite_number_is_malformed(cert):
-    for field in ("margin", "target", "c_star", "lower_bound"):
+    for field in ("margin", "target", "c_star"):
         for value in (float("nan"), float("inf"), float("-inf")):
             doc = json.loads(dumps(cert.to_json_dict()))
-            owner = doc["leaves"][0] if field == "lower_bound" else doc
-            owner[field] = value
+            doc[field] = value
             with pytest.raises(MalformedCertificate):
                 Certificate.from_json_dict(doc)
 
@@ -192,8 +236,6 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
     doc = _fresh(cert)
     for key in ("margin", "c_star"):
         doc[key] = str(doc[key])
-    for leaf in doc["leaves"]:
-        leaf["lower_bound"] = str(leaf["lower_bound"])
     doc["target"] = False
     with pytest.raises(MalformedCertificate, match="not a number"):
         verify_certificate(doc)
@@ -201,24 +243,23 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
     path.write_text(json.dumps(doc))
     assert cli.main(["check-cert", str(path)]) == 2
     assert "malformed certificate" in capsys.readouterr().err
-    for field in ("margin", "target", "c_star", "lower_bound"):
+    for field in ("margin", "target", "c_star"):
         # float() of a 401-digit integer raises OverflowError, not ValueError
         for value in ("0.5", True, False, None, [0.5], 10 ** 400):
             doc = _fresh(cert)
-            owner = doc["leaves"][0] if field == "lower_bound" else doc
-            owner[field] = value
+            doc[field] = value
             with pytest.raises(MalformedCertificate):
                 Certificate.from_json_dict(doc)
 
 
-def test_a_leaf_field_besides_the_bound_is_malformed(cert, tmp_path, capsys):
-    # e.g. the box that format 0.1.0 wrote beside each bound: the top level
-    # refuses unknown fields, and so does every leaf entry
+def test_a_leaves_field_is_malformed(cert, tmp_path, capsys):
+    # the per-leaf bounds that formats before 0.7.0 recorded: the replay
+    # recomputes every leaf bound, so a document holds only the claimed c_star
     doc = _fresh(cert)
-    doc["leaves"][-1]["box"] = {"p1": [0.2, 0.4]}
-    with pytest.raises(MalformedCertificate, match="lower_bound alone"):
+    doc["leaves"] = [{"lower_bound": cert.c_star}] * cert.tree.count("L")
+    with pytest.raises(MalformedCertificate, match="'leaves' is not one of format"):
         Certificate.from_json_dict(doc)
-    path = tmp_path / "leaf_box.json"
+    path = tmp_path / "leaves.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["check-cert", str(path)]) == 2
     assert "malformed certificate" in capsys.readouterr().err
@@ -257,8 +298,9 @@ def test_other_version_is_malformed(cert):
     # 0.2.0 certificates tile the whole domain, with no cut; 0.3.0 trees
     # split the unclipped box by a fixed rule; 0.4.0 trees were built with
     # exact sums kept exact, so their clips place other boxes; 0.5.0 trees
-    # centred the mean-value form at the box midpoint, so split other boxes
-    for version in ("0.1.0", "0.2.0", "0.3.0", "0.4.0", "0.5.0"):
+    # centred the mean-value form at the box midpoint, so split other boxes;
+    # 0.6.0 trees tile the gauge plane in five coordinates
+    for version in ("0.1.0", "0.2.0", "0.3.0", "0.4.0", "0.5.0", "0.6.0"):
         doc = _fresh(cert)
         doc["version"] = version
         with pytest.raises(MalformedCertificate, match=f"'{version}'.*'{__version__}'"):
@@ -301,8 +343,8 @@ def test_depth_limit_is_shared(monkeypatch):
 
 
 def test_incomplete_certificate_round_trips_and_verifies():
-    part = certify(margin=0.15, max_boxes=2_000)
-    assert not part.complete and part.box_count <= 2_000
+    part = certify(margin=0.15, max_boxes=1_000)
+    assert not part.complete and part.box_count <= 1_000
     doc = _fresh(part)
     assert doc["complete"] is False
     assert verify_certificate(doc) is True
@@ -315,18 +357,20 @@ def test_canonical_json_round_trip_is_byte_identical(cert):
     assert rebuilt.leaves == cert.leaves
 
 
-def test_certificate_holds_bounds_and_derives_leaf_boxes(cert):
+def test_certificate_derives_leaf_boxes_and_bounds(cert):
     rebuilt = Certificate.from_json_dict(_fresh(cert))
-    assert rebuilt.bounds == cert.bounds
     boxes = _decode(cert.tree, cert.margin)[0]
     leaves = rebuilt.leaves
-    assert len(leaves) == len(boxes) == len(cert.bounds)
-    assert [leaf.lower_bound for leaf in leaves] == cert.bounds
+    assert len(leaves) == len(boxes) == cert.tree.count("L")
     assert all(np.array_equal(leaf.box, box) for leaf, box in zip(leaves, boxes))
+    # each bound is the one the replay compares with c_star
+    recomputed = certifier._evaluate(certifier._clipped(boxes, cert.margin)[0],
+                                     cert.margin, cert.c_star)
+    assert [leaf.lower_bound for leaf in leaves] == recomputed.tolist()
 
 
 def test_verify_rejects_nan_recomputed_bounds(cert, monkeypatch):
-    monkeypatch.setattr(certifier, "_evaluate", lambda boxes, margin, recorded=None:
+    monkeypatch.setattr(certifier, "_evaluate", lambda boxes, margin, need:
                         np.full(len(boxes), np.nan))
     assert not verify_certificate(cert)
 
@@ -351,55 +395,51 @@ def test_verify_rejects_a_leaf_without_an_enclosure():
 
 
 def _enclosure_lo(boxes, margin, path):
-    """The lower end of one enclosure path over feasible boxes."""
-    (p1, p2, p3, p4), w, _ = _gauge_clip(boxes, margin)
-    enc = residual_enclosure(FrameBox(p1, p2, p3, p4, w, margin), path)
-    return np.asarray(enc.lo, dtype=float)
+    """The gauge-normalized lower end of one enclosure path over clipped
+    boxes, as `_evaluate` divides it."""
+    enc = residual_enclosure(certifier._frame_box(boxes, margin), path)
+    return certifier._per_gauge(np.asarray(enc.lo, dtype=float), boxes)
 
 
 def _replay_bounds(cert):
     """Each leaf's lemma bound and its "both" bound, not nudged."""
-    boxes = _decode(cert.tree, cert.margin)[0]
+    boxes = certifier._clipped(_decode(cert.tree, cert.margin)[0], cert.margin)[0]
     return (_enclosure_lo(boxes, cert.margin, "lemma"),
             _enclosure_lo(boxes, cert.margin, "both"))
 
 
-@pytest.fixture(scope="module")
-def both_cert(cert):
-    """The fixture tree with each leaf bound raised to its nudged "both"
-    bound: what a certifier that bounds every box with "both" records, in the
-    same format."""
-    both = _down(_replay_bounds(cert)[1], 2).tolist()
-    return dataclasses.replace(cert, bounds=both, c_star=min(both))
+def test_per_gauge_divides_by_the_far_end_of_s6():
+    # S = 1 + p2 + p3 + p4 lies in [2, 3]: a nonnegative chart bound is
+    # divided by 3^6, a negative one by 2^6, each rounded down
+    box = np.array([[1.0, 1.0]] + [[1.0 / 3.0, 2.0 / 3.0]] * 3 + [[1.0, 2.0]])
+    out = certifier._per_gauge(np.array([729.0, 0.0, -64.0]), np.stack([box] * 3))
+    assert out[0] < 1.0 and out[0] == pytest.approx(1.0, rel=1e-14)
+    assert out[1] <= 0.0 and out[1] > -1e-300
+    assert out[2] < -1.0 and out[2] == pytest.approx(-1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("margin", [0.2, MARGIN])
 def test_replay_tolerates_the_two_ulp_nudge(margin):
-    # each bound is recorded two ulps below the certifier's enclosure, and
-    # the replay compares its own enclosure against it: one ulp of libm
-    # wobble still verifies, a claim above the enclosure does not
-    doc = _fresh(certify(margin=margin))
-    bounds = np.array([leaf["lower_bound"] for leaf in doc["leaves"]])
-    for ulps, verdict in ((1, True), (3, False)):
-        raised = bounds
-        for _ in range(ulps):
-            raised = np.nextafter(raised, np.inf)
-        doc["leaves"] = [{"lower_bound": float(b)} for b in raised]
-        doc["c_star"] = float(raised.min())
-        assert verify_certificate(doc) is verdict, ulps
+    # c_star is claimed two ulps below the least leaf enclosure certify
+    # found, and the replay compares each leaf's own enclosure against it:
+    # a replay whose libm calls land an ulp lower still verifies
+    done = certify(margin=margin)
+    least = min(leaf.lower_bound for leaf in done.leaves)
+    assert done.c_star == _down(least, 2) < float(np.nextafter(done.c_star, np.inf)) < least
+    doc = _fresh(done)
+    doc["c_star"] = float(np.nextafter(done.c_star, np.inf))
+    assert verify_certificate(doc)
 
 
-def test_trig_first_replay_is_exact_at_the_full_bound(both_cert):
-    lemma, both = _replay_bounds(both_cert)
-    cleared = int(np.flatnonzero(lemma == both)[0])  # the lemma form decides
-    needs_mean_value = int(np.flatnonzero(lemma < both)[0])
-    for leaf in (cleared, needs_mean_value):
-        for bound, verdict in ((both[leaf], True),
-                               (np.nextafter(both[leaf], np.inf), False)):
-            bounds = list(both_cert.bounds)
-            bounds[leaf] = float(bound)
-            raised = dataclasses.replace(both_cert, bounds=bounds, c_star=min(bounds))
-            assert verify_certificate(raised) is verdict, (leaf, verdict)
+def test_trig_first_replay_is_exact_at_the_full_bound(cert):
+    # the replay tightens each leaf the lemma form leaves below c_star, so it
+    # accepts a claim up to the least "both" bound and not an ulp above,
+    # whatever bound certify took on each leaf
+    lemma, both = _replay_bounds(cert)
+    assert np.any(lemma == both) and np.any(lemma < both)  # each form decides some
+    least = np.min(both)
+    for c_star, verdict in ((least, True), (np.nextafter(least, np.inf), False)):
+        assert verify_certificate(dataclasses.replace(cert, c_star=float(c_star))) is verdict
 
 
 def _counted_enclosures(monkeypatch):
@@ -421,13 +461,14 @@ def _counted_enclosures(monkeypatch):
     return rows
 
 
-def test_replay_evaluates_both_only_where_lemma_misses(both_cert, monkeypatch):
-    lemma = _replay_bounds(both_cert)[0]
+def test_replay_evaluates_both_only_where_lemma_misses(cert, monkeypatch):
+    lemma = _replay_bounds(cert)[0]
     rows = _counted_enclosures(monkeypatch)
-    assert verify_certificate(both_cert)
-    misses = int(np.count_nonzero(lemma < np.array(both_cert.bounds)))
-    assert rows == {"lemma": len(both_cert.bounds), "both": misses}
-    assert 0 < misses < len(both_cert.bounds)
+    assert verify_certificate(cert)
+    misses = int(np.count_nonzero(lemma < cert.c_star))
+    leaves = cert.tree.count("L")
+    assert rows == {"lemma": leaves, "both": misses}
+    assert 0 < misses < leaves
 
 
 @pytest.fixture(scope="module")
@@ -453,17 +494,19 @@ def _evaluated_boxes(cert):
 
 
 def test_leaf_bound_is_lemma_where_it_clears_else_both(policy_cert):
+    # c_star is the least leaf bound certify took, nudged: the lemma bound
+    # where it clears the target, else the "both" bound
     lemma, both = _replay_bounds(policy_cert)
     clears = lemma >= policy_cert.target
-    assert np.array_equal(np.array(policy_cert.bounds),
-                          _down(np.where(clears, lemma, both), 2))
+    assert 0 < np.count_nonzero(clears) < len(clears)
+    assert policy_cert.c_star == _down(np.min(np.where(clears, lemma, both)), 2)
 
 
 def test_certify_evaluates_both_only_near_the_target(policy_cert, monkeypatch):
     # one level per `_evaluate` call: no box beyond the tree is bounded
     monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
     target = policy_cert.target
-    boxes = _evaluated_boxes(policy_cert)
+    boxes = certifier._clipped(_evaluated_boxes(policy_cert), policy_cert.margin)[0]
     lemma = _enclosure_lo(boxes, policy_cert.margin, "lemma")
     near = int(np.count_nonzero((lemma < target)
                                 & (lemma >= target - certifier._REACH)))
@@ -488,7 +531,7 @@ def _kept_batches(monkeypatch):
     return batches
 
 
-def test_each_evaluated_box_pays_the_lemma_form_once(both_cert, monkeypatch):
+def test_each_evaluated_box_pays_the_lemma_form_once(cert, monkeypatch):
     monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)  # one level per call
     rows = [0]
     lemma = interval._lemma_residual
@@ -499,13 +542,13 @@ def test_each_evaluated_box_pays_the_lemma_form_once(both_cert, monkeypatch):
 
     monkeypatch.setattr(interval, "_lemma_residual", counted)
     again = certify(margin=MARGIN, target=0.0, max_boxes=300_000)
-    assert verify_certificate(both_cert)
+    assert verify_certificate(cert)
     # both runs tighten some rows to "both", built from the lemma enclosure
     # each row already has
-    assert rows[0] == again.box_count + len(both_cert.bounds)
+    assert rows[0] == again.box_count + cert.tree.count("L")
 
 
-def test_each_bounded_row_pays_the_lemma_form_once(both_cert, monkeypatch):
+def test_each_bounded_row_pays_the_lemma_form_once(cert, monkeypatch):
     # the default schedule bounds more rows than the tree has boxes, each
     # with the lemma form once
     rows = [0]
@@ -520,8 +563,8 @@ def test_each_bounded_row_pays_the_lemma_form_once(both_cert, monkeypatch):
     again = certify(margin=MARGIN, target=0.0, max_boxes=300_000)
     bounded = sum(map(len, batches))
     assert bounded > again.box_count
-    assert verify_certificate(both_cert)
-    assert rows[0] == bounded + len(both_cert.bounds)
+    assert verify_certificate(cert)
+    assert rows[0] == bounded + cert.tree.count("L")
 
 
 def _row_keys(boxes):
@@ -545,7 +588,7 @@ def test_lookahead_bounds_each_node_once_and_both_only_near_the_target(
     assert len(set(nodes)) == policy_cert.box_count and set(nodes) <= set(keys)
     assert len(batches) < len(certifier._levels(policy_cert.tree))
     assert len(keys) > policy_cert.box_count
-    lemma = residual_enclosure(certifier._frame_box(bounded, MARGIN), "lemma").lo
+    lemma = _enclosure_lo(bounded, MARGIN, "lemma")
     near = int(np.count_nonzero((lemma < target) & (lemma >= target - certifier._REACH)))
     assert rows == {"lemma": len(keys), "both": near}
 
@@ -573,9 +616,9 @@ def test_margin_015_tree_is_pinned(pinned):
     # the box count, leaf count and c* of a mid-size run: any change to
     # the enclosures, the split rule or the cut that moves the tree shows here
     assert pinned.complete
-    assert pinned.box_count == 2_441
-    assert len(pinned.leaves) == 1_221
-    assert pinned.c_star == pytest.approx(3.57205992393298e-08, rel=1e-9)
+    assert pinned.box_count == 1_705
+    assert pinned.tree.count("L") == 853
+    assert pinned.c_star == pytest.approx(3.3703922020725163e-07, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -586,15 +629,26 @@ def bench():
 
 def test_benchmark_margin_012_tree_is_pinned(bench):
     assert bench.complete
-    assert bench.box_count == 17_545
-    assert len(bench.bounds) == 8_773
-    assert bench.c_star == pytest.approx(1.4382907040007736e-09, rel=1e-9)
+    assert bench.box_count == 8_839
+    assert bench.tree.count("L") == 4_420
+    assert bench.c_star == pytest.approx(1.910353964620456e-08, rel=1e-9)
+
+
+@pytest.mark.parametrize("tree", ["pinned", "bench"])
+def test_a_second_clip_moves_no_endpoint(request, tree):
+    # the clip repeats until no endpoint moves, so each node's clipped box,
+    # the one bounded, split and checked against its code, clips to itself
+    done = request.getfixturevalue(tree)
+    once, feasible = certifier._clipped(_evaluated_boxes(done), done.margin)
+    assert np.all(feasible)
+    twice, again = certifier._clipped(once, done.margin)
+    assert np.all(again) and np.array_equal(once, twice)
 
 
 def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch):
-    # the benchmark's per-layer replay clips `Certificate.leaves` itself, and
-    # a second clip moves some margin-0.12 leaves, so `.leaves` must give the
-    # boxes as the tree places them, unclipped
+    # the benchmark's per-layer replay clips `Certificate.leaves` itself;
+    # `.leaves` gives the boxes as the tree places them, and since a clipped
+    # box clips to itself, one clip of them is what the replay bounds
     bounded = []
     evaluate = certifier._evaluate
 
@@ -615,7 +669,7 @@ def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch)
 @pytest.mark.parametrize("tree", ["pinned", "dotted"])
 def test_certify_and_replay_clip_each_node_once(request, monkeypatch, tree):
     # each node's box is clipped once and that clip is bounded, split and
-    # checked against its code; the margin-0.135 tree has '.' nodes.  With
+    # checked against its code; the hand-grown tree has a '.' node.  With
     # one level per `_evaluate` call certify clips the tree's boxes alone
     monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
     done = request.getfixturevalue(tree)
@@ -628,9 +682,10 @@ def test_certify_and_replay_clip_each_node_once(request, monkeypatch, tree):
 
     monkeypatch.setattr(certifier, "_gauge_clip", counted)
     again = certify(margin=done.margin)
-    assert again.tree == done.tree and rows[0] == len(done.tree)
+    assert rows[0] == len(again.tree)
+    assert again.tree == done.tree or tree == "dotted"
     rows[0] = 0
-    assert verify_certificate(again)
+    assert verify_certificate(done)
     assert rows[0] == len(done.tree)
 
 
@@ -648,11 +703,11 @@ def test_lookahead_clips_each_node_once_and_the_replay_too(request, monkeypatch,
 
     monkeypatch.setattr(certifier, "_gauge_clip", kept)
     again = certify(margin=done.margin)
-    assert again.tree == done.tree
+    assert again.tree == done.tree or tree == "dotted"
     keys = _row_keys(np.concatenate(clipped))
-    assert len(set(keys)) == len(keys) > len(done.tree)
+    assert len(set(keys)) == len(keys) > len(again.tree)
     clipped.clear()
-    assert verify_certificate(again)
+    assert verify_certificate(done)
     assert sum(map(len, clipped)) == len(done.tree)
 
 
@@ -691,11 +746,15 @@ def test_a_budget_of_one_box_bounds_one_row(monkeypatch):
 
 
 def test_leaves_cover_every_sampled_frame_carried_into_the_cut(pinned):
+    # seeded gauge points of the cut, divided by p1, each lie inside a
+    # decoded leaf, and the residual there clears that leaf's bound
     p, w = into_cut(*sample_frames(5, 2000, pinned.margin))
     values = residual(metrics_from_frames(p, w), "edge")
-    boxes = _decode(pinned.tree, pinned.margin)[0]
-    bounds = np.array(pinned.bounds)
-    for point, value in zip(np.column_stack([p, w]), values):
+    leaves = pinned.leaves
+    boxes = np.array([leaf.box for leaf in leaves])
+    bounds = np.array([leaf.lower_bound for leaf in leaves])
+    assert np.all(p[:, 0] == p.max(axis=1))
+    for point, value in zip(np.column_stack([p / p[:, :1], w]), values):
         inside = np.all((boxes[:, :, 0] <= point) & (point <= boxes[:, :, 1]), axis=1)
         assert inside.any(), point
         assert value >= bounds[inside].max(), point
@@ -710,17 +769,13 @@ def test_verify_rejects_an_infeasible_code_on_a_box_that_meets_the_cut(pinned):
     straddles = np.flatnonzero((boxes[:, 1, 0] < boxes[:, 3, 1])
                                & (boxes[:, 3, 0] < boxes[:, 1, 1]))
     for leaf in straddles:
-        (l1, h1), (l2, h2), (l3, h3), (l4, h4), _ = boxes[leaf]
-        p = rng.uniform((l1, l2, l3), (h1, h2, h3), size=(200, 3))
-        p = np.column_stack([p, 1.0 - p.sum(axis=1)])
-        if np.any((l4 <= p[:, 3]) & (p[:, 3] <= h4) & in_cut(p)):
+        p = rng.uniform(boxes[leaf, :4, 0], boxes[leaf, :4, 1], size=(200, 4))
+        if np.any(_in_domain(p, pinned.margin)):
             break
     else:
         pytest.fail("no straddling leaf with a witness point in the cut")
     pos = [i for i, code in enumerate(doc["tree"]) if code == "L"][leaf]
-    del doc["leaves"][leaf]
     doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
-    doc["c_star"] = min(entry["lower_bound"] for entry in doc["leaves"])
     doc["box_count"] -= 1
     assert verify_certificate(doc) is False
 
@@ -744,29 +799,52 @@ def test_verify_rejects_a_split_code_on_an_infeasible_box(dotted):
 
 
 def test_clip_keeps_every_point_of_a_box_on_the_plane_and_in_the_cut(pinned):
-    # every leaf and '.' box of the tree, with 20 random points each
-    boxes = np.repeat(np.concatenate(_decode(pinned.tree, pinned.margin)[:2]), 20,
-                      axis=0)
+    # every leaf box of the tree and every box of its root's first two
+    # levels split along p2 and p4 (which straddle the cut's face), with 20
+    # random chart points each; the clip keeps each point of the cut and the
+    # margin
+    root = certifier._root_level(pinned.margin)
+    quarters = _bisect(_bisect(root, np.array([1])), np.array([3, 3]))
+    boxes = np.repeat(np.concatenate([_decode(pinned.tree, pinned.margin)[0], quarters]),
+                      20, axis=0)
     rng = np.random.default_rng(23)
     point = rng.uniform(boxes[:, :, 0], boxes[:, :, 1])
-    point[:, 3] = 1.0 - point[:, :3].sum(axis=1)
-    keep = (boxes[:, 3, 0] <= point[:, 3]) & (point[:, 3] <= boxes[:, 3, 1]) \
-        & in_cut(point[:, :4])
-    assert np.count_nonzero(keep) > 1000
+    keep = _in_domain(point[:, :4], pinned.margin)
+    assert np.count_nonzero(keep) > 1000 and not np.all(keep)
     (p1, p2, p3, p4), w, feasible = _gauge_clip(boxes[keep], pinned.margin)
     assert np.all(feasible)
+    assert np.all(p1.lo == 1.0) and np.all(p1.hi == 1.0)
     for coord, values in zip((p1, p2, p3, p4, w), point[keep].T):
         assert np.all((coord.lo <= values) & (values <= coord.hi))
 
 
-def test_cut_codes_boxes_that_meet_the_gauge_plane_infeasible(dotted):
-    # most '.' nodes now lie outside the cut, not off the gauge plane
-    empties = _decode(dotted.tree, dotted.margin)[1]
-    p = [Interval(empties[:, i, 0], empties[:, i, 1]) for i in range(4)]
-    total = p[0] + p[1] + p[2] + p[3]
-    meets_plane = (total.lo <= 1.0) & (1.0 <= total.hi)
-    assert not np.any(_gauge_clip(empties, dotted.margin)[2])
-    assert np.count_nonzero(meets_plane) > len(empties) // 2
+def test_margin_codes_a_box_inside_the_root_infeasible(dotted):
+    # the '.' box lies inside the root box and meets the cut's half p2 >= p4,
+    # but every point of it has some p_i below margin * (1 + p2 + p3 + p4)
+    (empty,) = _decode(dotted.tree, dotted.margin)[1]
+    root = certifier._root_level(dotted.margin)[0]
+    assert np.all((root[:, 0] <= empty[:, 0]) & (empty[:, 1] <= root[:, 1]))
+    assert empty[1, 1] >= empty[3, 0]
+    assert not _gauge_clip(empty[None], dotted.margin)[2][0]
+    rng = np.random.default_rng(29)
+    point = rng.uniform(empty[:4, 0], empty[:4, 1], size=(10_000, 4))
+    assert not np.any(_in_domain(point, dotted.margin))
+
+
+def test_sum_floor_is_the_least_sum_the_margin_allows():
+    # bisection on T = 1 + sum max(lo_i, margin * T), whose right side
+    # grows more slowly than T, finds the least sum; the closed form stays
+    # at or below it and within a few ulps
+    rng = np.random.default_rng(41)
+    for margin in (0.2, 0.12, 0.01):
+        lo = rng.uniform(margin, 1.0, size=(500, 3)) * rng.integers(0, 2, size=(500, 3))
+        floor = certifier._sum_floor(lo, margin)
+        a, b = np.ones(len(lo)), np.full(len(lo), 8.0)
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            above = 1.0 + np.maximum(lo, margin * mid[:, None]).sum(axis=1) <= mid
+            a, b = np.where(above, a, mid), np.where(above, mid, b)
+        assert np.all(floor <= b) and np.all(floor >= a * (1.0 - 1e-14))
 
 
 def test_absurd_target_returns_partial_certificate():
@@ -802,21 +880,18 @@ def test_monotonicity_in_margin():
 
 def test_soundness_spot_check(cert):
     rng = np.random.default_rng(313)
-    leaves = cert.leaves  # decoded on each access: bind once
+    leaves = cert.leaves  # decoded and bounded on each access: bind once
     checked = 0
     for leaf in [leaves[i] for i in rng.integers(0, len(leaves), 300)]:
-        (l1, h1), (l2, h2), (l3, h3), (l4, h4), (lw, hw) = leaf.box
-        # a point of the tile on the gauge plane and in the cut, where the
-        # leaf's bound holds, if one exists
-        for _ in range(50):
-            p123 = rng.uniform((l1, l2, l3), (h1, h2, h3))
-            p = np.array([[*p123, 1.0 - p123.sum()]])
-            if l4 <= p[0, 3] <= h4 and in_cut(p)[0]:
-                w = rng.uniform(lw, hw)
-                value = float(residual(metrics_from_frames(p, np.array([w])), "edge")[0])
-                assert value >= leaf.lower_bound
-                checked += 1
-                break
+        box = np.array(leaf.box)
+        # a point of the tile in the cut and the margin, where the leaf's
+        # bound holds for the residual at the gauge, if one exists
+        p = rng.uniform(box[:4, 0], box[:4, 1], size=(50, 4))
+        inside = np.flatnonzero(_in_domain(p, cert.margin))
+        if len(inside):
+            w = rng.uniform(box[4, 0], box[4, 1], size=1)
+            assert _gauge_residual(p[inside[:1]], w)[0] >= leaf.lower_bound
+            checked += 1
     assert checked >= 200
 
 
@@ -827,20 +902,20 @@ def _split(box):
 
 
 def test_split_bisects_widest_dimension():
-    box = ((0.1, 0.2), (0.1, 0.5), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
+    box = ((1.0, 1.0), (0.1, 0.5), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
     dim, (lower, upper) = _split(box)
     assert dim == 1
     assert tuple(lower[1]) == (0.1, 0.3) and tuple(upper[1]) == (0.3, 0.5)
     assert np.array_equal(np.delete(lower, 1, 0), np.delete(upper, 1, 0))
     # ties break toward the earliest dimension
-    box = ((0.1, 0.3), (0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.1))
+    box = ((1.0, 1.0), (0.1, 0.2), (0.1, 0.3), (0.1, 0.3), (1.0, 1.1))
     dim, (lower, upper) = _split(box)
-    assert dim == 0
-    assert tuple(lower[0]) == (0.1, 0.2) and tuple(upper[0]) == (0.2, 0.3)
-    # w's width counts at half scale: 0.375 rad loses to a p width of 0.25,
-    # 0.625 rad wins, and the exact tie at 0.5 goes to the p
-    for w_width, expected in ((0.375, 1), (0.5, 1), (0.625, 4)):
-        box = ((0.125, 0.25), (0.125, 0.375), (0.125, 0.25), (0.125, 0.25),
+    assert dim == 2
+    assert tuple(lower[2]) == (0.1, 0.2) and tuple(upper[2]) == (0.2, 0.3)
+    # w's width counts in full against the p widths, and p1's not at all:
+    # 0.125 rad loses to a p width of 0.25, the exact tie goes to the p
+    for w_width, expected in ((0.125, 1), (0.25, 1), (0.375, 4)):
+        box = ((0.0, 1.0), (0.125, 0.375), (0.125, 0.25), (0.125, 0.25),
                (1.0, 1.0 + w_width))
         assert _split(box)[0] == expected, w_width
 
@@ -856,30 +931,38 @@ def _assert_halves(parent, low, high, dim):
 
 @pytest.mark.parametrize("code", list("01234"))
 def test_each_split_code_bisects_the_clipped_box_along_its_dimension(code):
-    # the root split along p1, its upper half a leaf and its lower half
-    # split along `code` into two leaves
-    leaf, low, high = _decode("0" + code + "LLL", 0.2)[0]
+    # the root split along p2, its upper half a leaf and its lower half
+    # split along `code` into two leaves ('0' halves p1 = [1, 1] into two
+    # copies of the box, which certify never asks for)
+    leaf, low, high = _decode("1" + code + "LLL", 0.2)[0]
     root = certifier._clipped(certifier._root_level(0.2), 0.2)[0][0]
     lower = root.copy()
-    lower[0, 1] = 0.5 * (root[0, 0] + root[0, 1])
-    _assert_halves(root, lower, leaf, 0)
+    lower[1, 1] = 0.5 * (root[1, 0] + root[1, 1])
+    _assert_halves(root, lower, leaf, 1)
     parent = certifier._clipped(lower[None], 0.2)[0][0]
-    assert not np.array_equal(parent, lower)  # p1 <= 0.3 moves the other p
+    assert not np.array_equal(parent, lower)  # p2 <= 0.75 moves p4 by the cut
     _assert_halves(parent, low, high, int(code))
 
 
-def test_verify_rejects_each_split_recoded_to_another_dimension():
-    # a recoded tree still covers the domain, so it is rejected because some
-    # leaf's recomputed bound or some code no longer matches; on this tree
-    # each of the 124 recodings moves one
+def test_a_split_recoded_to_another_dimension_verifies_iff_its_leaves_clear_c_star():
+    # a recoded tree still covers the domain, so it is a true claim exactly
+    # when each of its leaves meets the cut and the margin and clears c_star;
+    # the trig-first replay must agree with "both" on every leaf
     small = certify(margin=0.2)
     doc = _fresh(small)
     splits = [pos for pos, code in enumerate(small.tree) if code in "01234"]
-    assert len(splits) == 31
+    assert len(splits) == 37
+    verdicts = []
     for pos in splits:
         for code in "01234".replace(small.tree[pos], ""):
             doc["tree"] = small.tree[:pos] + code + small.tree[pos + 1:]
-            assert _rejected(doc), (pos, code)
+            leaves, _, splits_feasible = _decode(doc["tree"], small.margin)
+            boxes, feasible = certifier._clipped(leaves, small.margin)
+            true = splits_feasible and bool(np.all(feasible)) and bool(
+                np.all(_enclosure_lo(boxes, small.margin, "both") >= small.c_star))
+            assert _rejected(doc) is not true, (pos, code)
+            verdicts.append(true)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_parameter_validation():
@@ -895,15 +978,13 @@ def test_parameter_validation():
 
 def test_certificate_schema_fields(cert):
     doc = cert.to_json_dict()
-    assert doc["gauge"] == "psum1"
+    assert doc["gauge"] == "p1=1"
     assert [field.name for field in dataclasses.fields(Certificate)] == [
-        "margin", "target", "complete", "c_star", "box_count", "tree", "bounds"]
-    assert set(doc) >= {"version", "margin", "gauge", "target", "complete",
-                        "c_star", "box_count", "tree", "leaves"}
-    assert set(doc["tree"]) <= set("01234L.")
+        "margin", "target", "complete", "c_star", "box_count", "tree"]
+    assert set(doc) == {"version", "margin", "gauge", "target", "complete",
+                        "c_star", "box_count", "tree"}
+    assert set(doc["tree"]) <= set("1234L")  # certify never splits p1 = [1, 1]
     assert doc["box_count"] == len(doc["tree"]) - doc["tree"].count(".")
-    assert doc["tree"].count("L") == len(doc["leaves"])
-    assert all(set(leaf) == {"lower_bound"} for leaf in doc["leaves"])
     rebuilt = Certificate.from_json_dict(json.loads(dumps(doc)))
     assert rebuilt.c_star == cert.c_star
     assert len(rebuilt.leaves) == len(cert.leaves)

@@ -289,7 +289,7 @@ def test_certify_and_check_cert_round_trip(tmp_path, capsys):
     assert json.loads(out)["verified"] is True
 
     doc = json.loads(cert_path.read_text())
-    doc["leaves"][0]["lower_bound"] += 1.0
+    doc["c_star"] = 10.0 * doc["c_star"] + 1.0
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["check-cert", str(bad_path)])
@@ -338,8 +338,7 @@ _BAD_MARGIN = "error: malformed certificate: margin must lie in (0, 0.2]\n"
 @pytest.mark.parametrize("edit, message", [
     ({"margin": 0.3}, _BAD_MARGIN), ({"margin": 0.0}, _BAD_MARGIN),
     ({"margin": -0.1}, _BAD_MARGIN),
-    ({"tree": ".", "leaves": [], "box_count": 0},
-     "error: malformed certificate: empty leaf set\n"),
+    ({"tree": ".", "box_count": 0}, "error: malformed certificate: empty leaf set\n"),
 ], ids=["margin-too-wide", "margin-zero", "margin-negative", "no-leaves"])
 def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, edit,
                                                               message):
@@ -387,6 +386,19 @@ def test_check_cert_rejects_old_version(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["check-cert", str(path)])
     assert code == 2 and "'0.1.0'" in err and f"'{__version__}'" in err
+
+
+def test_check_cert_rejects_a_format_060_document(tmp_path, capsys):
+    # 0.6.0 tiled the gauge plane p1+p2+p3+p4 = 1 in five coordinates and
+    # recorded every leaf's bound
+    doc = {"version": "0.6.0", "margin": 0.2, "gauge": "psum1", "target": 0.0,
+           "complete": True, "c_star": 1e-6, "box_count": 3, "tree": "4LL",
+           "leaves": [{"lower_bound": 1e-6}, {"lower_bound": 2e-6}]}
+    path = tmp_path / "format_060.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == ""
+    assert "malformed certificate" in err and "'0.6.0'" in err and f"'{__version__}'" in err
 
 
 def test_check_cert_rejects_an_unknown_symmetry(tmp_path, capsys):
@@ -480,9 +492,9 @@ def test_certify_reports_a_margin_too_fine_for_the_enclosures(capsys):
 
 
 def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
-    doc = {"version": __version__, "margin": 1e-8, "gauge": "psum1",
+    doc = {"version": __version__, "margin": 1e-8, "gauge": "p1=1",
            "target": 0.0, "complete": False, "c_star": -1.0, "box_count": 1,
-           "tree": "L", "leaves": [{"lower_bound": -1.0}]}
+           "tree": "L"}
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["check-cert", str(path)])

@@ -15,10 +15,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from quadineq.certifier import (MalformedCertificate, certify,  # noqa: E402
+import numpy as np  # noqa: E402
+
+from quadineq.certifier import (MalformedCertificate, _clipped,  # noqa: E402
+                                 _decode, _frame_box, _per_gauge, certify,
                                  verify_certificate)
 from quadineq.cli import main  # noqa: E402
 from quadineq.geometry import DiagonalFrame, quad_from_frame  # noqa: E402
+from quadineq.interval import residual_enclosure  # noqa: E402
 
 _LENGTH = st.floats(min_value=0.01, max_value=1.0)
 _ANGLE = st.floats(min_value=0.01, max_value=math.pi - 0.01)
@@ -67,28 +71,41 @@ _TREES = st.text(alphabet="01234L.x", max_size=80)
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _least_both_bound(doc):
+    """The least "both" bound over the leaves of a certificate: the highest
+    c_star its tree can carry."""
+    boxes = _clipped(_decode(doc["tree"], doc["margin"])[0], doc["margin"])[0]
+    enc = residual_enclosure(_frame_box(boxes, doc["margin"]), "both")
+    return float(np.min(_per_gauge(enc.lo, boxes)))
+
+
+_LEAST = _least_both_bound(_CERT)
+
+
 @st.composite
 def _edits(draw):
-    """A path into the certificate document and a value to put there: tree
-    codes for the tree, finite floats for the numbers, any JSON value."""
-    path = draw(st.sampled_from([(key,) for key in sorted(_CERT)] + [("leaves", 0)])
-                | st.integers(0, len(_CERT["leaves"]) - 1).map(
-                    lambda leaf: ("leaves", leaf, "lower_bound")))
-    numeric = path[-1] in ("margin", "target", "c_star", "box_count", "lower_bound")
-    special = _TREES if path == ("tree",) else _NUMBERS if numeric else st.nothing()
-    return path, draw(special | _JSON)
+    """A field of the certificate document and a value to put there: the
+    tree with one code replaced or any tree codes for the tree, finite
+    floats for the numbers (the claimed c_star among them), any JSON value."""
+    key = draw(st.sampled_from(sorted(_CERT)))
+    special = st.nothing()
+    if key == "tree":
+        tree = _CERT["tree"]
+        recode = st.tuples(st.integers(0, len(tree) - 1), st.sampled_from("01234L.x"))
+        special = recode.map(lambda at: tree[:at[0]] + at[1] + tree[at[0] + 1:]) | _TREES
+    elif key in ("margin", "target", "c_star", "box_count"):
+        special = _NUMBERS
+    return key, draw(special | _JSON)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(edit=_edits())
-@example(edit=(("target",), -5.0))
+@example(edit=("target", -5.0))
+@example(edit=("c_star", _LEAST))
+@example(edit=("c_star", float(np.nextafter(_LEAST, np.inf))))
 def test_check_cert_of_a_tampered_certificate_accepts_only_what_certify_claims(edit):
-    (*parents, last), value = edit
-    doc = json.loads(json.dumps(_CERT))
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
+    key, value = edit
+    doc = {**json.loads(json.dumps(_CERT)), key: value}
     try:
         verified = verify_certificate(doc)
     except MalformedCertificate:
@@ -97,3 +114,5 @@ def test_check_cert_of_a_tampered_certificate_accepts_only_what_certify_claims(e
     if verified:
         assert 0.0 < doc["margin"] <= 0.2 and doc["target"] >= 0.0
         assert not doc["complete"] or doc["c_star"] >= doc["target"]
+        if key != "tree":  # the claim holds on every leaf of the tree
+            assert doc["c_star"] <= _least_both_bound(doc)

@@ -526,6 +526,28 @@ def test_sparse_partials_match_dense_ones_bit_for_bit(monkeypatch):
         assert np.array_equal(_bits(ours.hi), _bits(theirs.hi))
 
 
+def test_a_point_coordinate_has_no_partial_and_the_form_still_encloses():
+    # the certifier's boxes fix p1 = [1, 1]: the gradient then carries the
+    # four partials that vary, and the mean-value form still encloses the
+    # residual at every corner and at seeded interior points
+    rng = np.random.default_rng(99)
+    box, _, _ = _random_boxes(rng, 4_000, width_scale=0.05)
+    one = np.ones(4_000)
+    scale = 1.0 / box.p1.hi  # p1.hi maps to 1, a positive scale of each box
+    charted = FrameBox(Interval(one, one), *(Interval(c.lo * scale, c.hi * scale)
+                                             for c in (box.p2, box.p3, box.p4)),
+                       box.w, box.margin)
+    assert edge_residual_with_gradient(charted).deps == (1, 2, 3, 4)
+    enc = edge_mean_value_enclosure(charted)
+    arr = _box_array(charted)
+    corners = [arr[:, np.arange(5), list(bits)] for bits in np.ndindex(*(2,) * 5)]
+    interior = [arr[:, :, 0] + rng.uniform(size=(len(arr), 5)) * (arr[:, :, 1] - arr[:, :, 0])
+                for _ in range(4)]
+    for points in [*corners, *interior]:
+        r = residual(metrics_from_frames(points[:, :4], points[:, 4]), "edge")
+        assert np.all((enc.lo <= r) & (r <= enc.hi))
+
+
 def test_both_is_mean_value_intersected_with_lemma():
     rng = np.random.default_rng(4096)
     box, _, _ = _random_boxes(rng, 20_000, width_scale=0.1)
