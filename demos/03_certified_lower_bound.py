@@ -43,7 +43,6 @@ def main():
     gap = json.loads(dumps(cert.to_json_dict()))
     leaf = gap["tree"].index("L")
     gap["tree"] = gap["tree"][:leaf] + "." + gap["tree"][leaf + 1:]
-    gap["box_count"] -= 1
     print(f"leaf coded outside:   verified={verify_certificate(gap)}")
 
     flipped = json.loads(dumps(cert.to_json_dict()))

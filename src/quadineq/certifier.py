@@ -34,11 +34,12 @@ so a split node's halves cover every point of its box in the domain.
 
 The search runs level by level from the whole domain: each box whose
 certified residual lower bound misses the target is bisected along the
-widest dimension of its clipped box among p2, p3, p4 and w, ties broken
-toward p2 (`_split_dims`), and the halves form the next level.  As a box is
+widest dimension of its clipped box, ties broken toward p2 (`_split_dims`;
+p1 = [1, 1] has width 0), and the halves form the next level.  As a box is
 split exactly when its bound misses the target, a completed run builds the
 same tree in any visiting order.  When the box budget or `_MAX_DEPTH` stops
-a run, unsplit boxes stay leaves and the certificate is flagged incomplete.
+a run, unsplit boxes whose bounds miss the target stay leaves, so the
+claimed bound falls below the target.
 
 Whether a box splits depends on its bound, but the halves it would get do
 not, so the levels near the root, which are small, are bounded ahead:
@@ -53,23 +54,21 @@ dropped.  Each bound depends on its own box alone, so the tree and every
 bound are the ones a call per level gives; the extra rows buy fewer calls,
 each of which has a fixed cost of a few milliseconds.
 
-The certificate is the tree, one code per node in level order ('0'-'4'
-split along p1, p2, p3, p4 or w, 'L' leaf, '.' misses the cut or the
-margin), plus one claimed bound, `c_star`; the in-memory `Certificate`
-holds that document less its header.  The header, the format's identity
-(version and gauge), lives once in `HEADER`; the version alone names the
-chart, the domain, the cut and the codes.  `to_json_dict` writes the
-header into every document and `from_json_dict` rejects a document that
-omits or changes any of it, or that carries a field the format lacks.
-Boxes and leaf bounds are derived: `verify_certificate` regenerates every
-box from the root, clipping each split node's box and bisecting it along
-its coded dimension, so a decoded tree covers the domain by construction
-whatever dimensions its codes name, and the verifier holds no split rule.
-It recomputes each leaf's own bound and accepts iff every one is finite
-and at least `c_star`, the document's one claim.  `certify` claims the
-least leaf bound it found nudged two ulps down, so a replay whose libm
-calls land an ulp or two lower still verifies.  `Certificate.leaves` pairs
-the decoded leaf boxes with the bounds the replay computes.
+The certificate is the tree, one code per node in level order ('1'-'4'
+split along p2, p3, p4 or w, 'L' leaf, '.' misses the cut or the margin),
+one claimed bound, `c_star`, the margin and the target.  `HEADER`, the
+version, names the chart, the domain, the cut and the codes;
+`from_json_dict` rejects a document that omits or changes it or that
+carries another field.  The box count (the nodes not coded '.') and
+completeness (`c_star` reaches the target, exact for every run `certify`
+makes) are derived.  `verify_certificate` regenerates every box from the
+root in one pass (`_decode`): each level is clipped once, each code checked
+against its clipped box and each split node's box bisected along its coded
+dimension, so a decoded tree covers the domain whatever dimensions its
+codes name, and the verifier holds no split rule.  It recomputes each
+leaf's own bound and accepts iff every one is finite and at least
+`c_star`, the one claim, which `certify` makes two ulps below the least
+leaf bound it found, so a replay whose libm calls land lower still verifies.
 
 Certify and replay share one cheap-first evaluation of clipped boxes,
 `_evaluate`, which bounds each box once with the trig ("lemma") form and,
@@ -103,7 +102,7 @@ from .interval import (ONE, FrameBox, Interval, IntervalError, _down, _up,
 from .ioutil import finite_number
 
 # what a document must carry verbatim to be read as this format
-HEADER = {"version": __version__, "gauge": "p1=1"}
+HEADER = {"version": __version__}
 _EVAL_CHUNK = 8192
 # `certify` bounds the children a level's boxes would have together with the
 # level while the batch holds fewer rows than this times the split share of
@@ -116,10 +115,9 @@ _RETRY_BLOCK = 2048
 # at most this much; boxes further below are split on their lemma bound
 _REACH = 2e-4
 _MAX_DEPTH = 200
-# node codes: '0'-'4' split along p1, p2, p3, p4 or w; 'L' leaf; '.' empty
-_SPLIT_P1, _LEAF, _EMPTY = b"0L."
-# `_split_dims` compares the widths of p2, p3, p4 and w; p1 is fixed at 1
-_WIDTH_SCALE = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+# node codes: '1'-'4' split along p2, p3, p4 or w, the digit of the
+# dimension; 'L' leaf; '.' empty
+_DIGIT0, _LEAF, _EMPTY = b"0L."
 
 
 class MalformedCertificate(ValueError):
@@ -128,8 +126,9 @@ class MalformedCertificate(ValueError):
 
 @dataclass(frozen=True)
 class Leaf:
-    """One tile ((p1lo, p1hi), ..., (wlo, whi)) of the chart, as the tree
-    places it, with the residual lower bound the replay computes on it."""
+    """One tile ((p1lo, p1hi), ..., (wlo, whi)) of the chart, the clipped
+    box of a leaf of the tree, with the residual lower bound the replay
+    computes on it."""
 
     box: tuple
     lower_bound: float
@@ -138,22 +137,32 @@ class Leaf:
 @dataclass
 class Certificate:
     """Machine-checkable record of one branch-and-bound run; its document
-    adds `HEADER`.  `c_star` is the one claim: every leaf's bound reaches it."""
+    adds `HEADER`.  `c_star` is the one claim: every leaf's bound reaches it.
+    The box count and completeness are derived from the tree and the claim."""
 
     margin: float
     target: float
-    complete: bool
     c_star: float
-    box_count: int
     tree: str
 
     @property
+    def box_count(self) -> int:
+        """The nodes `certify` bounded: every node not coded '.'."""
+        return len(self.tree) - self.tree.count(".")
+
+    @property
+    def complete(self) -> bool:
+        """Whether the claim reaches the target: False exactly when the box
+        budget or the depth limit left a box that misses it a leaf."""
+        return self.c_star >= self.target
+
+    @property
     def leaves(self) -> list:
-        """Each leaf box the tree places, paired with the bound the replay
-        recomputes on its clipped box.  Decoded and bounded anew on every
-        access; the verifier reads `tree` and `c_star`."""
+        """Each leaf's clipped box, paired with the bound the replay
+        recomputes on it.  Decoded and bounded anew on every access; the
+        verifier reads `tree` and `c_star`."""
         boxes = _decode(self.tree, self.margin)[0]
-        bounds = _evaluate(_clipped(boxes, self.margin)[0], self.margin, self.c_star)
+        bounds = _evaluate(boxes, self.margin, self.c_star)
         return [Leaf(tuple(map(tuple, box)), lb)
                 for box, lb in zip(boxes.tolist(), bounds.tolist())]
 
@@ -166,28 +175,29 @@ class Certificate:
     def from_json_dict(doc: dict) -> "Certificate":
         if not isinstance(doc, dict):
             raise MalformedCertificate("certificate must be a JSON object")
-        for key, expected in HEADER.items():  # version first
+        for key, expected in HEADER.items():
             if key not in doc:
                 raise MalformedCertificate(f"certificate has no {key}")
             if doc[key] != expected:
                 raise MalformedCertificate(
                     f"certificate {key} {doc[key]!r} is not {expected!r}, "
                     f"the {key} this verifier reads")
-        # e.g. the split rule or symmetry that format 0.3.0 named, or the
-        # per-leaf bounds that formats before 0.7.0 recorded
+        # e.g. the split rule or symmetry that format 0.3.0 named, the
+        # per-leaf bounds that formats before 0.7.0 recorded, or the gauge,
+        # box count and completeness flag that format 0.7.0 stored
         unknown = sorted(set(doc) - _DOC_FIELDS)
         if unknown:
             raise MalformedCertificate(
                 f"certificate field {unknown[0]!r} is not one of format {__version__}")
         try:
-            tree = _typed(doc, "tree", str)
+            tree = doc["tree"]
+            if type(tree) is not str:
+                raise TypeError(f"tree must be of type str, not {tree!r}")
             _levels(tree)  # an unparsable tree is malformed, not false
             return Certificate(
                 margin=finite_number(doc["margin"]),
                 target=finite_number(doc["target"]),
-                complete=_typed(doc, "complete", bool),
                 c_star=finite_number(doc["c_star"]),
-                box_count=_typed(doc, "box_count", int),
                 tree=tree,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -196,13 +206,6 @@ class Certificate:
 
 # the fields of a document: the header and the Certificate's own
 _DOC_FIELDS = set(HEADER) | {field.name for field in fields(Certificate)}
-
-
-def _typed(doc: dict, key: str, kind: type):
-    value = doc[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be of type {kind.__name__}, not {value!r}")
-    return value
 
 
 def _root_level(margin: float) -> np.ndarray:
@@ -230,19 +233,19 @@ def _sum_floor(lo: np.ndarray, margin: float) -> np.ndarray:
     return _down(np.stack(sums, axis=1) / slack).max(axis=1)
 
 
-def _gauge_clip(arr: np.ndarray, margin: float):
+def _clipped(arr: np.ndarray, margin: float) -> tuple:
     """Clip boxes (shape (n, 5, 2)) of the chart p1 = 1 to the cut p2 >= p4
     and the margin p_i >= margin * (1 + p2 + p3 + p4) for i = 2, 3, 4.
 
-    Returns (p1..p4 Intervals, w Interval, feasibility mask).  Each pass
-    lowers p4.hi to p2.hi and raises p2.lo to p4.lo, an exact float
-    comparison, then raises the lower ends of p2, p3 and p4 to margin times
+    Returns (clipped boxes of the same shape, feasibility mask); an
+    infeasible box comes back with lo > hi in some p.  Each pass lowers
+    p4.hi to p2.hi and raises p2.lo to p4.lo, an exact float comparison,
+    then raises the lower ends of p2, p3 and p4 to margin times
     `_sum_floor`, rounded down; passes repeat until no endpoint moves, so a
     clipped box clips to itself.  Any point of the box in the cut and the
     margin survives every pass, so an empty result proves the box misses
     one.  The cut's p_i <= p1 is the root box's p_i <= 1, and p1's own
-    margin holds everywhere, since margin * T <= 0.2 * 4 < 1.  It keeps its
-    name because `perfbench/layers.py` imports it.
+    margin holds everywhere, since margin * T <= 0.2 * 4 < 1.
     """
     lo, hi = arr[:, :, 0].copy(), arr[:, :, 1].copy()
     while True:
@@ -253,15 +256,15 @@ def _gauge_clip(arr: np.ndarray, margin: float):
         lo[:, 1:4] = np.maximum(lo[:, 1:4], floor[:, None])
         if np.array_equal(lo[:, 1:4], before):
             break
-    coords = [Interval(lo[:, i], hi[:, i]) for i in range(5)]
-    return coords[:4], coords[4], np.all(lo <= hi, axis=1)
+    return np.stack([lo, hi], axis=2), np.all(lo <= hi, axis=1)
 
 
-def _clipped(arr: np.ndarray, margin: float) -> tuple:
-    """`_gauge_clip` of boxes (shape (n, 5, 2)) as boxes of the same shape and
-    the feasibility mask; an infeasible box comes back with lo > hi in some p."""
-    p, w, feasible = _gauge_clip(arr, margin)
-    return np.stack([np.stack([c.lo, c.hi], axis=1) for c in (*p, w)], axis=1), feasible
+def _gauge_clip(arr: np.ndarray, margin: float):
+    """`_clipped` as (p1..p4 Intervals, w Interval, feasibility mask); kept
+    for `perfbench/layers.py`, which imports it."""
+    boxes, feasible = _clipped(arr, margin)
+    coords = [Interval(boxes[:, i, 0], boxes[:, i, 1]) for i in range(5)]
+    return coords[:4], coords[4], feasible
 
 
 def _frame_box(boxes: np.ndarray, margin: float) -> FrameBox:
@@ -322,8 +325,9 @@ def _check_limits(margin: float, target: float, error: type) -> None:
 
 def _split_dims(boxes: np.ndarray) -> np.ndarray:
     """The dimension `certify` bisects each box (shape (n, 5, 2)) along: the
-    widest of p2, p3, p4 and w, ties broken toward p2."""
-    return np.argmax((boxes[:, :, 1] - boxes[:, :, 0]) * _WIDTH_SCALE, axis=1)
+    widest, ties broken toward the first.  p1 = [1, 1] has width 0, so it is
+    never the choice of a box that has a width at all."""
+    return np.argmax(boxes[:, :, 1] - boxes[:, :, 0], axis=1)
 
 
 def _bisect(boxes: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -338,7 +342,7 @@ def _bisect(boxes: np.ndarray, dims: np.ndarray) -> np.ndarray:
 
 
 def _is_split(codes: np.ndarray) -> np.ndarray:
-    return (codes >= _SPLIT_P1) & (codes < _SPLIT_P1 + 5)
+    return (codes > _DIGIT0) & (codes <= _DIGIT0 + 4)
 
 
 def _levels(tree: str) -> list:
@@ -352,7 +356,7 @@ def _levels(tree: str) -> list:
     """
     codes = np.frombuffer(tree.encode(), dtype=np.uint8)
     if not np.all(_is_split(codes) | (codes == _LEAF) | (codes == _EMPTY)):
-        raise MalformedCertificate("tree holds a code other than '0'-'4', 'L' and '.'")
+        raise MalformedCertificate("tree holds a code other than '1'-'4', 'L' and '.'")
     levels = []
     pos, size = 0, 1
     while size:
@@ -369,25 +373,25 @@ def _levels(tree: str) -> list:
 
 
 def _decode(tree: str, margin: float) -> tuple:
-    """Regenerate the boxes of a level-order tree code from the root: each
-    split node's box is clipped and bisected along its coded dimension.
+    """Regenerate the boxes of a level-order tree code from the root in one
+    pass: each level is clipped once, and each split node's clipped box is
+    bisected along its coded dimension.
 
-    Returns (leaf boxes, infeasible-node boxes, whether every split node's
-    clipped box is feasible); the boxes are (n, 5, 2) arrays in level order,
-    as the tree places them, before their own clip.  Raises
-    MalformedCertificate where `_levels` does.
+    Returns the clipped leaf boxes, an (n, 5, 2) array in level order, and
+    whether every node's code matches its clipped box: a split code or 'L'
+    on a box that meets the cut and the margin, '.' on one that misses.
+    Raises MalformedCertificate where `_levels` does.
     """
     level = _root_level(margin)
-    leaves, empties = [], []
-    splits_feasible = True
+    leaves = []
+    consistent = True
     for node in _levels(tree):
-        leaves.append(level[node == _LEAF])
-        empties.append(level[node == _EMPTY])
+        boxes, feasible = _clipped(level, margin)
+        consistent = consistent and np.array_equal(feasible, node != _EMPTY)
+        leaves.append(boxes[node == _LEAF])
         split = _is_split(node)
-        boxes, feasible = _clipped(level[split], margin)
-        splits_feasible = splits_feasible and bool(np.all(feasible))
-        level = _bisect(boxes, node[split] - _SPLIT_P1)
-    return np.concatenate(leaves), np.concatenate(empties), splits_feasible
+        level = _bisect(boxes[split], node[split] - _DIGIT0)
+    return np.concatenate(leaves), consistent
 
 
 def _speculate(level: np.ndarray, margin: float, depth: int, budget: int,
@@ -422,9 +426,9 @@ def certify(margin: float, target: float = 0.0,
     residual taken at the gauge p1+p2+p3+p4 = 1.
 
     Returns a complete certificate when every leaf bound clears the target
-    within the box budget and the depth limit, otherwise a partial
-    certificate flagged incomplete.  Either way c_star is the least leaf
-    bound, nudged two ulps down.
+    within the box budget and the depth limit, otherwise a partial one,
+    whose unsplit leaves miss the target.  Either way c_star is the least
+    leaf bound, nudged two ulps down.
     """
     _check_limits(margin, target, ValueError)
     if max_boxes < 1:
@@ -433,7 +437,6 @@ def certify(margin: float, target: float = 0.0,
     level = _root_level(margin)
     codes, leaf_bounds = [], []
     evaluated = depth = 0
-    complete = True
     # the root has no level before it; a quarter stops its batch at 512
     # rows, which hold the nine levels of the margin-0.2 tree
     share = 0.25
@@ -456,13 +459,13 @@ def certify(margin: float, target: float = 0.0,
             pending = np.flatnonzero(split)
             room = (max_boxes - evaluated) // 2 if depth < _MAX_DEPTH else 0
             if len(pending) > room:
-                # out of boxes or depth: the rest stay leaves of a partial result
+                # out of boxes or depth: the rest stay leaves of a partial
+                # result, and their bounds, below the target, bound c_star
                 split[pending[room:]] = False
-                complete = False
             dims = _split_dims(boxes[split])
             code = np.full(len(rows), _EMPTY, dtype=np.uint8)
             code[feasible] = _LEAF
-            code[split] = _SPLIT_P1 + dims
+            code[split] = _DIGIT0 + dims
             codes.append(code.tobytes())
             leaf_bounds.append(bounds[feasible & ~split])
             depth += 1
@@ -474,21 +477,17 @@ def certify(margin: float, target: float = 0.0,
             rows = np.stack([2 * parents, 2 * parents + 1], axis=1).ravel()
         level = _bisect(boxes[split], dims)
 
-    return Certificate(
-        margin=margin, target=target, complete=complete,
-        c_star=float(np.min(np.concatenate(leaf_bounds))), box_count=evaluated,
-        tree=b"".join(codes).decode("ascii"),
-    )
+    return Certificate(margin=margin, target=target,
+                       c_star=float(np.min(np.concatenate(leaf_bounds))),
+                       tree=b"".join(codes).decode("ascii"))
 
 
 def verify_certificate(cert) -> bool:
     """Replay a certificate: regenerate every box from its tree, clip each
     once and check its code, split codes included, against its feasibility,
-    recompute the box count and each leaf's own residual lower bound
-    (trig-first, by `_evaluate`), which must be finite and at least the
-    claimed c_star (a leaf whose enclosure cannot be formed rejects), and
-    check that a document flagged complete claims a c_star that reaches its
-    target (an incomplete flag claims nothing more).  Accepts a Certificate
+    and recompute each leaf's own residual lower bound (trig-first, by
+    `_evaluate`), which must be finite and at least the claimed c_star (a
+    leaf whose enclosure cannot be formed rejects).  Accepts a Certificate
     or its JSON dict; returns True iff all claims hold.  It raises
     MalformedCertificate on a tree without leaves or a margin or target
     that `certify` refuses.
@@ -501,23 +500,13 @@ def verify_certificate(cert) -> bool:
     if "L" not in cert.tree:
         raise MalformedCertificate("empty leaf set")
 
-    leaves, empties, splits_feasible = _decode(cert.tree, cert.margin)
-    if cert.box_count != len(cert.tree) - cert.tree.count("."):
-        return False
-    # each code must match its box: a split code and 'L' meet the cut and
-    # the margin, '.' misses one
-    boxes, feasible = _clipped(leaves, cert.margin)
-    if not (splits_feasible and np.all(feasible)) \
-            or np.any(_gauge_clip(empties, cert.margin)[2]):
+    leaves, consistent = _decode(cert.tree, cert.margin)
+    if not consistent:
         return False
     try:
-        bounds = _evaluate(boxes, cert.margin, cert.c_star)
+        bounds = _evaluate(leaves, cert.margin, cert.c_star)
     except IntervalError:  # an enclosure that cannot be formed proves nothing
         return False
     # a leaf holds iff its own bound is finite and reaches c_star; the
     # comparisons are written so that a NaN rejects
-    if np.any(~(np.isfinite(bounds) & (bounds >= cert.c_star))):
-        return False
-    if cert.complete and not cert.c_star >= cert.target:
-        return False
-    return True
+    return bool(np.all(np.isfinite(bounds) & (bounds >= cert.c_star)))

@@ -89,7 +89,7 @@ def dotted():
 
     tree = _grown(margin, rule)
     assert "." in tree
-    claim = Certificate(margin, 0.0, False, -math.inf, len(tree) - tree.count("."), tree)
+    claim = Certificate(margin, 0.0, -math.inf, tree)
     c_star = min(leaf.lower_bound for leaf in claim.leaves)
     return dataclasses.replace(claim, c_star=c_star)
 
@@ -130,7 +130,6 @@ def test_verify_rejects_missing_leaf(cert):
     doc = _fresh(cert)
     pos = doc["tree"].rindex("L")
     doc["tree"] = doc["tree"][:pos] + doc["tree"][pos + 1:]
-    doc["box_count"] -= 1
     assert _rejected(doc)
 
 
@@ -143,20 +142,22 @@ def test_verify_rejects_tampered_c_star(cert):
     assert verify_certificate(doc)
 
 
-def test_verify_rejects_changed_target_or_margin(cert):
-    doc = _fresh(cert)
-    doc["target"] = 2.0 * doc["c_star"]  # a complete claim the leaves miss
-    assert verify_certificate(doc) is False
+def test_verify_rejects_a_changed_margin_and_a_raised_target_reads_incomplete(cert):
     doc = _fresh(cert)
     doc["margin"] = MARGIN - 0.01  # the same tree over a wider domain
     assert verify_certificate(doc) is False
+    # completeness is derived: a target above the claim makes a true claim
+    # of an incomplete run, never a false one of a complete run
+    doc = _fresh(cert)
+    doc["target"] = 2.0 * doc["c_star"]
+    assert verify_certificate(doc) is True
+    assert not Certificate.from_json_dict(doc).complete
 
 
 def test_verify_rejects_duplicate_leaf(cert):
     # one leaf too many: the tree continues past its last level
     doc = _fresh(cert)
     doc["tree"] += "L"
-    doc["box_count"] += 1
     assert _rejected(doc)
 
 
@@ -167,7 +168,6 @@ def test_verify_rejects_out_of_domain_leaf(dotted):
     doc = _fresh(dotted)
     pos = doc["tree"].index(".")
     doc["tree"] = doc["tree"][:pos] + "L" + doc["tree"][pos + 1:]
-    doc["box_count"] += 1
     assert verify_certificate(doc) is False
 
 
@@ -175,21 +175,20 @@ def test_verify_rejects_feasible_node_coded_infeasible(cert):
     doc = _fresh(cert)
     pos = doc["tree"].index("L")
     doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
-    doc["box_count"] -= 1
     assert verify_certificate(doc) is False
 
 
 def _first_split(tree):
-    return min(tree.find(code) for code in "01234" if code in tree)
+    return min(tree.find(code) for code in "1234" if code in tree)
 
 
 def _last_split(tree):
-    return max(tree.rfind(code) for code in "01234")
+    return max(tree.rfind(code) for code in "1234")
 
 
-# "S" in an id stands for a split code, '0'-'4'
+# "S" in an id stands for a split code, '1'-'4'
 @pytest.mark.parametrize("tamper", [
-    lambda t: t.replace("L", "0", 1),
+    lambda t: t.replace("L", "1", 1),
     lambda t: t[::-1].replace("L", "4", 1)[::-1],
     lambda t: t[:_first_split(t)] + "L" + t[_first_split(t) + 1:],
     lambda t: t[:_last_split(t)] + "L" + t[_last_split(t) + 1:],
@@ -204,13 +203,20 @@ def test_verify_rejects_flipped_node_code(dotted, tamper):
 
 @pytest.mark.parametrize("tamper", [
     lambda t: t[:-1], lambda t: t + "L", lambda t: t.replace("L", "X", 1),
-    lambda t: "S" + t[1:], lambda t: "5" + t[1:],
-], ids=["truncated", "appended", "unknown-code", "old-split-code", "split-code-5"])
-def test_tree_that_does_not_parse_is_malformed(cert, tamper):
+    lambda t: "S" + t[1:], lambda t: "5" + t[1:], lambda t: "0" + t[1:],
+], ids=["truncated", "appended", "unknown-code", "old-split-code", "split-code-5",
+        "split-code-0"])
+def test_tree_that_does_not_parse_is_malformed(cert, tamper, tmp_path, capsys):
+    # '0' would split p1 = [1, 1] into two copies of its box, which certify
+    # never asks for
     doc = _fresh(cert)
     doc["tree"] = tamper(doc["tree"])
     with pytest.raises(MalformedCertificate):
         Certificate.from_json_dict(doc)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-cert", str(path)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_malformed_document_raises(cert):
@@ -252,17 +258,23 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
                 Certificate.from_json_dict(doc)
 
 
-def test_a_leaves_field_is_malformed(cert, tmp_path, capsys):
-    # the per-leaf bounds that formats before 0.7.0 recorded: the replay
-    # recomputes every leaf bound, so a document holds only the claimed c_star
-    doc = _fresh(cert)
-    doc["leaves"] = [{"lower_bound": cert.c_star}] * cert.tree.count("L")
-    with pytest.raises(MalformedCertificate, match="'leaves' is not one of format"):
+@pytest.mark.parametrize("field", ["leaves", "box_count", "complete", "gauge"])
+def test_a_field_an_older_format_stored_is_malformed(cert, tmp_path, capsys, field):
+    # the per-leaf bounds that formats before 0.7.0 recorded, and the box
+    # count, completeness flag and gauge that format 0.7.0 stored: the replay
+    # recomputes every leaf bound and derives the rest, so a document holds
+    # only the tree and the claimed c_star besides its version, margin and
+    # target.  Each value is the one the old format would have written
+    value = {"leaves": [{"lower_bound": cert.c_star}] * cert.tree.count("L"),
+             "box_count": cert.box_count, "complete": cert.complete,
+             "gauge": "p1=1"}[field]
+    doc = {**_fresh(cert), field: value}
+    with pytest.raises(MalformedCertificate, match=f"'{field}' is not one of format"):
         Certificate.from_json_dict(doc)
-    path = tmp_path / "leaves.json"
+    path = tmp_path / f"{field}.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["check-cert", str(path)]) == 2
-    assert "malformed certificate" in capsys.readouterr().err
+    assert f"malformed certificate: certificate field '{field}'" in capsys.readouterr().err
 
 
 def test_unknown_split_rule_is_malformed(cert):
@@ -274,33 +286,14 @@ def test_unknown_split_rule_is_malformed(cert):
         Certificate.from_json_dict(doc)
 
 
-def test_non_boolean_complete_is_malformed(cert):
-    for value in ("false", 0, None):
-        doc = _fresh(cert)
-        doc["complete"] = value
-        with pytest.raises(MalformedCertificate):
-            Certificate.from_json_dict(doc)
-
-
-def test_wrong_box_count_is_rejected(cert):
-    for value in (-5, cert.box_count + 1, cert.box_count - 1):
-        doc = _fresh(cert)
-        doc["box_count"] = value
-        assert verify_certificate(doc) is False
-    for value in (float(cert.box_count), str(cert.box_count), True):
-        doc = _fresh(cert)
-        doc["box_count"] = value
-        with pytest.raises(MalformedCertificate):
-            Certificate.from_json_dict(doc)
-
-
 def test_other_version_is_malformed(cert):
     # 0.2.0 certificates tile the whole domain, with no cut; 0.3.0 trees
     # split the unclipped box by a fixed rule; 0.4.0 trees were built with
     # exact sums kept exact, so their clips place other boxes; 0.5.0 trees
     # centred the mean-value form at the box midpoint, so split other boxes;
-    # 0.6.0 trees tile the gauge plane in five coordinates
-    for version in ("0.1.0", "0.2.0", "0.3.0", "0.4.0", "0.5.0", "0.6.0"):
+    # 0.6.0 trees tile the gauge plane in five coordinates; 0.7.0 documents
+    # store a box count, a completeness flag and a gauge
+    for version in ("0.1.0", "0.2.0", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0"):
         doc = _fresh(cert)
         doc["version"] = version
         with pytest.raises(MalformedCertificate, match=f"'{version}'.*'{__version__}'"):
@@ -319,7 +312,7 @@ def test_unknown_symmetry_is_malformed(cert, symmetry):
         Certificate.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("key", ["version", "gauge"])
+@pytest.mark.parametrize("key", list(certifier.HEADER))
 def test_missing_or_other_header_value_is_malformed(cert, key):
     doc = _fresh(cert)
     del doc[key]
@@ -346,8 +339,30 @@ def test_incomplete_certificate_round_trips_and_verifies():
     part = certify(margin=0.15, max_boxes=1_000)
     assert not part.complete and part.box_count <= 1_000
     doc = _fresh(part)
-    assert doc["complete"] is False
+    assert "complete" not in doc and not Certificate.from_json_dict(doc).complete
     assert verify_certificate(doc) is True
+
+
+@pytest.mark.parametrize("margin", [0.2, 0.15])
+@pytest.mark.parametrize("target", [0.0, 1e-5])
+def test_complete_holds_exactly_when_no_budget_or_depth_cut_the_run(monkeypatch, margin,
+                                                                     target):
+    # `complete` is derived, c_star >= target: a full run reads complete, and
+    # a run cut by the box budget or the depth limit leaves a box whose bound
+    # misses the target as a leaf, so its claim falls below the target
+    full = certify(margin, target)
+    assert full.complete and verify_certificate(_fresh(full))
+    for max_boxes in (1, 7, full.box_count - 1, full.box_count):
+        part = certify(margin, target, max_boxes)
+        assert part.complete is (max_boxes >= full.box_count), max_boxes
+        assert part.complete or not part.c_star >= target
+        assert verify_certificate(_fresh(part))
+    depth = len(certifier._levels(full.tree)) - 1  # the deepest level's index
+    for limit in (depth - 1, depth):
+        monkeypatch.setattr(certifier, "_MAX_DEPTH", limit)
+        cut = certify(margin, target)
+        assert cut.complete is (limit == depth), limit
+        assert verify_certificate(_fresh(cut))
 
 
 def test_canonical_json_round_trip_is_byte_identical(cert):
@@ -364,8 +379,7 @@ def test_certificate_derives_leaf_boxes_and_bounds(cert):
     assert len(leaves) == len(boxes) == cert.tree.count("L")
     assert all(np.array_equal(leaf.box, box) for leaf, box in zip(leaves, boxes))
     # each bound is the one the replay compares with c_star
-    recomputed = certifier._evaluate(certifier._clipped(boxes, cert.margin)[0],
-                                     cert.margin, cert.c_star)
+    recomputed = certifier._evaluate(boxes, cert.margin, cert.c_star)
     assert [leaf.lower_bound for leaf in leaves] == recomputed.tolist()
 
 
@@ -403,7 +417,7 @@ def _enclosure_lo(boxes, margin, path):
 
 def _replay_bounds(cert):
     """Each leaf's lemma bound and its "both" bound, not nudged."""
-    boxes = certifier._clipped(_decode(cert.tree, cert.margin)[0], cert.margin)[0]
+    boxes = _decode(cert.tree, cert.margin)[0]
     return (_enclosure_lo(boxes, cert.margin, "lemma"),
             _enclosure_lo(boxes, cert.margin, "both"))
 
@@ -481,16 +495,27 @@ def policy_cert(request):
     return request.getfixturevalue(request.param)
 
 
+def _node_boxes(tree, margin):
+    """The box of every node as the tree places it, before its own clip, in
+    level order."""
+    level = certifier._root_level(margin)
+    boxes = []
+    for node in certifier._levels(tree):
+        boxes.append(level)
+        split = certifier._is_split(node)
+        level = _bisect(certifier._clipped(level[split], margin)[0],
+                        node[split] - certifier._DIGIT0)
+    return np.concatenate(boxes)
+
+
+def _coded(tree, code):
+    """Mask of the nodes of a tree that carry `code`, in level order."""
+    return np.array(list(tree)) == code
+
+
 def _evaluated_boxes(cert):
     """The box of every split or leaf node, in level order."""
-    level = certifier._root_level(cert.margin)
-    boxes = []
-    for node in certifier._levels(cert.tree):
-        boxes.append(level[node != certifier._EMPTY])
-        split = certifier._is_split(node)
-        level = _bisect(certifier._clipped(level[split], cert.margin)[0],
-                        node[split] - certifier._SPLIT_P1)
-    return np.concatenate(boxes)
+    return _node_boxes(cert.tree, cert.margin)[~_coded(cert.tree, ".")]
 
 
 def test_leaf_bound_is_lemma_where_it_clears_else_both(policy_cert):
@@ -646,9 +671,9 @@ def test_a_second_clip_moves_no_endpoint(request, tree):
 
 
 def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch):
-    # the benchmark's per-layer replay clips `Certificate.leaves` itself;
-    # `.leaves` gives the boxes as the tree places them, and since a clipped
-    # box clips to itself, one clip of them is what the replay bounds
+    # `Certificate.leaves` gives the clipped boxes the replay bounds, and the
+    # benchmark's per-layer replay, which clips them again, gets the same
+    # boxes, since a clipped box clips to itself
     bounded = []
     evaluate = certifier._evaluate
 
@@ -659,6 +684,7 @@ def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch)
     monkeypatch.setattr(certifier, "_evaluate", kept)
     assert verify_certificate(bench)
     boxes = np.array([leaf.box for leaf in bench.leaves], dtype=float)
+    assert np.array_equal(boxes, bounded[0])
     (p1, p2, p3, p4), w, feasible = _gauge_clip(boxes, bench.margin)
     assert np.all(feasible)
     for i, coord in enumerate((p1, p2, p3, p4, w)):
@@ -674,13 +700,13 @@ def test_certify_and_replay_clip_each_node_once(request, monkeypatch, tree):
     monkeypatch.setattr(certifier, "_LOOKAHEAD", 1)
     done = request.getfixturevalue(tree)
     rows = [0]
-    clip = certifier._gauge_clip
+    clip = certifier._clipped
 
     def counted(arr, margin):
         rows[0] += len(arr)
         return clip(arr, margin)
 
-    monkeypatch.setattr(certifier, "_gauge_clip", counted)
+    monkeypatch.setattr(certifier, "_clipped", counted)
     again = certify(margin=done.margin)
     assert rows[0] == len(again.tree)
     assert again.tree == done.tree or tree == "dotted"
@@ -695,13 +721,13 @@ def test_lookahead_clips_each_node_once_and_the_replay_too(request, monkeypatch,
     # each once; the replay clips exactly the tree's nodes
     done = request.getfixturevalue(tree)
     clipped = []
-    clip = certifier._gauge_clip
+    clip = certifier._clipped
 
     def kept(arr, margin):
         clipped.append(arr)
         return clip(arr, margin)
 
-    monkeypatch.setattr(certifier, "_gauge_clip", kept)
+    monkeypatch.setattr(certifier, "_clipped", kept)
     again = certify(margin=done.margin)
     assert again.tree == done.tree or tree == "dotted"
     keys = _row_keys(np.concatenate(clipped))
@@ -776,12 +802,11 @@ def test_verify_rejects_an_infeasible_code_on_a_box_that_meets_the_cut(pinned):
         pytest.fail("no straddling leaf with a witness point in the cut")
     pos = [i for i, code in enumerate(doc["tree"]) if code == "L"][leaf]
     doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
-    doc["box_count"] -= 1
     assert verify_certificate(doc) is False
 
 
 def test_verify_rejects_a_split_code_on_an_infeasible_box(dotted):
-    # the first '.' node recoded '0' with two '.' children: the children of
+    # the first '.' node recoded '1' with two '.' children: the children of
     # an infeasible box are infeasible too, so only the split code is false
     doc = _fresh(dotted)
     tree = doc["tree"]
@@ -793,8 +818,7 @@ def test_verify_rejects_a_split_code_on_an_infeasible_box(dotted):
             break
     # the node's children follow those of the split nodes before it
     child = end + 2 * int(np.count_nonzero(certifier._is_split(level[:pos - start])))
-    doc["tree"] = tree[:pos] + "0" + tree[pos + 1:child] + ".." + tree[child:]
-    doc["box_count"] += 1
+    doc["tree"] = tree[:pos] + "1" + tree[pos + 1:child] + ".." + tree[child:]
     assert verify_certificate(doc) is False
 
 
@@ -805,8 +829,8 @@ def test_clip_keeps_every_point_of_a_box_on_the_plane_and_in_the_cut(pinned):
     # margin
     root = certifier._root_level(pinned.margin)
     quarters = _bisect(_bisect(root, np.array([1])), np.array([3, 3]))
-    boxes = np.repeat(np.concatenate([_decode(pinned.tree, pinned.margin)[0], quarters]),
-                      20, axis=0)
+    leaves = _node_boxes(pinned.tree, pinned.margin)[_coded(pinned.tree, "L")]
+    boxes = np.repeat(np.concatenate([leaves, quarters]), 20, axis=0)
     rng = np.random.default_rng(23)
     point = rng.uniform(boxes[:, :, 0], boxes[:, :, 1])
     keep = _in_domain(point[:, :4], pinned.margin)
@@ -821,11 +845,11 @@ def test_clip_keeps_every_point_of_a_box_on_the_plane_and_in_the_cut(pinned):
 def test_margin_codes_a_box_inside_the_root_infeasible(dotted):
     # the '.' box lies inside the root box and meets the cut's half p2 >= p4,
     # but every point of it has some p_i below margin * (1 + p2 + p3 + p4)
-    (empty,) = _decode(dotted.tree, dotted.margin)[1]
+    (empty,) = _node_boxes(dotted.tree, dotted.margin)[_coded(dotted.tree, ".")]
     root = certifier._root_level(dotted.margin)[0]
     assert np.all((root[:, 0] <= empty[:, 0]) & (empty[:, 1] <= root[:, 1]))
     assert empty[1, 1] >= empty[3, 0]
-    assert not _gauge_clip(empty[None], dotted.margin)[2][0]
+    assert not certifier._clipped(empty[None], dotted.margin)[1][0]
     rng = np.random.default_rng(29)
     point = rng.uniform(empty[:4, 0], empty[:4, 1], size=(10_000, 4))
     assert not np.any(_in_domain(point, dotted.margin))
@@ -912,36 +936,32 @@ def test_split_bisects_widest_dimension():
     dim, (lower, upper) = _split(box)
     assert dim == 2
     assert tuple(lower[2]) == (0.1, 0.2) and tuple(upper[2]) == (0.2, 0.3)
-    # w's width counts in full against the p widths, and p1's not at all:
-    # 0.125 rad loses to a p width of 0.25, the exact tie goes to the p
+    # w's width counts in full against the p widths: 0.125 rad loses to a p
+    # width of 0.25, the exact tie goes to the p
     for w_width, expected in ((0.125, 1), (0.25, 1), (0.375, 4)):
-        box = ((0.0, 1.0), (0.125, 0.375), (0.125, 0.25), (0.125, 0.25),
+        box = ((1.0, 1.0), (0.125, 0.375), (0.125, 0.25), (0.125, 0.25),
                (1.0, 1.0 + w_width))
         assert _split(box)[0] == expected, w_width
 
 
-def _assert_halves(parent, low, high, dim):
-    """`low` and `high` are the halves of the box `parent` along `dim`."""
-    mid = 0.5 * (parent[dim, 0] + parent[dim, 1])
-    assert tuple(low[dim]) == (parent[dim, 0], mid)
-    assert tuple(high[dim]) == (mid, parent[dim, 1])
-    for child in (low, high):
-        assert np.array_equal(np.delete(child, dim, 0), np.delete(parent, dim, 0))
+def _halves(parent, dim):
+    """The lower and upper halves of the box `parent` along `dim`."""
+    low, high = parent.copy(), parent.copy()
+    low[dim, 1] = high[dim, 0] = 0.5 * (parent[dim, 0] + parent[dim, 1])
+    return low, high
 
 
-@pytest.mark.parametrize("code", list("01234"))
+@pytest.mark.parametrize("code", list("1234"))
 def test_each_split_code_bisects_the_clipped_box_along_its_dimension(code):
     # the root split along p2, its upper half a leaf and its lower half
-    # split along `code` into two leaves ('0' halves p1 = [1, 1] into two
-    # copies of the box, which certify never asks for)
-    leaf, low, high = _decode("1" + code + "LLL", 0.2)[0]
+    # split along `code` into two leaves; the leaves come back clipped
+    leaves = _decode("1" + code + "LLL", 0.2)[0]
     root = certifier._clipped(certifier._root_level(0.2), 0.2)[0][0]
-    lower = root.copy()
-    lower[1, 1] = 0.5 * (root[1, 0] + root[1, 1])
-    _assert_halves(root, lower, leaf, 1)
+    lower, upper = _halves(root, 1)
     parent = certifier._clipped(lower[None], 0.2)[0][0]
     assert not np.array_equal(parent, lower)  # p2 <= 0.75 moves p4 by the cut
-    _assert_halves(parent, low, high, int(code))
+    placed = np.stack([upper, *_halves(parent, int(code))])
+    assert np.array_equal(leaves, certifier._clipped(placed, 0.2)[0])
 
 
 def test_a_split_recoded_to_another_dimension_verifies_iff_its_leaves_clear_c_star():
@@ -950,16 +970,15 @@ def test_a_split_recoded_to_another_dimension_verifies_iff_its_leaves_clear_c_st
     # the trig-first replay must agree with "both" on every leaf
     small = certify(margin=0.2)
     doc = _fresh(small)
-    splits = [pos for pos, code in enumerate(small.tree) if code in "01234"]
+    splits = [pos for pos, code in enumerate(small.tree) if code in "1234"]
     assert len(splits) == 37
     verdicts = []
     for pos in splits:
-        for code in "01234".replace(small.tree[pos], ""):
+        for code in "1234".replace(small.tree[pos], ""):
             doc["tree"] = small.tree[:pos] + code + small.tree[pos + 1:]
-            leaves, _, splits_feasible = _decode(doc["tree"], small.margin)
-            boxes, feasible = certifier._clipped(leaves, small.margin)
-            true = splits_feasible and bool(np.all(feasible)) and bool(
-                np.all(_enclosure_lo(boxes, small.margin, "both") >= small.c_star))
+            leaves, consistent = _decode(doc["tree"], small.margin)
+            true = consistent and bool(
+                np.all(_enclosure_lo(leaves, small.margin, "both") >= small.c_star))
             assert _rejected(doc) is not true, (pos, code)
             verdicts.append(true)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -978,13 +997,13 @@ def test_parameter_validation():
 
 def test_certificate_schema_fields(cert):
     doc = cert.to_json_dict()
-    assert doc["gauge"] == "p1=1"
     assert [field.name for field in dataclasses.fields(Certificate)] == [
-        "margin", "target", "complete", "c_star", "box_count", "tree"]
-    assert set(doc) == {"version", "margin", "gauge", "target", "complete",
-                        "c_star", "box_count", "tree"}
+        "margin", "target", "c_star", "tree"]
+    assert list(doc) == ["version", "margin", "target", "c_star", "tree"]
     assert set(doc["tree"]) <= set("1234L")  # certify never splits p1 = [1, 1]
-    assert doc["box_count"] == len(doc["tree"]) - doc["tree"].count(".")
+    # the box count and completeness are derived from the tree and the claim
+    assert cert.box_count == len(doc["tree"]) - doc["tree"].count(".")
+    assert cert.complete is (doc["c_star"] >= doc["target"])
     rebuilt = Certificate.from_json_dict(json.loads(dumps(doc)))
     assert rebuilt.c_star == cert.c_star
     assert len(rebuilt.leaves) == len(cert.leaves)

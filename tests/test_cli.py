@@ -338,7 +338,7 @@ _BAD_MARGIN = "error: malformed certificate: margin must lie in (0, 0.2]\n"
 @pytest.mark.parametrize("edit, message", [
     ({"margin": 0.3}, _BAD_MARGIN), ({"margin": 0.0}, _BAD_MARGIN),
     ({"margin": -0.1}, _BAD_MARGIN),
-    ({"tree": ".", "box_count": 0}, "error: malformed certificate: empty leaf set\n"),
+    ({"tree": "."}, "error: malformed certificate: empty leaf set\n"),
 ], ids=["margin-too-wide", "margin-zero", "margin-negative", "no-leaves"])
 def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, edit,
                                                               message):
@@ -349,7 +349,7 @@ def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, 
 @pytest.mark.parametrize("max_boxes, edit", [
     ("1000000", {"target": -5.0}), ("1000000", {"target": -1e-300}),
     # one leaf whose bound lies below zero but clears the claimed target
-    ("1", {"target": -2.0, "complete": True}),
+    ("1", {"target": -2.0}),
 ], ids=["target-negative", "target-negative-tiny", "one-leaf-complete-at-negative-target"])
 def test_check_cert_rejects_a_target_that_certify_refuses(tmp_path, capsys, max_boxes,
                                                           edit):
@@ -399,6 +399,20 @@ def test_check_cert_rejects_a_format_060_document(tmp_path, capsys):
     code, out, err = run(capsys, ["check-cert", str(path)])
     assert code == 2 and out == ""
     assert "malformed certificate" in err and "'0.6.0'" in err and f"'{__version__}'" in err
+
+
+def test_check_cert_rejects_a_format_070_document(tmp_path, capsys):
+    # 0.7.0 wrote the margin-0.2 tree of today with a gauge, a box count and
+    # a completeness flag, which the tree and the claim now give
+    code, out, _ = run(capsys, ["certify", "--margin", "0.2"])
+    assert code == 0
+    doc = {**json.loads(out)["certificate"], "version": "0.7.0", "gauge": "p1=1",
+           "complete": True, "box_count": 75}
+    path = tmp_path / "format_070.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == ""
+    assert "malformed certificate" in err and "'0.7.0'" in err and f"'{__version__}'" in err
 
 
 def test_check_cert_rejects_an_unknown_symmetry(tmp_path, capsys):
@@ -492,8 +506,7 @@ def test_certify_reports_a_margin_too_fine_for_the_enclosures(capsys):
 
 
 def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
-    doc = {"version": __version__, "margin": 1e-8, "gauge": "p1=1",
-           "target": 0.0, "complete": False, "c_star": -1.0, "box_count": 1,
+    doc = {"version": __version__, "margin": 1e-8, "target": 0.0, "c_star": -1.0,
            "tree": "L"}
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(doc))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadineq import interval
+from quadineq import interval, kernel
 from quadineq.geometry import metrics_from_frames, sample_frames
 from quadineq.interval import (
     PI,
@@ -382,36 +382,90 @@ def _random_boxes(rng, n, margin=0.1, width_scale=0.2):
     return box, p_mid, w_mid
 
 
-def test_point_in_box_containment_fuzz():
+def _points_of(rng, box, p_mid, w_mid, count=4):
+    """Points of each box: the one `_random_boxes` gives, `count` random
+    corners and `count` uniform interior points, as (p, w, ulps) with p and
+    w of shape (n, 4) and (n,).  `ulps` is the float oracle's rounding a
+    check allows: at a corner an enclosure can be tight, as e = p2 + p4 is,
+    and the oracle's e, a distance between vertices, lands an ulp past it."""
+    lo = np.stack([iv.lo for iv in (box.p1, box.p2, box.p3, box.p4, box.w)], axis=1)
+    hi = np.stack([iv.hi for iv in (box.p1, box.p2, box.p3, box.p4, box.w)], axis=1)
+    points = [(np.column_stack([p_mid, w_mid]), 0)]
+    for _ in range(count):
+        points.append((np.where(rng.integers(0, 2, size=lo.shape) == 1, hi, lo), 4))
+    for _ in range(count):
+        points.append((np.clip(rng.uniform(lo, hi), lo, hi), 0))
+    return [(point[:, :4], point[:, 4], ulps) for point, ulps in points]
+
+
+# the boxes' half-widths are drawn up to this scale: at 1.0 most boxes span
+# much of the domain, where an enclosure is loosest and a wrong clamp shows
+@pytest.mark.parametrize("width_scale", [0.2, 0.5, 1.0])
+def test_point_in_box_containment_fuzz(width_scale):
     rng = np.random.default_rng(2024)
-    box, p_mid, w_mid = _random_boxes(rng, 20_000)
-    m = metrics_from_frames(p_mid, w_mid)
+    box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=width_scale)
     quantities = frame_quantities(box)
-    point_values = {
-        "a": m.a, "b": m.b, "c": m.c, "d": m.d, "e": m.e, "f": m.f,
-        "A123": m.A123, "A124": m.A124, "A134": m.A134, "A234": m.A234,
-        "alpha1": m.alpha1, "alpha2": m.alpha2, "alpha3": m.alpha3,
-        "alpha4": m.alpha4, "beta1": m.beta1, "beta2": m.beta2,
-        "beta3": m.beta3, "beta4": m.beta4,
-        # X and Y as the certifier reads them: three forms intersected
-        "X": m.X, "Y": m.Y, "W": w_mid, "Wp": m.Wp,
-        "gamma13": m.gamma1 + m.gamma3,
-        "diff14": m.alpha1 - m.beta4, "diff12": m.beta1 - m.alpha2,
-    }
-    assert set(quantities) == set(point_values)
-    for name, value in point_values.items():
-        iv = quantities[name]
-        assert np.all((iv.lo <= value) & (value <= iv.hi)), name
+    for p, w, ulps in _points_of(rng, box, p_mid, w_mid):
+        m = metrics_from_frames(p, w)
+        point_values = {
+            "a": m.a, "b": m.b, "c": m.c, "d": m.d, "e": m.e, "f": m.f,
+            "A123": m.A123, "A124": m.A124, "A134": m.A134, "A234": m.A234,
+            "alpha1": m.alpha1, "alpha2": m.alpha2, "alpha3": m.alpha3,
+            "alpha4": m.alpha4, "beta1": m.beta1, "beta2": m.beta2,
+            "beta3": m.beta3, "beta4": m.beta4,
+            # X and Y as the certifier reads them: three forms intersected
+            "X": m.X, "Y": m.Y, "W": w, "Wp": m.Wp,
+            "gamma13": m.gamma1 + m.gamma3,
+            "diff14": m.alpha1 - m.beta4, "diff12": m.beta1 - m.alpha2,
+        }
+        assert set(quantities) == set(point_values)
+        for name, value in point_values.items():
+            assert contains(quantities[name], value, ulps * np.spacing(np.abs(value))), name
 
 
-def test_residual_enclosure_containment_fuzz():
+@pytest.mark.parametrize("width_scale", [0.1, 0.2, 0.5, 1.0])
+def test_residual_enclosure_containment_fuzz(width_scale):
     rng = np.random.default_rng(4096)
-    box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=0.1)
+    box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=width_scale)
+    enclosures = {path: residual_enclosure(box, path) for path in ("edge", "lemma", "both")}
+    enclosures["mean_value"] = edge_mean_value_enclosure(box)
+    for p, w, ulps in _points_of(rng, box, p_mid, w_mid):
+        r = residual(metrics_from_frames(p, w), "edge")
+        for path, enc in enclosures.items():
+            assert contains(enc, r, ulps * np.spacing(np.abs(r))), path
+
+
+class _Halving(np.ndarray):
+    """Float arrays with the `half()` that `_areas_core` takes of an area."""
+
+    def half(self):
+        return 0.5 * self
+
+
+def test_residual_is_sin_squared_w_times_the_residual_with_unit_sin_w():
+    # each area is p p' sin(w) / 2, and each edge expression multiplies two
+    # of them, so R = sin^2(w) R~, where R~ is the one text of the edge form
+    # fed the `_areas_core` areas with sin w = 1.  Narrow boxes keep the
+    # enclosures tight enough that sin w in place of sin^2 w misses thousands
+    # of points
+    rng = np.random.default_rng(1729)
+    box, p_mid, w_mid = _random_boxes(rng, 2_000, width_scale=0.005)
     m = metrics_from_frames(p_mid, w_mid)
+    lengths = {name: getattr(m, name) for name in "abcdef"}
+    areas = interval._areas_core(*p_mid.T.view(_Halving), 1.0)
+    unit = np.asarray(kernel.edge_form({**lengths, **areas}, kernel._double, kernel._same)[1])
     r = residual(m, "edge")
-    for path in ("edge", "lemma", "both"):
-        enc = residual_enclosure(box, path)
-        assert np.all((enc.lo <= r) & (r <= enc.hi)), path
+    # on floats, relative to abcdef, the scale of every edge expression
+    assert np.max(np.abs(r - np.sin(w_mid) ** 2 * unit) / kernel.abcdef(vars(m))) < 1e-12
+    # on intervals: every point's residual lies in sin^2(W) times R~ over the box
+    p = (box.p1, box.p2, box.p3, box.p4)
+    lengths = interval._lengths_core(*p, icos(box.w), interval.ONE, isqr, isqrt)
+    unit = kernel.edge_form({**lengths, **interval._areas_core(*p, interval.ONE)},
+                            interval._double, interval._nonneg)[1]
+    enc = isqr(isin(box.w)) * unit
+    for p_point, w_point, ulps in _points_of(rng, box, p_mid, w_mid):
+        r = residual(metrics_from_frames(p_point, w_point), "edge")
+        assert contains(enc, r, ulps * np.spacing(np.abs(r)))
 
 
 def _written_out_edge_form(q, double, nonneg):
