@@ -258,23 +258,22 @@ def test_a_number_that_is_not_a_json_number_is_malformed(cert, tmp_path, capsys)
                 Certificate.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("field", ["leaves", "box_count", "complete", "gauge"])
-def test_a_field_an_older_format_stored_is_malformed(cert, tmp_path, capsys, field):
-    # the per-leaf bounds that formats before 0.7.0 recorded, and the box
-    # count, completeness flag and gauge that format 0.7.0 stored: the replay
-    # recomputes every leaf bound and derives the rest, so a document holds
-    # only the tree and the claimed c_star besides its version, margin and
-    # target.  Each value is the one the old format would have written
-    value = {"leaves": [{"lower_bound": cert.c_star}] * cert.tree.count("L"),
-             "box_count": cert.box_count, "complete": cert.complete,
-             "gauge": "p1=1"}[field]
-    doc = {**_fresh(cert), field: value}
+def _assert_field_is_malformed(doc, field, tmp_path, capsys):
+    """`doc` is malformed for carrying `field`, and check-cert exits 2 naming it."""
     with pytest.raises(MalformedCertificate, match=f"'{field}' is not one of format"):
         Certificate.from_json_dict(doc)
     path = tmp_path / f"{field}.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["check-cert", str(path)]) == 2
     assert f"malformed certificate: certificate field '{field}'" in capsys.readouterr().err
+
+
+def test_a_leaves_field_is_malformed(cert, tmp_path, capsys):
+    # the per-leaf bounds that formats before 0.7.0 recorded: the replay
+    # recomputes every leaf bound, so a document holds only the claimed c_star
+    doc = _fresh(cert)
+    doc["leaves"] = [{"lower_bound": cert.c_star}] * cert.tree.count("L")
+    _assert_field_is_malformed(doc, "leaves", tmp_path, capsys)
 
 
 def test_unknown_split_rule_is_malformed(cert):
@@ -284,6 +283,31 @@ def test_unknown_split_rule_is_malformed(cert):
     doc["split_rule"] = "bisect-longest:w,p4,p3,p2,p1"
     with pytest.raises(MalformedCertificate, match="'split_rule' is not one of"):
         Certificate.from_json_dict(doc)
+
+
+def test_non_boolean_complete_is_malformed(cert, tmp_path, capsys):
+    # completeness is derived from c_star and the target, so a document
+    # that states it, as format 0.7.0 did, is malformed whatever the value
+    for value in ("false", 0, None, True, False):
+        doc = _fresh(cert)
+        doc["complete"] = value
+        with pytest.raises(MalformedCertificate, match="'complete' is not one of"):
+            Certificate.from_json_dict(doc)
+    _assert_field_is_malformed({**_fresh(cert), "complete": cert.complete}, "complete",
+                               tmp_path, capsys)
+
+
+def test_wrong_box_count_is_rejected(cert, tmp_path, capsys):
+    # the box count is derived from the tree, so a document that states it,
+    # as format 0.7.0 did, is malformed, right or wrong
+    for value in (-5, cert.box_count + 1, cert.box_count - 1,
+                  float(cert.box_count), str(cert.box_count), True):
+        doc = _fresh(cert)
+        doc["box_count"] = value
+        with pytest.raises(MalformedCertificate, match="'box_count' is not one of"):
+            Certificate.from_json_dict(doc)
+    _assert_field_is_malformed({**_fresh(cert), "box_count": cert.box_count}, "box_count",
+                               tmp_path, capsys)
 
 
 def test_other_version_is_malformed(cert):
@@ -312,9 +336,16 @@ def test_unknown_symmetry_is_malformed(cert, symmetry):
         Certificate.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("key", list(certifier.HEADER))
-def test_missing_or_other_header_value_is_malformed(cert, key):
+@pytest.mark.parametrize("key", ["version", "gauge"])
+def test_missing_or_other_header_value_is_malformed(cert, key, tmp_path, capsys):
     doc = _fresh(cert)
+    if key not in certifier.HEADER:
+        # the version alone names the chart p1 = 1, so a gauge in the
+        # header, as format 0.7.0 wrote it, is a field this format lacks
+        assert key not in doc
+        for value in ("p1=1", "other"):
+            _assert_field_is_malformed({**doc, key: value}, key, tmp_path, capsys)
+        return
     del doc[key]
     with pytest.raises(MalformedCertificate, match=f"no {key}"):
         Certificate.from_json_dict(doc)

@@ -398,41 +398,44 @@ def _points_of(rng, box, p_mid, w_mid, count=4):
     return [(point[:, :4], point[:, 4], ulps) for point, ulps in points]
 
 
-# the boxes' half-widths are drawn up to this scale: at 1.0 most boxes span
-# much of the domain, where an enclosure is loosest and a wrong clamp shows
-@pytest.mark.parametrize("width_scale", [0.2, 0.5, 1.0])
-def test_point_in_box_containment_fuzz(width_scale):
-    rng = np.random.default_rng(2024)
-    box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=width_scale)
-    quantities = frame_quantities(box)
-    for p, w, ulps in _points_of(rng, box, p_mid, w_mid):
-        m = metrics_from_frames(p, w)
-        point_values = {
-            "a": m.a, "b": m.b, "c": m.c, "d": m.d, "e": m.e, "f": m.f,
-            "A123": m.A123, "A124": m.A124, "A134": m.A134, "A234": m.A234,
-            "alpha1": m.alpha1, "alpha2": m.alpha2, "alpha3": m.alpha3,
-            "alpha4": m.alpha4, "beta1": m.beta1, "beta2": m.beta2,
-            "beta3": m.beta3, "beta4": m.beta4,
-            # X and Y as the certifier reads them: three forms intersected
-            "X": m.X, "Y": m.Y, "W": w, "Wp": m.Wp,
-            "gamma13": m.gamma1 + m.gamma3,
-            "diff14": m.alpha1 - m.beta4, "diff12": m.beta1 - m.alpha2,
-        }
-        assert set(quantities) == set(point_values)
-        for name, value in point_values.items():
-            assert contains(quantities[name], value, ulps * np.spacing(np.abs(value))), name
+# the boxes' half-widths are drawn up to each of these scales: at 1.0 most
+# boxes span much of the domain, where an enclosure is loosest and a wrong
+# clamp shows
+def test_point_in_box_containment_fuzz():
+    for width_scale in (0.2, 0.5, 1.0):
+        rng = np.random.default_rng(2024)
+        box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=width_scale)
+        quantities = frame_quantities(box)
+        for p, w, ulps in _points_of(rng, box, p_mid, w_mid):
+            m = metrics_from_frames(p, w)
+            point_values = {
+                "a": m.a, "b": m.b, "c": m.c, "d": m.d, "e": m.e, "f": m.f,
+                "A123": m.A123, "A124": m.A124, "A134": m.A134, "A234": m.A234,
+                "alpha1": m.alpha1, "alpha2": m.alpha2, "alpha3": m.alpha3,
+                "alpha4": m.alpha4, "beta1": m.beta1, "beta2": m.beta2,
+                "beta3": m.beta3, "beta4": m.beta4,
+                # X and Y as the certifier reads them: three forms intersected
+                "X": m.X, "Y": m.Y, "W": w, "Wp": m.Wp,
+                "gamma13": m.gamma1 + m.gamma3,
+                "diff14": m.alpha1 - m.beta4, "diff12": m.beta1 - m.alpha2,
+            }
+            assert set(quantities) == set(point_values)
+            for name, value in point_values.items():
+                assert contains(quantities[name], value,
+                                ulps * np.spacing(np.abs(value))), (name, width_scale)
 
 
-@pytest.mark.parametrize("width_scale", [0.1, 0.2, 0.5, 1.0])
-def test_residual_enclosure_containment_fuzz(width_scale):
-    rng = np.random.default_rng(4096)
-    box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=width_scale)
-    enclosures = {path: residual_enclosure(box, path) for path in ("edge", "lemma", "both")}
-    enclosures["mean_value"] = edge_mean_value_enclosure(box)
-    for p, w, ulps in _points_of(rng, box, p_mid, w_mid):
-        r = residual(metrics_from_frames(p, w), "edge")
-        for path, enc in enclosures.items():
-            assert contains(enc, r, ulps * np.spacing(np.abs(r))), path
+def test_residual_enclosure_containment_fuzz():
+    for width_scale in (0.1, 0.2, 0.5, 1.0):
+        rng = np.random.default_rng(4096)
+        box, p_mid, w_mid = _random_boxes(rng, 20_000, width_scale=width_scale)
+        enclosures = {path: residual_enclosure(box, path)
+                      for path in ("edge", "lemma", "both")}
+        enclosures["mean_value"] = edge_mean_value_enclosure(box)
+        for p, w, ulps in _points_of(rng, box, p_mid, w_mid):
+            r = residual(metrics_from_frames(p, w), "edge")
+            for path, enc in enclosures.items():
+                assert contains(enc, r, ulps * np.spacing(np.abs(r))), (path, width_scale)
 
 
 class _Halving(np.ndarray):
