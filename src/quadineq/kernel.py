@@ -194,9 +194,9 @@ def forms(m: QuadMetrics) -> dict:
         p2-definition  -(the same six cosines with each sum and difference
                          swapped) / 4
 
-    and as a pure sine expression, with either sign of its last term (the
-    audit adjudicates which reproduces mult2-raw; + agrees with the closed
-    forms):
+    and as a pure sine expression, with either sign of its last term (+
+    reproduces mult2-raw, proved in tests/test_trig_identities.py, and
+    agrees with the closed forms; the audit adjudicates the two on samples):
 
         mult2-plus, mult2-minus
             K/2 (- sin alpha1 sin beta4 - sin alpha3 sin beta2
@@ -574,6 +574,8 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     margin = check_margin(margin)  # checked even where point-rejection ignores it
     if strategy == "frame-uniform":
         blocks = -(-min(samples, _AUDIT_CHUNK) // _AUDIT_BLOCK)

@@ -262,6 +262,8 @@ def boundary_trend(seed: int, starts: int, margins, budget: int) -> list:
     objective evaluation.
     """
     margins = list(margins)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if starts < 1:
         raise ValueError("starts must be at least 1")
     if not all(1e-6 <= m <= 0.2 for m in margins):

@@ -117,8 +117,9 @@ def test_a_failing_worker_fails_the_audit_and_leaves_no_thread(monkeypatch, fail
 
 
 def test_audits_of_one_block_start_no_thread(monkeypatch, tmp_path, capsys):
-    # certify, check-cert and search each run a 256-sample sign probe, and
-    # eval audits its one configuration
+    # a 5,000-sample audit is one block and eval audits its one
+    # configuration; certify, check-cert and search report the proved sign
+    # and run no audit at all
     def no_pool(*args, **kwargs):
         raise AssertionError("an audit of one block built a thread pool")
 

@@ -222,8 +222,27 @@ def test_every_report_carries_the_shared_envelope(tmp_path, capsys, command):
     doc = json.loads(out)
     assert doc["version"] == __version__ and doc["command"] == command
     assert set(doc["config"]) == config
-    assert doc["sign_resolution"] in ("plus", "minus")
+    assert doc["sign_resolution"] == "plus"
     assert set(doc) == {"version", "command", "config", "sign_resolution"} | body
+
+
+def test_certify_check_cert_and_search_report_the_sign_without_an_audit(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the sign is proved (tests/test_trig_identities.py), not sampled per report
+    from quadineq import search
+
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran")
+
+    monkeypatch.setattr(cli, "audit_samples", no_audit)
+    monkeypatch.setattr(search, "audit", no_audit)
+    cert_path = tmp_path / "cert.json"
+    for argv in (["certify", "--margin", "0.2", "--out", str(cert_path)],
+                 ["check-cert", str(cert_path)],
+                 ["search", "--starts", "2", "--budget", "20"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0, argv
+        assert json.loads(out)["sign_resolution"] == "plus", argv
 
 
 def test_eval_report_is_json_when_the_input_holds_a_newline(capsys):
@@ -533,6 +552,12 @@ def test_audit_search_and_eval_reject_bad_arguments(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv + ["--out", str(out_path)])
     assert code == 2 and err.startswith("error: ") and out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "search"])
+def test_a_negative_seed_is_refused_by_name(capsys, command):
+    code, out, err = run(capsys, [command, "--seed", "-1"])
+    assert code == 2 and err.startswith("error: ") and "seed" in err and out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,9 +19,14 @@ squared side, the quotients and the four triangle relations that make the
 expressions equal.  They reuse the symbols of tests/test_symmetry.py.
 
 The factored form itself is one function, kernel.lemma_form, that the
-audit calls with floats and the certifier with intervals; the last test
-calls it with symbols, which is where a proof of the half-angle identities
-starts.
+audit calls with floats and the certifier with intervals; a test calls it
+with symbols, which is where a proof of the half-angle identities starts.
+
+The sign of the sin gamma2 sin gamma4 term in the scalar multiplicity-two
+expression follows from the area formulas alone: the last test proves that
+mult2-plus equals the raw area products and that mult2-minus misses them by
+abcdef sin gamma2 sin gamma4 > 0.  certify, check-cert and search report
+that sign without an audit.
 """
 
 import inspect
@@ -160,3 +165,56 @@ def test_the_factored_form_is_one_text_for_floats_intervals_and_symbols():
     symbolic = sp.lambdify(symbols, lemma, "numpy")(*values.values())
     gap = np.abs(symbolic - kernel.forms(m)["lemma"]) / values["K"]
     assert np.max(gap) < 1e-14
+
+
+def _mult2_forms():
+    """mult2-raw, mult2-plus and mult2-minus of kernel.forms in frame
+    symbols: the areas of tests/test_symmetry.py, the diagonals b = p1 + p3
+    and e = p2 + p4, the side symbols a, c, d and f, each split-angle sine
+    from its pair and each sin gamma_i, gamma_i = alpha_i + beta_i, by the
+    addition formula."""
+    q = _frame_quantities()
+    A123, A124, A134, A234 = (q[name] for name in ("A123", "A124", "A134", "A234"))
+    a, c, d, f = (SYMBOLS[side] for side in ("a", "c", "d", "f"))
+    b, e = p1 + p3, p2 + p4
+    sin = {name: _sin_cos(name)[0] for name in SPLIT}
+    cos = {name: _sin_cos(name)[1] for name in SPLIT}
+    sg = {i: sin[f"alpha{i}"] * cos[f"beta{i}"] + cos[f"alpha{i}"] * sin[f"beta{i}"]
+          for i in range(1, 5)}
+    K = a * b * c * d * e * f
+    raw = (-2 * a * d * (A123 * A234 + A124 * A134)
+           - 2 * c * f * (A124 * A123 + A134 * A234)
+           + 2 * b * e * (A123 * A134 + A124 * A234))
+    sines = (-sin["alpha1"] * sin["beta4"] - sin["alpha3"] * sin["beta2"]
+             - sin["alpha4"] * sin["beta3"] - sin["alpha2"] * sin["beta1"] + sg[1] * sg[3])
+    return {"mult2-raw": raw,
+            "mult2-plus": K / 2 * (sines + sg[2] * sg[4]),
+            "mult2-minus": K / 2 * (sines - sg[2] * sg[4])}, K, sg
+
+
+def test_the_mult2_sign_is_plus():
+    # certify, check-cert and search report this sign without sampling it
+    forms, K, sg = _mult2_forms()
+
+    # the restated forms are the ones kernel.forms evaluates, to 1e-12
+    # relative to abcdef, the scale the audit measures them against
+    p, w = sample_frames(31, 200, 0.05)
+    m = metrics_from_frames(p, w)
+    args = (*P, COS, SIN, *(SYMBOLS[side] for side in ("a", "c", "d", "f")))
+    values = (*p.T, np.cos(w), np.sin(w), m.a, m.c, m.d, m.f)
+    computed = kernel.forms(m)
+    scale = kernel.abcdef(vars(m))
+    for name, expr in forms.items():
+        gap = np.abs(sp.lambdify(args, expr)(*values) - computed[name]) / scale
+        assert np.max(gap) <= 1e-12, name
+
+    # plus reproduces the area products; minus misses them by
+    # K sin(gamma2) sin(gamma4), where sin(gamma2) = 2 A123 / (c a) and
+    # sin(gamma4) = 2 A134 / (d f) are positive on every convex frame
+    raw, plus, minus = forms["mult2-raw"], forms["mult2-plus"], forms["mult2-minus"]
+    assert _vanishes(plus - raw)
+    assert _vanishes(raw - minus - K * sg[2] * sg[4])
+    areas = _frame_quantities()
+    assert _vanishes(sg[2] - 2 * areas["A123"] / (SYMBOLS["c"] * SYMBOLS["a"]))
+    assert _vanishes(sg[4] - 2 * areas["A134"] / (SYMBOLS["d"] * SYMBOLS["f"]))
+    assert not _vanishes(minus - raw)
