@@ -4,12 +4,15 @@
 Branch-and-bound tiles the margin-truncated frame domain, cut to one
 eighth by the dihedral symmetry of the quadrilateral and charted at p1 = 1,
 with boxes whose interval residual enclosures are certified nonnegative.
-The certificate is a plain JSON document: the bisection tree as one code
-per node in level order ('1'-'4' for a split along p2, p3, p4 or w, 'L' for
-a leaf, '.' for a box outside the domain), plus the claimed lower bound
-c*.  An independent replay regenerates every box from the tree, recomputes
-every leaf bound, and catches tampering (an inflated c*, a leaf recoded as
-outside the domain, a root split recoded to another dimension).
+The certificate is a JSON document: the bisection tree, plus the claimed
+lower bound c*.  The tree is one code per node in level order ('1'-'4' for
+a split along p2, p3, p4 or w, 'L' for a leaf, '.' for a box outside the
+domain), stored packed: base64 of one zlib stream of those codes, about a
+third of a byte per node at margin 0.15.  An independent replay unpacks
+the tree, regenerates every box from it, recomputes every leaf bound, and
+catches tampering (an inflated c*, a leaf recoded as outside the domain, a
+root split recoded to another dimension); the tampered trees below are
+unpacked, edited and packed again, as a forger would.
 
 A coarse margin keeps this demo quick; `quadineq certify --margin 0.1`
 reproduces the full desk-scale run.
@@ -19,6 +22,7 @@ import json
 import time
 
 from quadineq import certify, verify_certificate
+from quadineq.certifier import _pack, _unpack
 from quadineq.ioutil import dumps
 
 
@@ -41,14 +45,16 @@ def main():
     print(f"inflated c*:          verified={verify_certificate(tampered)}")
 
     gap = json.loads(dumps(cert.to_json_dict()))
-    leaf = gap["tree"].index("L")
-    gap["tree"] = gap["tree"][:leaf] + "." + gap["tree"][leaf + 1:]
+    tree = _unpack(gap["tree"])
+    leaf = tree.index("L")
+    gap["tree"] = _pack(tree[:leaf] + "." + tree[leaf + 1:])
     print(f"leaf coded outside:   verified={verify_certificate(gap)}")
 
     flipped = json.loads(dumps(cert.to_json_dict()))
-    root = flipped["tree"][0]
-    flipped["tree"] = ("4" if root != "4" else "1") + flipped["tree"][1:]
-    print(f"root split '{root}' recoded '{flipped['tree'][0]}': "
+    tree = _unpack(flipped["tree"])
+    root, recoded = tree[0], "4" if tree[0] != "4" else "1"
+    flipped["tree"] = _pack(recoded + tree[1:])
+    print(f"root split '{root}' recoded '{recoded}': "
           f"verified={verify_certificate(flipped)}")
 
 

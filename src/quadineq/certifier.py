@@ -56,19 +56,26 @@ each of which has a fixed cost of a few milliseconds.
 
 The certificate is the tree, one code per node in level order ('1'-'4'
 split along p2, p3, p4 or w, 'L' leaf, '.' misses the cut or the margin),
-one claimed bound, `c_star`, the margin and the target.  `HEADER`, the
-version, names the chart, the domain, the cut and the codes;
-`from_json_dict` rejects a document that omits or changes it or that
-carries another field.  The box count (the nodes not coded '.') and
-completeness (`c_star` reaches the target, exact for every run `certify`
-makes) are derived.  `verify_certificate` regenerates every box from the
-root in one pass (`_decode`): each level is clipped once, each code checked
-against its clipped box and each split node's box bisected along its coded
-dimension, so a decoded tree covers the domain whatever dimensions its
-codes name, and the verifier holds no split rule.  It recomputes each
-leaf's own bound and accepts iff every one is finite and at least
-`c_star`, the one claim, which `certify` makes two ulps below the least
-leaf bound it found, so a replay whose libm calls land lower still verifies.
+one claimed bound, `c_star`, the margin and the target.  In memory the
+tree is that code string; the document stores it packed (`_pack`), as
+base64 of one zlib stream, which is 4-10 times smaller from margin 0.12
+down.  `from_json_dict` inflates it (`_unpack`) under a cap and refuses
+anything but one complete stream.  The verifier does not trust the
+inflation: whatever tree it returns is replayed as any other tree would
+be, so a faulty inflater can make a document fail, never a false one pass.
+`HEADER`, the version, names the chart, the domain, the cut, the codes and
+the packing; `from_json_dict` rejects a document that omits or changes it
+or that carries another field.  The box count (the nodes not coded '.')
+and completeness (`c_star` reaches the target, exact for every run
+`certify` makes) are derived.  `verify_certificate` regenerates every box
+from the root in one pass (`_decode`): each level is clipped once, each
+code checked against its clipped box and each split node's box bisected
+along its coded dimension, so a decoded tree covers the domain whatever
+dimensions its codes name, and the verifier holds no split rule.  It
+recomputes each leaf's own bound and accepts iff every one is finite and
+at least `c_star`, the one claim, which `certify` makes two ulps below the
+least leaf bound it found, so a replay whose libm calls land lower still
+verifies.
 
 Certify and replay share one cheap-first evaluation of clipped boxes,
 `_evaluate`, which bounds each box once with the trig ("lemma") form and,
@@ -91,7 +98,9 @@ on how the certifier chose its enclosures.
 
 from __future__ import annotations
 
+import base64
 import math
+import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,6 +127,13 @@ _MAX_DEPTH = 200
 # node codes: '1'-'4' split along p2, p3, p4 or w, the digit of the
 # dimension; 'L' leaf; '.' empty
 _DIGIT0, _LEAF, _EMPTY = b"0L."
+# zlib's default level, fixed so that the document does not follow the
+# library's default
+_DEFLATE_LEVEL = 6
+# the most bytes a packed tree may inflate to, per packed byte: the trees
+# `certify` writes inflate 1.6-13 times, and deflate reaches about 1000, so
+# the cap stops a bomb before it allocates the codes it claims
+_INFLATE_CAP = 256
 
 
 class MalformedCertificate(ValueError):
@@ -137,8 +153,9 @@ class Leaf:
 @dataclass
 class Certificate:
     """Machine-checkable record of one branch-and-bound run; its document
-    adds `HEADER`.  `c_star` is the one claim: every leaf's bound reaches it.
-    The box count and completeness are derived from the tree and the claim."""
+    adds `HEADER` and stores `tree`, the level-order code string, packed.
+    `c_star` is the one claim: every leaf's bound reaches it.  The box
+    count and completeness are derived from the tree and the claim."""
 
     margin: float
     target: float
@@ -169,6 +186,7 @@ class Certificate:
     def to_json_dict(self) -> dict:
         doc = dict(HEADER)
         doc.update((field.name, getattr(self, field.name)) for field in fields(self))
+        doc["tree"] = _pack(self.tree)
         return doc
 
     @staticmethod
@@ -193,6 +211,7 @@ class Certificate:
             tree = doc["tree"]
             if type(tree) is not str:
                 raise TypeError(f"tree must be of type str, not {tree!r}")
+            tree = _unpack(tree)
             _levels(tree)  # an unparsable tree is malformed, not false
             return Certificate(
                 margin=finite_number(doc["margin"]),
@@ -206,6 +225,38 @@ class Certificate:
 
 # the fields of a document: the header and the Certificate's own
 _DOC_FIELDS = set(HEADER) | {field.name for field in fields(Certificate)}
+
+
+def _pack(tree: str) -> str:
+    """A level-order tree code as the document stores it: base64 of one
+    zlib stream."""
+    stream = zlib.compress(tree.encode("ascii"), _DEFLATE_LEVEL)
+    return base64.b64encode(stream).decode("ascii")
+
+
+def _unpack(text: str) -> str:
+    """The tree code that `_pack` wrote as `text`, each inflated byte as one
+    character, for `_levels` to check.  Raises MalformedCertificate unless
+    `text` is base64 of one complete zlib stream, with nothing after its
+    end, that inflates to at most `_INFLATE_CAP` bytes per packed byte; the
+    stream is never inflated past that cap."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise MalformedCertificate(f"tree is not base64: {exc}") from None
+    inflater = zlib.decompressobj()
+    try:
+        codes = inflater.decompress(data, _INFLATE_CAP * len(data))
+    except zlib.error as exc:
+        raise MalformedCertificate(f"tree is not a zlib stream: {exc}") from None
+    if inflater.unconsumed_tail:
+        raise MalformedCertificate(
+            f"tree inflates past {_INFLATE_CAP} bytes per packed byte")
+    if not inflater.eof:
+        raise MalformedCertificate("tree ends inside its zlib stream")
+    if inflater.unused_data:
+        raise MalformedCertificate("tree continues past the end of its zlib stream")
+    return codes.decode("latin-1")
 
 
 def _root_level(margin: float) -> np.ndarray:

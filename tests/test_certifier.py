@@ -1,13 +1,17 @@
 """Branch-and-bound certification and certificate replay."""
 
+import base64
 import dataclasses
 import json
 import math
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from dihedral import in_cut, into_cut
+from packings import BAD_PACKINGS
 from quadineq import __version__, certifier, cli, interval
 from quadineq.certifier import (
     Certificate,
@@ -15,7 +19,9 @@ from quadineq.certifier import (
     _bisect,
     _decode,
     _gauge_clip,
+    _pack,
     _split_dims,
+    _unpack,
     certify,
     verify_certificate,
 )
@@ -29,6 +35,12 @@ MARGIN = 0.16  # coarse domain keeps unit-test runs fast
 
 def _fresh(cert):
     return json.loads(dumps(cert.to_json_dict()))
+
+
+def _retree(doc, edit):
+    """Unpack `doc`'s tree, change its codes by `edit` (str -> str) and pack
+    them again, as `certify` packs a tree."""
+    doc["tree"] = _pack(edit(_unpack(doc["tree"])))
 
 
 def _rejected(doc):
@@ -128,8 +140,8 @@ def test_verify_rejects_inflated_bound(cert):
 def test_verify_rejects_missing_leaf(cert):
     # without its last code the tree ends inside a level
     doc = _fresh(cert)
-    pos = doc["tree"].rindex("L")
-    doc["tree"] = doc["tree"][:pos] + doc["tree"][pos + 1:]
+    pos = cert.tree.rindex("L")
+    _retree(doc, lambda tree: tree[:pos] + tree[pos + 1:])
     assert _rejected(doc)
 
 
@@ -157,7 +169,7 @@ def test_verify_rejects_a_changed_margin_and_a_raised_target_reads_incomplete(ce
 def test_verify_rejects_duplicate_leaf(cert):
     # one leaf too many: the tree continues past its last level
     doc = _fresh(cert)
-    doc["tree"] += "L"
+    _retree(doc, lambda tree: tree + "L")
     assert _rejected(doc)
 
 
@@ -166,15 +178,15 @@ def test_verify_rejects_out_of_domain_leaf(dotted):
     # outside the domain is wrong
     assert verify_certificate(_fresh(dotted))
     doc = _fresh(dotted)
-    pos = doc["tree"].index(".")
-    doc["tree"] = doc["tree"][:pos] + "L" + doc["tree"][pos + 1:]
+    pos = dotted.tree.index(".")
+    _retree(doc, lambda tree: tree[:pos] + "L" + tree[pos + 1:])
     assert verify_certificate(doc) is False
 
 
 def test_verify_rejects_feasible_node_coded_infeasible(cert):
     doc = _fresh(cert)
-    pos = doc["tree"].index("L")
-    doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
+    pos = cert.tree.index("L")
+    _retree(doc, lambda tree: tree[:pos] + "." + tree[pos + 1:])
     assert verify_certificate(doc) is False
 
 
@@ -196,8 +208,8 @@ def _last_split(tree):
 ], ids=["L-to-S-first", "L-to-S-last", "S-to-L-first", "S-to-L-last", "empty-to-L"])
 def test_verify_rejects_flipped_node_code(dotted, tamper):
     doc = _fresh(dotted)
-    doc["tree"] = tamper(doc["tree"])
-    assert doc["tree"] != dotted.tree
+    _retree(doc, tamper)
+    assert _unpack(doc["tree"]) != dotted.tree
     assert _rejected(doc)
 
 
@@ -210,7 +222,7 @@ def test_tree_that_does_not_parse_is_malformed(cert, tamper, tmp_path, capsys):
     # '0' would split p1 = [1, 1] into two copies of its box, which certify
     # never asks for
     doc = _fresh(cert)
-    doc["tree"] = tamper(doc["tree"])
+    _retree(doc, tamper)
     with pytest.raises(MalformedCertificate):
         Certificate.from_json_dict(doc)
     path = tmp_path / "tree.json"
@@ -219,11 +231,52 @@ def test_tree_that_does_not_parse_is_malformed(cert, tamper, tmp_path, capsys):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", BAD_PACKINGS)
+def test_a_tree_that_is_not_one_packed_stream_is_malformed(cert, case):
+    packed, reason = BAD_PACKINGS[case]
+    doc = _fresh(cert)
+    doc["tree"] = packed
+    with pytest.raises(MalformedCertificate, match=reason):
+        Certificate.from_json_dict(doc)
+
+
+def test_a_deflate_bomb_is_refused_at_the_cap_before_it_inflates(cert):
+    # the stream is inflated to at most `_INFLATE_CAP` bytes per packed byte,
+    # which zlib's output buffer may hold twice over while it joins its
+    # blocks; the 10 MB of codes the stream claims are never allocated
+    packed, reason = BAD_PACKINGS["deflate-bomb"]
+    cap = certifier._INFLATE_CAP * len(base64.b64decode(packed))
+    assert cap < 10**7 // 3
+    doc = _fresh(cert)
+    doc["tree"] = packed
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedCertificate, match=reason):
+            Certificate.from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cap
+
+
+@pytest.mark.parametrize("margin", [0.2, 0.15, 0.12])
+def test_the_document_round_trips_the_tree(margin):
+    done = certify(margin)
+    rebuilt = Certificate.from_json_dict(json.loads(dumps(done.to_json_dict())))
+    assert rebuilt.tree == done.tree and rebuilt == done
+
+
+def test_benchmark_margin_012_document_stays_small(bench):
+    # the packed tree keeps the benchmark's document at 2,112 B, so a
+    # change that bloats the document fails here
+    assert len((dumps(bench.to_json_dict()) + "\n").encode()) <= 2_200
+
+
 def test_malformed_document_raises(cert):
     with pytest.raises(MalformedCertificate):
         verify_certificate({"not": "a certificate"})
     doc = _fresh(cert)
-    doc["tree"] = doc["tree"][:1]  # a root split with no children
+    _retree(doc, lambda tree: tree[:1])  # a root split with no children
     with pytest.raises(MalformedCertificate):
         verify_certificate(doc)
 
@@ -831,8 +884,8 @@ def test_verify_rejects_an_infeasible_code_on_a_box_that_meets_the_cut(pinned):
             break
     else:
         pytest.fail("no straddling leaf with a witness point in the cut")
-    pos = [i for i, code in enumerate(doc["tree"]) if code == "L"][leaf]
-    doc["tree"] = doc["tree"][:pos] + "." + doc["tree"][pos + 1:]
+    pos = [i for i, code in enumerate(pinned.tree) if code == "L"][leaf]
+    _retree(doc, lambda tree: tree[:pos] + "." + tree[pos + 1:])
     assert verify_certificate(doc) is False
 
 
@@ -840,7 +893,7 @@ def test_verify_rejects_a_split_code_on_an_infeasible_box(dotted):
     # the first '.' node recoded '1' with two '.' children: the children of
     # an infeasible box are infeasible too, so only the split code is false
     doc = _fresh(dotted)
-    tree = doc["tree"]
+    tree = _unpack(doc["tree"])
     pos = tree.index(".")
     end = 0
     for level in certifier._levels(tree):
@@ -849,7 +902,7 @@ def test_verify_rejects_a_split_code_on_an_infeasible_box(dotted):
             break
     # the node's children follow those of the split nodes before it
     child = end + 2 * int(np.count_nonzero(certifier._is_split(level[:pos - start])))
-    doc["tree"] = tree[:pos] + "1" + tree[pos + 1:child] + ".." + tree[child:]
+    doc["tree"] = _pack(tree[:pos] + "1" + tree[pos + 1:child] + ".." + tree[child:])
     assert verify_certificate(doc) is False
 
 
@@ -1006,8 +1059,9 @@ def test_a_split_recoded_to_another_dimension_verifies_iff_its_leaves_clear_c_st
     verdicts = []
     for pos in splits:
         for code in "1234".replace(small.tree[pos], ""):
-            doc["tree"] = small.tree[:pos] + code + small.tree[pos + 1:]
-            leaves, consistent = _decode(doc["tree"], small.margin)
+            tree = small.tree[:pos] + code + small.tree[pos + 1:]
+            doc["tree"] = _pack(tree)
+            leaves, consistent = _decode(tree, small.margin)
             true = consistent and bool(
                 np.all(_enclosure_lo(leaves, small.margin, "both") >= small.c_star))
             assert _rejected(doc) is not true, (pos, code)
@@ -1031,10 +1085,14 @@ def test_certificate_schema_fields(cert):
     assert [field.name for field in dataclasses.fields(Certificate)] == [
         "margin", "target", "c_star", "tree"]
     assert list(doc) == ["version", "margin", "target", "c_star", "tree"]
-    assert set(doc["tree"]) <= set("1234L")  # certify never splits p1 = [1, 1]
+    assert doc["version"] == __version__ == "0.9.0"
+    # the document's tree is base64 of one zlib stream of the level-order
+    # codes, read here with the standard library alone
+    assert zlib.decompress(base64.b64decode(doc["tree"], validate=True)) == cert.tree.encode()
+    assert set(cert.tree) <= set("1234L")  # certify never splits p1 = [1, 1]
     # the box count and completeness are derived from the tree and the claim
-    assert cert.box_count == len(doc["tree"]) - doc["tree"].count(".")
+    assert cert.box_count == len(cert.tree) - cert.tree.count(".")
     assert cert.complete is (doc["c_star"] >= doc["target"])
     rebuilt = Certificate.from_json_dict(json.loads(dumps(doc)))
-    assert rebuilt.c_star == cert.c_star
+    assert rebuilt.c_star == cert.c_star and rebuilt.tree == cert.tree
     assert len(rebuilt.leaves) == len(cert.leaves)

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from packings import BAD_PACKINGS
 from quadineq import __version__, cli
-from quadineq.certifier import verify_certificate
+from quadineq.certifier import _pack, verify_certificate
 from quadineq.cli import main
 
 SQUARE_JSON = '{"points": [[0,0],[1,0],[1,1],[0,1]]}'
@@ -357,12 +358,20 @@ _BAD_MARGIN = "error: malformed certificate: margin must lie in (0, 0.2]\n"
 @pytest.mark.parametrize("edit, message", [
     ({"margin": 0.3}, _BAD_MARGIN), ({"margin": 0.0}, _BAD_MARGIN),
     ({"margin": -0.1}, _BAD_MARGIN),
-    ({"tree": "."}, "error: malformed certificate: empty leaf set\n"),
+    ({"tree": _pack(".")}, "error: malformed certificate: empty leaf set\n"),
 ], ids=["margin-too-wide", "margin-zero", "margin-negative", "no-leaves"])
 def test_check_cert_rejects_a_bad_margin_or_an_empty_leaf_set(tmp_path, capsys, edit,
                                                               message):
     code, out, err = _check_edited_cert(tmp_path, capsys, edit)
     assert code == 2 and out == "" and err == message
+
+
+@pytest.mark.parametrize("case", BAD_PACKINGS)
+def test_check_cert_refuses_a_tree_that_is_not_one_packed_stream(tmp_path, capsys, case):
+    packed, reason = BAD_PACKINGS[case]
+    code, out, err = _check_edited_cert(tmp_path, capsys, {"tree": packed})
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed certificate: ") and reason in err
 
 
 @pytest.mark.parametrize("max_boxes, edit", [
@@ -526,7 +535,7 @@ def test_certify_reports_a_margin_too_fine_for_the_enclosures(capsys):
 
 def test_check_cert_rejects_a_leaf_without_an_enclosure(tmp_path, capsys):
     doc = {"version": __version__, "margin": 1e-8, "target": 0.0, "c_star": -1.0,
-           "tree": "L"}
+           "tree": _pack("L")}
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["check-cert", str(path)])

@@ -3,7 +3,8 @@ tokens of a valid `--points` document, and whatever JSON value either flag
 is given, `eval` ends with an exit status and any report it writes is
 JSON; whatever one field of a certificate is changed to, `check-cert`'s
 verifier answers or calls the document malformed, and accepts only a claim
-that `certify` could make."""
+that `certify` could make; and whatever codes a tree holds, its packing
+unpacks to them."""
 
 import contextlib
 import io
@@ -18,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from quadineq.certifier import (MalformedCertificate, _decode,  # noqa: E402
-                                 _frame_box, _per_gauge, certify,
-                                 verify_certificate)
+                                 _frame_box, _pack, _per_gauge, _unpack,
+                                 certify, verify_certificate)
 from quadineq.cli import main  # noqa: E402
 from quadineq.geometry import DiagonalFrame, quad_from_frame  # noqa: E402
 from quadineq.interval import residual_enclosure  # noqa: E402
@@ -74,7 +75,7 @@ _NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 def _least_both_bound(doc):
     """The least "both" bound over the leaves of a certificate: the highest
     c_star its tree can carry."""
-    boxes = _decode(doc["tree"], doc["margin"])[0]
+    boxes = _decode(_unpack(doc["tree"]), doc["margin"])[0]
     enc = residual_enclosure(_frame_box(boxes, doc["margin"]), "both")
     return float(np.min(_per_gauge(enc.lo, boxes)))
 
@@ -85,14 +86,16 @@ _LEAST = _least_both_bound(_CERT)
 @st.composite
 def _edits(draw):
     """A field of the certificate document and a value to put there: the
-    tree with one code replaced or any tree codes for the tree, finite
-    floats for the numbers (the claimed c_star among them), any JSON value."""
+    tree with one code replaced or any tree codes for the tree, each
+    packed, finite floats for the numbers (the claimed c_star among them),
+    any JSON value."""
     key = draw(st.sampled_from(sorted(_CERT)))
     special = st.nothing()
     if key == "tree":
-        tree = _CERT["tree"]
+        tree = _unpack(_CERT["tree"])
         recode = st.tuples(st.integers(0, len(tree) - 1), st.sampled_from("01234L.x"))
-        special = recode.map(lambda at: tree[:at[0]] + at[1] + tree[at[0] + 1:]) | _TREES
+        special = (recode.map(lambda at: tree[:at[0]] + at[1] + tree[at[0] + 1:])
+                   | _TREES).map(_pack)
     elif key in ("margin", "target", "c_star"):
         special = _NUMBERS
     return key, draw(special | _JSON)
@@ -115,3 +118,9 @@ def test_check_cert_of_a_tampered_certificate_accepts_only_what_certify_claims(e
         assert 0.0 < doc["margin"] <= 0.2 and doc["target"] >= 0.0
         if key != "tree":  # the claim holds on every leaf of the tree
             assert doc["c_star"] <= _least_both_bound(doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tree=st.text(alphabet="1234L.", max_size=2000))
+def test_a_packed_tree_unpacks_to_its_codes(tree):
+    assert _unpack(_pack(tree)) == tree
