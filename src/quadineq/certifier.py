@@ -22,15 +22,17 @@ S^6 with S = 1 + p2 + p3 + p4.  The margin is a ratio, q_i >= margin reads
 p_i >= margin * S, and the cut reads p2, p3, p4 <= 1 and p2 >= p4.  Boxes
 live in (p1, p2, p3, p4, w) with p1 = [1, 1]; the root is [1, 1] x
 [margin, 1]^3 x [margin*pi, (1-margin)*pi], and only p2, p3, p4 and w are
-ever split.  Each node's box is clipped once (`_clipped`): p4.hi is lowered
-to p2.hi and p2.lo raised to p4.lo, and each of p2, p3, p4 is raised to
-margin times a rounded-down lower bound on S over the box (`_sum_floor`),
-until no endpoint moves.  Every point of the box in the cut and the margin
-survives the clip, so a leaf's bound, which encloses the residual over the
-clipped box, covers box ∩ domain ∩ cut, and a clipped box clips to itself.
-A box whose clipped interval is empty holds no such point and is coded
-'.'.  The one clipped box is bounded, split and checked against its code,
-so a split node's halves cover every point of its box in the domain.
+ever split.  Each node's box is clipped once, in one pass (`_clipped`):
+p4.hi is lowered to p2.hi and p2.lo raised to p4.lo, and each of p2, p3, p4
+is raised to margin times `_sum_floor`, the least S over the box's points
+in the margin (rounded down).  The raise keeps those points, so in exact
+arithmetic S, and the clip, cannot move again; a test checks the rounding.
+Every point of the box in the cut and the margin survives the clip, so a
+leaf's bound, which encloses the residual over the clipped box, covers box
+∩ domain ∩ cut, and a clipped box clips to itself.  A box whose clipped
+interval is empty holds no such point and is coded '.'.  The one clipped
+box is bounded, split and checked against its code, so a split node's
+halves cover every point of its box in the domain.
 
 The search runs level by level from the whole domain: each box whose
 certified residual lower bound misses the target is bisected along the
@@ -289,24 +291,21 @@ def _clipped(arr: np.ndarray, margin: float) -> tuple:
     and the margin p_i >= margin * (1 + p2 + p3 + p4) for i = 2, 3, 4.
 
     Returns (clipped boxes of the same shape, feasibility mask); an
-    infeasible box comes back with lo > hi in some p.  Each pass lowers
-    p4.hi to p2.hi and raises p2.lo to p4.lo, an exact float comparison,
-    then raises the lower ends of p2, p3 and p4 to margin times
-    `_sum_floor`, rounded down; passes repeat until no endpoint moves, so a
-    clipped box clips to itself.  Any point of the box in the cut and the
-    margin survives every pass, so an empty result proves the box misses
-    one.  The cut's p_i <= p1 is the root box's p_i <= 1, and p1's own
-    margin holds everywhere, since margin * T <= 0.2 * 4 < 1.
+    infeasible box comes back with lo > hi, or a NaN end, in some p.  One
+    pass lowers p4.hi to p2.hi and raises p2.lo to p4.lo (exact), then
+    raises p2, p3 and p4 to margin times `_sum_floor`, rounded down.  In
+    exact arithmetic this is the fixed point: `_sum_floor` is the least T
+    over the box's points in the margin, the raise keeps them all, so T
+    stays and so does p2.lo >= p4.lo; a test checks the rounded floor, so a
+    clipped box clips to itself.  An empty result proves the box misses the
+    cut or the margin.  The cut's p_i <= p1 is the root box's p_i <= 1, and
+    p1's own margin holds everywhere, since margin * T <= 0.2 * 4 < 1.
     """
     lo, hi = arr[:, :, 0].copy(), arr[:, :, 1].copy()
-    while True:
-        before = lo[:, 1:4].copy()
-        hi[:, 3] = np.minimum(hi[:, 3], hi[:, 1])
-        lo[:, 1] = np.maximum(lo[:, 1], lo[:, 3])
-        floor = _down(margin * _sum_floor(lo[:, 1:4], margin))
-        lo[:, 1:4] = np.maximum(lo[:, 1:4], floor[:, None])
-        if np.array_equal(lo[:, 1:4], before):
-            break
+    hi[:, 3] = np.minimum(hi[:, 3], hi[:, 1])
+    lo[:, 1] = np.maximum(lo[:, 1], lo[:, 3])
+    floor = _down(margin * _sum_floor(lo[:, 1:4], margin))
+    lo[:, 1:4] = np.maximum(lo[:, 1:4], floor[:, None])
     return np.stack([lo, hi], axis=2), np.all(lo <= hi, axis=1)
 
 

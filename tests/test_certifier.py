@@ -743,15 +743,68 @@ def test_benchmark_margin_012_tree_is_pinned(bench):
     assert bench.c_star == pytest.approx(1.910353964620456e-08, rel=1e-9)
 
 
-@pytest.mark.parametrize("tree", ["pinned", "bench"])
+def _chart_boxes(seed=0, margins=64, rows=16_384):
+    """Seeded random boxes of the chart p1 = 1, as (boxes, margin) pairs:
+    margins log-uniform in [1e-6, 0.2] and 0.2 itself, lower ends of p2, p3
+    and p4 log-uniform in [margin, 1], widths log-uniform in [1e-8, 1];
+    about a tenth of the ends each are tied with another lower end, at the
+    margin, a little above it, at 1, or of width 0.  Unsorted lower ends
+    put p4 above p2 in about half the rows."""
+    rng = np.random.default_rng(seed)
+
+    def some():
+        return rng.random((rows, 3)) < 0.1
+
+    for margin in np.append(10.0 ** rng.uniform(-6.0, math.log10(0.2), margins - 1), 0.2):
+        lo = margin ** rng.random((rows, 3))
+        lo = np.where(some(), lo[np.arange(rows), rng.integers(0, 3, rows)][:, None], lo)
+        lo[some()] = margin
+        near = some()
+        lo[near] = np.minimum(margin * rng.uniform(1.0, 4.0, np.count_nonzero(near)), 1.0)
+        lo[some()] = 1.0
+        hi = np.minimum(lo + 10.0 ** rng.uniform(-8.0, 0.0, (rows, 3)), 1.0)
+        hi[some()] = 1.0
+        zero = some()
+        hi[zero] = lo[zero]
+        boxes = np.empty((rows, 5, 2))
+        boxes[:, 0] = 1.0
+        boxes[:, 1:4, 0], boxes[:, 1:4, 1] = lo, hi
+        boxes[:, 4] = margin * math.pi, (1.0 - margin) * math.pi
+        yield boxes, margin
+
+
+@pytest.mark.parametrize("tree", ["pinned", "bench", "chart"])
 def test_a_second_clip_moves_no_endpoint(request, tree):
-    # the clip repeats until no endpoint moves, so each node's clipped box,
-    # the one bounded, split and checked against its code, clips to itself
-    done = request.getfixturevalue(tree)
-    once, feasible = certifier._clipped(_evaluated_boxes(done), done.margin)
-    assert np.all(feasible)
-    twice, again = certifier._clipped(once, done.margin)
-    assert np.all(again) and np.array_equal(once, twice)
+    # one pass of the clip is its fixed point in exact arithmetic, so each
+    # node's clipped box, the one bounded, split and checked against its
+    # code, clips to itself; this checks that the rounded floor keeps it, on
+    # the nodes of two trees and on about 1M random boxes of the chart
+    if tree == "chart":
+        groups = list(_chart_boxes())
+    else:
+        done = request.getfixturevalue(tree)
+        groups = [(_evaluated_boxes(done), done.margin)]
+    reached = np.zeros(3, dtype=int)
+    for boxes, margin in groups:
+        once, feasible = certifier._clipped(boxes, margin)
+        assert np.all(feasible) or tree == "chart"
+        twice, again = certifier._clipped(once, margin)
+        assert np.array_equal(once, twice) and np.array_equal(feasible, again)
+        reached += [np.count_nonzero(once[:, 3, 1] < boxes[:, 3, 1]),
+                    np.count_nonzero(once[:, 2, 0] > boxes[:, 2, 0]),
+                    np.count_nonzero(~feasible)]
+    # the random boxes reach the cut, the margin's floor and an empty clip
+    # in a tenth of the rows or more each
+    assert tree != "chart" or np.all(reached * 10 > len(groups) * len(groups[0][0]))
+
+
+@pytest.mark.parametrize("coord", [1, 2, 3], ids=["p2", "p3", "p4"])
+def test_a_nan_end_comes_back_infeasible_from_one_clip(coord):
+    # a NaN lower end, which bisection from the finite root never makes,
+    # must not keep the clip from returning, and leaves the box empty
+    root = certifier._root_level(0.1)
+    root[0, coord, 0] = math.nan
+    assert not certifier._clipped(root, 0.1)[1][0]
 
 
 def test_leaves_clipped_once_are_the_boxes_the_replay_bounds(bench, monkeypatch):
