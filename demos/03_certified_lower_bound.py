@@ -6,13 +6,15 @@ eighth by the dihedral symmetry of the quadrilateral and charted at p1 = 1,
 with boxes whose interval residual enclosures are certified nonnegative.
 The certificate is a JSON document: the bisection tree, plus the claimed
 lower bound c*.  The tree is one code per node in level order ('1'-'4' for
-a split along p2, p3, p4 or w, 'L' for a leaf, '.' for a box outside the
+a split along the widest, second, third or fourth widest of p2, p3, p4 and
+w in the node's clipped box, 'L' for a leaf, '.' for a box outside the
 domain), stored packed: base64 of one zlib stream of those codes, about a
-third of a byte per node at margin 0.15.  An independent replay unpacks
+quarter of a byte per node at margin 0.15.  An independent replay unpacks
 the tree, regenerates every box from it, recomputes every leaf bound, and
 catches tampering (an inflated c*, a leaf recoded as outside the domain, a
-root split recoded to another dimension); the tampered trees below are
-unpacked, edited and packed again, as a forger would.
+root split recoded from the widest dimension to the narrowest); the
+tampered trees below are unpacked, edited and packed again, as a forger
+would.
 
 A coarse margin keeps this demo quick; `quadineq certify --margin 0.1`
 reproduces the full desk-scale run.
@@ -52,9 +54,9 @@ def main():
 
     flipped = json.loads(dumps(cert.to_json_dict()))
     tree = _unpack(flipped["tree"])
-    root, recoded = tree[0], "4" if tree[0] != "4" else "1"
-    flipped["tree"] = _pack(recoded + tree[1:])
-    print(f"root split '{root}' recoded '{recoded}': "
+    # certify splits every box along its widest dimension, code '1'
+    flipped["tree"] = _pack("4" + tree[1:])
+    print(f"root split '{tree[0]}' recoded '4': "
           f"verified={verify_certificate(flipped)}")
 
 

@@ -18,7 +18,7 @@ lower-bound certificates), search (multi-start counterexample search), cli
 (command-line front door).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .geometry import (  # noqa: E402
     DiagonalFrame,

@@ -36,12 +36,12 @@ halves cover every point of its box in the domain.
 
 The search runs level by level from the whole domain: each box whose
 certified residual lower bound misses the target is bisected along the
-widest dimension of its clipped box, ties broken toward p2 (`_split_dims`;
-p1 = [1, 1] has width 0), and the halves form the next level.  As a box is
-split exactly when its bound misses the target, a completed run builds the
-same tree in any visiting order.  When the box budget or `_MAX_DEPTH` stops
-a run, unsplit boxes whose bounds miss the target stay leaves, so the
-claimed bound falls below the target.
+widest dimension of its clipped box, ties broken toward p2 (`_split_dims`),
+and the halves form the next level.  As a box is split exactly when its
+bound misses the target, a completed run builds the same tree in any
+visiting order.  When the box budget or `_MAX_DEPTH` stops a run, unsplit
+boxes whose bounds miss the target stay leaves, so the claimed bound falls
+below the target.
 
 Whether a box splits depends on its bound, but the halves it would get do
 not, so the levels near the root, which are small, are bounded ahead:
@@ -57,27 +57,32 @@ bound are the ones a call per level gives; the extra rows buy fewer calls,
 each of which has a fixed cost of a few milliseconds.
 
 The certificate is the tree, one code per node in level order ('1'-'4'
-split along p2, p3, p4 or w, 'L' leaf, '.' misses the cut or the margin),
-one claimed bound, `c_star`, the margin and the target.  In memory the
-tree is that code string; the document stores it packed (`_pack`), as
-base64 of one zlib stream, which is 4-10 times smaller from margin 0.12
-down.  `from_json_dict` inflates it (`_unpack`) under a cap and refuses
-anything but one complete stream.  The verifier does not trust the
-inflation: whatever tree it returns is replayed as any other tree would
-be, so a faulty inflater can make a document fail, never a false one pass.
+split along the widest, second, third or fourth widest of p2, p3, p4 and w
+in the node's clipped box, ties ranked toward p2 (`_split_order`); 'L'
+leaf; '.' misses the cut or the margin), one claimed bound, `c_star`, the
+margin and the target.  A code names a rank, not a dimension, since the
+verifier rebuilds the box that ranks them: every split `certify` makes is
+a '1', which deflates to less than a digit naming one of four dimensions.
+In memory the tree is that code string; the document stores it packed
+(`_pack`), as base64 of one zlib stream, which is 6-11 times smaller from
+margin 0.12 down.  `from_json_dict` inflates it (`_unpack`) under a cap
+and refuses anything but one complete stream.  The verifier does not trust
+the inflation: whatever tree it returns is replayed as any other tree
+would be, so a faulty inflater can make a document fail, never a false one
+pass.
 `HEADER`, the version, names the chart, the domain, the cut, the codes and
 the packing; `from_json_dict` rejects a document that omits or changes it
 or that carries another field.  The box count (the nodes not coded '.')
 and completeness (`c_star` reaches the target, exact for every run
 `certify` makes) are derived.  `verify_certificate` regenerates every box
 from the root in one pass (`_decode`): each level is clipped once, each
-code checked against its clipped box and each split node's box bisected
-along its coded dimension, so a decoded tree covers the domain whatever
-dimensions its codes name, and the verifier holds no split rule.  It
-recomputes each leaf's own bound and accepts iff every one is finite and
-at least `c_star`, the one claim, which `certify` makes two ulps below the
-least leaf bound it found, so a replay whose libm calls land lower still
-verifies.
+code checked against its clipped box, each level's split boxes ranked by
+width and each split node's box bisected along the dimension its code
+ranks, so a decoded tree covers the domain whatever ranks its codes name,
+and the verifier holds no split rule.  It recomputes each leaf's own bound
+and accepts iff every one is finite and at least `c_star`, the one claim,
+which `certify` makes two ulps below the least leaf bound it found, so a
+replay whose libm calls land lower still verifies.
 
 Certify and replay share one cheap-first evaluation of clipped boxes,
 `_evaluate`, which bounds each box once with the trig ("lemma") form and,
@@ -126,14 +131,14 @@ _RETRY_BLOCK = 2048
 # at most this much; boxes further below are split on their lemma bound
 _REACH = 2e-4
 _MAX_DEPTH = 200
-# node codes: '1'-'4' split along p2, p3, p4 or w, the digit of the
-# dimension; 'L' leaf; '.' empty
+# node codes: '1'-'4' split along the dimension of that width rank in the
+# node's clipped box (`_split_order`); 'L' leaf; '.' empty
 _DIGIT0, _LEAF, _EMPTY = b"0L."
 # zlib's default level, fixed so that the document does not follow the
 # library's default
 _DEFLATE_LEVEL = 6
 # the most bytes a packed tree may inflate to, per packed byte: the trees
-# `certify` writes inflate 1.6-13 times, and deflate reaches about 1000, so
+# `certify` writes inflate 2.5-15 times, and deflate reaches about 1000, so
 # the cap stops a bomb before it allocates the codes it claims
 _INFLATE_CAP = 256
 
@@ -373,11 +378,25 @@ def _check_limits(margin: float, target: float, error: type) -> None:
         raise error("target must be finite and nonnegative")
 
 
+def _split_order(boxes: np.ndarray) -> np.ndarray:
+    """The dimensions p2, p3, p4 and w (1-4) of each box (shape (n, 5, 2))
+    from the widest to the narrowest, tied widths toward the lower
+    dimension: shape (n, 4), column k - 1 the dimension split code k names.
+    p1 = [1, 1] is never split, so it has no rank."""
+    widths = boxes[:, 1:, 1] - boxes[:, 1:, 0]
+    return 1 + np.argsort(-widths, axis=1, kind="stable")
+
+
 def _split_dims(boxes: np.ndarray) -> np.ndarray:
     """The dimension `certify` bisects each box (shape (n, 5, 2)) along: the
-    widest, ties broken toward the first.  p1 = [1, 1] has width 0, so it is
-    never the choice of a box that has a width at all."""
-    return np.argmax(boxes[:, :, 1] - boxes[:, :, 0], axis=1)
+    widest, rank 1 of `_split_order`."""
+    return _split_order(boxes)[:, 0]
+
+
+def _coded_dims(boxes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The dimension each split code (uint8, '1'-'4') names on its clipped
+    box (shape (n, 5, 2)): the one of that width rank in `_split_order`."""
+    return _split_order(boxes)[np.arange(len(boxes)), codes - _DIGIT0 - 1]
 
 
 def _bisect(boxes: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -425,7 +444,7 @@ def _levels(tree: str) -> list:
 def _decode(tree: str, margin: float) -> tuple:
     """Regenerate the boxes of a level-order tree code from the root in one
     pass: each level is clipped once, and each split node's clipped box is
-    bisected along its coded dimension.
+    bisected along the dimension of its code's width rank.
 
     Returns the clipped leaf boxes, an (n, 5, 2) array in level order, and
     whether every node's code matches its clipped box: a split code or 'L'
@@ -440,7 +459,7 @@ def _decode(tree: str, margin: float) -> tuple:
         consistent = consistent and np.array_equal(feasible, node != _EMPTY)
         leaves.append(boxes[node == _LEAF])
         split = _is_split(node)
-        level = _bisect(boxes[split], node[split] - _DIGIT0)
+        level = _bisect(boxes[split], _coded_dims(boxes[split], node[split]))
     return np.concatenate(leaves), consistent
 
 
@@ -515,7 +534,7 @@ def certify(margin: float, target: float = 0.0,
             dims = _split_dims(boxes[split])
             code = np.full(len(rows), _EMPTY, dtype=np.uint8)
             code[feasible] = _LEAF
-            code[split] = _DIGIT0 + dims
+            code[split] = _DIGIT0 + 1  # the rank of the widest, `dims`
             codes.append(code.tobytes())
             leaf_bounds.append(bounds[feasible & ~split])
             depth += 1

@@ -61,15 +61,22 @@ def _gauge_residual(p, w):
     return residual(metrics_from_frames(p / p.sum(axis=1, keepdims=True), w), "edge")
 
 
+def _rank(box, dim):
+    """The split code that names dimension `dim` on the clipped box `box`:
+    its width rank among p2, p3, p4 and w."""
+    return 1 + list(certifier._split_order(box[None])[0]).index(dim)
+
+
 def _grown(margin, rule, depth=30):
     """The level-order tree that splits each feasible box along `rule(box,
-    depth)`, or leaves it where the rule gives None; infeasible boxes are '.'."""
+    depth)`, or leaves it where the rule gives None; infeasible boxes are '.'.
+    Each split is coded by the width rank of its dimension."""
     level, codes = certifier._root_level(margin), []
     for d in range(depth):
         boxes, feasible = certifier._clipped(level, margin)
         dims = [rule(box, d) if ok else None for box, ok in zip(boxes, feasible)]
-        code = ["." if not ok else "L" if dim is None else str(dim)
-                for ok, dim in zip(feasible, dims)]
+        code = ["." if not ok else "L" if dim is None else str(_rank(box, dim))
+                for box, ok, dim in zip(boxes, feasible, dims)]
         codes += code
         split = [i for i, c in enumerate(code) if c in "01234"]
         if not split:
@@ -267,9 +274,9 @@ def test_the_document_round_trips_the_tree(margin):
 
 
 def test_benchmark_margin_012_document_stays_small(bench):
-    # the packed tree keeps the benchmark's document at 2,112 B, so a
-    # change that bloats the document fails here
-    assert len((dumps(bench.to_json_dict()) + "\n").encode()) <= 2_200
+    # split codes that name width ranks keep the benchmark's document at
+    # 1,489 B, so a change that bloats the document fails here
+    assert len((dumps(bench.to_json_dict()) + "\n").encode()) <= 1_550
 
 
 def test_malformed_document_raises(cert):
@@ -587,8 +594,8 @@ def _node_boxes(tree, margin):
     for node in certifier._levels(tree):
         boxes.append(level)
         split = certifier._is_split(node)
-        level = _bisect(certifier._clipped(level[split], margin)[0],
-                        node[split] - certifier._DIGIT0)
+        clipped = certifier._clipped(level[split], margin)[0]
+        level = _bisect(clipped, certifier._coded_dims(clipped, node[split]))
     return np.concatenate(boxes)
 
 
@@ -1088,16 +1095,53 @@ def _halves(parent, dim):
     return low, high
 
 
+def test_split_order_ranks_p2_p3_p4_and_w_by_width_ties_to_the_lower():
+    # on clipped random chart boxes, w narrowed to a random width or to p3's
+    # exactly: each row ranks a permutation of p2, p3, p4 and w, its widths
+    # never grow along the ranks, tied widths keep the lower dimension first,
+    # and rank 1 is the widest, the dimension `certify` bisects
+    rng = np.random.default_rng(43)
+    tied = rows = 0
+    for boxes, margin in _chart_boxes(seed=1, margins=8):
+        boxes = certifier._clipped(boxes, margin)[0]
+        widths = boxes[:, 1:, 1] - boxes[:, 1:, 0]
+        widths[:, 3] = np.where(rng.random(len(boxes)) < 0.1, widths[:, 1],
+                                10.0 ** rng.uniform(-8.0, 0.5, len(boxes)))
+        boxes[:, 4, 0], boxes[:, 4, 1] = 0.0, widths[:, 3]
+        order = certifier._split_order(boxes)
+        assert np.array_equal(np.sort(order, axis=1), np.tile([1, 2, 3, 4], (len(order), 1)))
+        ranked = np.take_along_axis(widths, order - 1, axis=1)
+        assert np.all(ranked[:, :-1] >= ranked[:, 1:])
+        same = ranked[:, :-1] == ranked[:, 1:]
+        assert np.all(order[:, :-1][same] < order[:, 1:][same])
+        assert np.array_equal(order[:, 0], _split_dims(boxes))
+        assert np.array_equal(order[:, 0], 1 + np.argmax(widths, axis=1))
+        tied += np.count_nonzero(same.any(axis=1))
+        rows += len(boxes)
+    assert tied * 10 > rows
+
+
 @pytest.mark.parametrize("code", list("1234"))
 def test_each_split_code_bisects_the_clipped_box_along_its_dimension(code):
-    # the root split along p2, its upper half a leaf and its lower half
-    # split along `code` into two leaves; the leaves come back clipped
-    leaves = _decode("1" + code + "LLL", 0.2)[0]
+    # code k bisects the k-th widest of p2, p3, p4 and w in the clipped box,
+    # tied widths toward the lower dimension.  At margin 0.2 the clipped
+    # root is one interval, about [0.5, 1], in each of p2, p3 and p4 and 0.6
+    # pi wide in w, so it ranks w, p2, p3, p4; the leaves come back clipped
+    k = int(code)
     root = certifier._clipped(certifier._root_level(0.2), 0.2)[0][0]
+    assert np.array_equal(root[1:4], root[[1, 1, 1]]) and root[4, 1] - root[4, 0] > 1.0
+    halves = np.stack(_halves(root, (4, 1, 2, 3)[k - 1]))
+    assert np.array_equal(_decode(code + "LL", 0.2)[0], certifier._clipped(halves, 0.2)[0])
+    # the root split along p2 (code 2), its upper half a leaf and its lower
+    # half split along `code` into two leaves
+    leaves = _decode("2" + code + "LLL", 0.2)[0]
     lower, upper = _halves(root, 1)
     parent = certifier._clipped(lower[None], 0.2)[0][0]
     assert not np.array_equal(parent, lower)  # p2 <= 0.75 moves p4 by the cut
-    placed = np.stack([upper, *_halves(parent, int(code))])
+    # p2 and p4 tie at 0.25, below p3's 0.5: the ranks are w, p3, p2, p4
+    widths = parent[:, 1] - parent[:, 0]
+    assert widths[1] == widths[3] < widths[2] < widths[4]
+    placed = np.stack([upper, *_halves(parent, (4, 2, 1, 3)[k - 1])])
     assert np.array_equal(leaves, certifier._clipped(placed, 0.2)[0])
 
 
@@ -1138,11 +1182,12 @@ def test_certificate_schema_fields(cert):
     assert [field.name for field in dataclasses.fields(Certificate)] == [
         "margin", "target", "c_star", "tree"]
     assert list(doc) == ["version", "margin", "target", "c_star", "tree"]
-    assert doc["version"] == __version__ == "0.9.0"
+    assert doc["version"] == __version__ == "0.10.0"
     # the document's tree is base64 of one zlib stream of the level-order
     # codes, read here with the standard library alone
     assert zlib.decompress(base64.b64decode(doc["tree"], validate=True)) == cert.tree.encode()
-    assert set(cert.tree) <= set("1234L")  # certify never splits p1 = [1, 1]
+    # certify splits each box along its widest dimension, rank 1
+    assert set(cert.tree) <= set("1L")
     # the box count and completeness are derived from the tree and the claim
     assert cert.box_count == len(cert.tree) - cert.tree.count(".")
     assert cert.complete is (doc["c_star"] >= doc["target"])

@@ -443,6 +443,26 @@ def test_check_cert_rejects_a_format_070_document(tmp_path, capsys):
     assert "malformed certificate" in err and "'0.7.0'" in err and f"'{__version__}'" in err
 
 
+# the margin-0.2 document that format 0.9.0 wrote, 151 B with its newline;
+# its split digits name dimensions, where format 0.10.0's name width ranks
+FORMAT_090_DOCUMENT = (
+    '{"c_star":5.409768255835374e-06,"margin":0.2,"target":0.0,"tree":'
+    '"eJw1yoEJADAIA8GZjD/G7z9PK7YXhEAE6gobiOge5i62o8q0wWfb/x0Hl7sSnw==",'
+    '"version":"0.9.0"}\n')
+
+
+def test_check_cert_refuses_a_format_090_document_and_never_misreads_it(tmp_path, capsys):
+    assert len(FORMAT_090_DOCUMENT.encode()) == 151
+    path = tmp_path / "format_090.json"
+    path.write_text(FORMAT_090_DOCUMENT)
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == ""
+    assert "malformed certificate" in err and "'0.9.0'" in err and "'0.10.0'" in err
+    # read as ranks, the same digits place other boxes, which miss their codes
+    doc = {**json.loads(FORMAT_090_DOCUMENT), "version": __version__}
+    assert verify_certificate(doc) is False
+
+
 def test_check_cert_rejects_an_unknown_symmetry(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, ["certify", "--margin", "0.2", "--out", str(cert_path)])
