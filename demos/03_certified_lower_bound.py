@@ -8,8 +8,10 @@ The certificate is a JSON document: the bisection tree, plus the claimed
 lower bound c*.  The tree is one code per node in level order ('1'-'4' for
 a split along the widest, second, third or fourth widest of p2, p3, p4 and
 w in the node's clipped box, 'L' for a leaf, '.' for a box outside the
-domain), stored packed: base64 of one zlib stream of those codes, about a
-quarter of a byte per node at margin 0.15.  An independent replay unpacks
+domain), stored packed: base64 of one zlib stream of the node count and
+three bit planes (whether each node splits, whether each node that does not
+is '.', each split's rank), about a sixth of a byte per node at margin
+0.15.  An independent replay unpacks
 the tree, regenerates every box from it, recomputes every leaf bound, and
 catches tampering (an inflated c*, a leaf recoded as outside the domain, a
 root split recoded from the widest dimension to the narrowest); the

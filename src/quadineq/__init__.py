@@ -18,7 +18,7 @@ lower-bound certificates), search (multi-start counterexample search), cli
 (command-line front door).
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .geometry import (  # noqa: E402
     DiagonalFrame,

@@ -62,14 +62,18 @@ in the node's clipped box, ties ranked toward p2 (`_split_order`); 'L'
 leaf; '.' misses the cut or the margin), one claimed bound, `c_star`, the
 margin and the target.  A code names a rank, not a dimension, since the
 verifier rebuilds the box that ranks them: every split `certify` makes is
-a '1', which deflates to less than a digit naming one of four dimensions.
+a '1', packed as two zero bits that deflate to almost nothing.
 In memory the tree is that code string; the document stores it packed
-(`_pack`), as base64 of one zlib stream, which is 6-11 times smaller from
-margin 0.12 down.  `from_json_dict` inflates it (`_unpack`) under a cap
-and refuses anything but one complete stream.  The verifier does not trust
-the inflation: whatever tree it returns is replayed as any other tree
-would be, so a faulty inflater can make a document fail, never a false one
-pass.
+(`_pack`), as base64 of one zlib stream of the node count and three bit
+planes: whether each node splits, whether each node that does not is '.',
+and each split's rank less one in 2 bits.  All the entropy of a tree
+`certify` writes sits in the first plane, one bit per node, and the
+document is 7-14 times smaller than one byte per node from margin 0.12
+down.  `from_json_dict` inflates it (`_unpack`) under a cap and refuses
+anything but one complete stream whose planes hold exactly the bits its
+node count needs, padded with zero bits.  The verifier does not trust the
+unpacking: whatever tree it returns is replayed as any other tree would
+be, so a faulty reader can make a document fail, never a false one pass.
 `HEADER`, the version, names the chart, the domain, the cut, the codes and
 the packing; `from_json_dict` rejects a document that omits or changes it
 or that carries another field.  The box count (the nodes not coded '.')
@@ -138,9 +142,16 @@ _DIGIT0, _LEAF, _EMPTY = b"0L."
 # library's default
 _DEFLATE_LEVEL = 6
 # the most bytes a packed tree may inflate to, per packed byte: the trees
-# `certify` writes inflate 2.5-15 times, and deflate reaches about 1000, so
-# the cap stops a bomb before it allocates the codes it claims
+# `certify` writes inflate 1.2-6 times, and deflate reaches about 1000, so
+# the cap stops a bomb before it allocates the planes it claims
 _INFLATE_CAP = 256
+# the inflated stream opens with the node count, big-endian
+_COUNT_BYTES = 4
+# each byte of a plane as the codes its bits name, one row per byte value:
+# plane B's 8 flags ('.' or 'L') and plane C's 4 ranks ('1'-'4')
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_EMPTY_CODES = np.where(_BYTE_BITS == 1, _EMPTY, _LEAF).astype(np.uint8)
+_RANK_CODES = (_DIGIT0 + 1 + 2 * _BYTE_BITS[:, 0::2] + _BYTE_BITS[:, 1::2]).astype(np.uint8)
 
 
 class MalformedCertificate(ValueError):
@@ -236,24 +247,40 @@ _DOC_FIELDS = set(HEADER) | {field.name for field in fields(Certificate)}
 
 def _pack(tree: str) -> str:
     """A level-order tree code as the document stores it: base64 of one
-    zlib stream."""
-    stream = zlib.compress(tree.encode("ascii"), _DEFLATE_LEVEL)
-    return base64.b64encode(stream).decode("ascii")
+    zlib stream of the node count N (`_COUNT_BYTES`, big-endian) and three
+    bit planes, most significant bit first and zero-padded to a whole byte:
+    A, whether each node splits; B, whether each node that does not split
+    is '.'; C, the rank of each split less one, in 2 bits.  Raises
+    ValueError on a code other than '1'-'4', 'L' and '.'."""
+    codes = np.frombuffer(tree.encode("ascii"), dtype=np.uint8)
+    split = _is_split(codes)
+    rest = codes[~split]
+    if not np.all((rest == _LEAF) | (rest == _EMPTY)):
+        raise ValueError("tree holds a code other than '1'-'4', 'L' and '.'")
+    ranks = codes[split] - (_DIGIT0 + 1)
+    bits = np.concatenate([split, rest == _EMPTY,
+                           np.stack([ranks >= 2, ranks % 2 == 1], axis=1).ravel()])
+    stream = len(codes).to_bytes(_COUNT_BYTES, "big") + np.packbits(bits).tobytes()
+    return base64.b64encode(zlib.compress(stream, _DEFLATE_LEVEL)).decode("ascii")
 
 
 def _unpack(text: str) -> str:
-    """The tree code that `_pack` wrote as `text`, each inflated byte as one
-    character, for `_levels` to check.  Raises MalformedCertificate unless
-    `text` is base64 of one complete zlib stream, with nothing after its
-    end, that inflates to at most `_INFLATE_CAP` bytes per packed byte; the
-    stream is never inflated past that cap."""
+    """The tree code that `_pack` wrote as `text`, for `_levels` to check.
+
+    Raises MalformedCertificate unless `text` is base64 of one complete zlib
+    stream, with nothing after its end, that inflates to at most
+    `_INFLATE_CAP` bytes per packed byte, and whose planes hold exactly the
+    bits its node count N needs, N + (N - splits) + 2 * splits, followed by
+    zero bits up to the byte.  The stream is never inflated past the cap,
+    and N is checked against the planes before the codes are allocated.
+    """
     try:
         data = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise MalformedCertificate(f"tree is not base64: {exc}") from None
     inflater = zlib.decompressobj()
     try:
-        codes = inflater.decompress(data, _INFLATE_CAP * len(data))
+        stream = inflater.decompress(data, _INFLATE_CAP * len(data))
     except zlib.error as exc:
         raise MalformedCertificate(f"tree is not a zlib stream: {exc}") from None
     if inflater.unconsumed_tail:
@@ -263,7 +290,39 @@ def _unpack(text: str) -> str:
         raise MalformedCertificate("tree ends inside its zlib stream")
     if inflater.unused_data:
         raise MalformedCertificate("tree continues past the end of its zlib stream")
-    return codes.decode("latin-1")
+    if len(stream) < _COUNT_BYTES:
+        raise MalformedCertificate("tree ends inside its node count")
+    nodes = int.from_bytes(stream[:_COUNT_BYTES], "big")
+    planes = np.frombuffer(stream, dtype=np.uint8, offset=_COUNT_BYTES)
+    # every node takes 2 or 3 bits: one in A, and one in B or two in C
+    if 2 * nodes > 8 * len(planes):
+        raise MalformedCertificate(f"tree's {nodes} nodes need more bits than its planes hold")
+    split = np.unpackbits(planes, count=nodes).view(bool)
+    splits = int(np.count_nonzero(split))
+    end = 2 * nodes + splits
+    if (end + 7) // 8 > len(planes):
+        raise MalformedCertificate(f"tree's {nodes} nodes need more bits than its planes hold")
+    if (end + 7) // 8 < len(planes):
+        raise MalformedCertificate("tree continues past its planes")
+    if end % 8 and planes[-1] & (0xFF >> end % 8):
+        raise MalformedCertificate("tree's pad bits are not zero")
+    codes = bytearray(nodes)
+    view = np.frombuffer(codes, dtype=np.uint8)
+    view[split] = _plane(planes, 2 * nodes - splits, splits, _RANK_CODES)
+    view[np.logical_not(split, out=split)] = _plane(planes, nodes, nodes - splits, _EMPTY_CODES)
+    del split  # the mask goes before the string copies the codes
+    return codes.decode("ascii")
+
+
+def _plane(planes: np.ndarray, start: int, count: int, table: np.ndarray) -> np.ndarray:
+    """The codes of `count` fields read from bit `start` of `planes`, each
+    byte of fields mapped through `table`, one row per byte value.  The
+    bytes are realigned by shifts, never unpacked to one byte per bit."""
+    first, shift = divmod(start, 8)
+    chunk = planes[first:first + (shift + count * 8 // table.shape[1] + 7) // 8]
+    if shift:
+        chunk = chunk << shift | np.append(chunk[1:], np.uint8(0)) >> (8 - shift)
+    return table[chunk].ravel()[:count]
 
 
 def _root_level(margin: float) -> np.ndarray:

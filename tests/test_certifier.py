@@ -228,8 +228,16 @@ def test_verify_rejects_flipped_node_code(dotted, tamper):
 def test_tree_that_does_not_parse_is_malformed(cert, tamper, tmp_path, capsys):
     # '0' would split p1 = [1, 1] into two copies of its box, which certify
     # never asks for
+    tree = tamper(cert.tree)
+    with pytest.raises(MalformedCertificate):
+        verify_certificate(dataclasses.replace(cert, tree=tree))
+    if not set(tree) <= set("1234L."):
+        # the planes have no bits for another code, so no document holds one
+        with pytest.raises(ValueError, match="tree holds a code other than"):
+            _pack(tree)
+        return
     doc = _fresh(cert)
-    _retree(doc, tamper)
+    doc["tree"] = _pack(tree)
     with pytest.raises(MalformedCertificate):
         Certificate.from_json_dict(doc)
     path = tmp_path / "tree.json"
@@ -245,6 +253,66 @@ def test_a_tree_that_is_not_one_packed_stream_is_malformed(cert, case):
     doc["tree"] = packed
     with pytest.raises(MalformedCertificate, match=reason):
         Certificate.from_json_dict(doc)
+
+
+def test_a_huge_node_count_is_refused_before_its_planes_are_read(cert):
+    # a node count that the planes cannot hold is refused from the count and
+    # the stream's length, before plane A or the codes are allocated
+    packed, reason = BAD_PACKINGS["huge-count"]
+    doc = _fresh(cert)
+    doc["tree"] = packed
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedCertificate, match=reason):
+            Certificate.from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def _random_tree(nodes, seed):
+    """A level-order code string of at least `nodes` nodes whose levels
+    parse, using every code: each node of a level splits (ranks 1-4) with
+    chance 0.6 and is 'L' or '.' otherwise, the first of each level splits,
+    and the last level holds leaves only.  Deflate shrinks its planes less
+    than 2 times, so it stays far inside the cap."""
+    rng = np.random.default_rng(seed)
+    alphabet = np.frombuffer(b"1234L.", dtype=np.uint8)
+    levels, size, total = [], 1, 0
+    while total < nodes:
+        level = rng.choice(alphabet, size, p=[0.45, 0.05, 0.05, 0.05, 0.3, 0.1])
+        level[0] = alphabet[0]
+        levels.append(level)
+        total += size
+        size = 2 * np.count_nonzero(certifier._is_split(level))
+    levels.append(np.full(size, alphabet[4]))
+    return np.concatenate(levels).tobytes().decode("ascii")
+
+
+def test_reading_a_document_holds_at_most_four_bytes_per_node():
+    # `_levels` holds the code string, its bytes and two masks, 4 B per
+    # node; the plane reader stays below that, where format 0.10.0's
+    # inflater held its codes twice and then copied them (4.7 B per node)
+    tree = _random_tree(400_000, seed=5)
+    doc = Certificate(0.1, 0.0, 0.0, tree).to_json_dict()
+    peaks = []
+    for read in (lambda: _unpack(doc["tree"]), lambda: Certificate.from_json_dict(doc).tree):
+        tracemalloc.start()
+        try:
+            assert read() == tree
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(tree))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 3.6 and peaks[1] <= 4.1, peaks
+
+
+def test_a_tree_packs_to_its_count_and_three_planes():
+    # 3 nodes; plane A 100, plane B 01 (a leaf, then '.'), plane C 01
+    # (rank 2); then a zero pad bit
+    stream = zlib.decompress(base64.b64decode(_pack("2L.")))
+    assert stream == bytes([0, 0, 0, 3, 0b1000_1010])
+    assert _unpack(_pack("2L.")) == "2L."
 
 
 def test_a_deflate_bomb_is_refused_at_the_cap_before_it_inflates(cert):
@@ -274,9 +342,9 @@ def test_the_document_round_trips_the_tree(margin):
 
 
 def test_benchmark_margin_012_document_stays_small(bench):
-    # split codes that name width ranks keep the benchmark's document at
-    # 1,489 B, so a change that bloats the document fails here
-    assert len((dumps(bench.to_json_dict()) + "\n").encode()) <= 1_550
+    # the tree's bit planes keep the benchmark's document at 1,201 B, so a
+    # change that bloats the document fails here
+    assert len((dumps(bench.to_json_dict()) + "\n").encode()) <= 1_250
 
 
 def test_malformed_document_raises(cert):
@@ -1182,10 +1250,18 @@ def test_certificate_schema_fields(cert):
     assert [field.name for field in dataclasses.fields(Certificate)] == [
         "margin", "target", "c_star", "tree"]
     assert list(doc) == ["version", "margin", "target", "c_star", "tree"]
-    assert doc["version"] == __version__ == "0.10.0"
-    # the document's tree is base64 of one zlib stream of the level-order
-    # codes, read here with the standard library alone
-    assert zlib.decompress(base64.b64decode(doc["tree"], validate=True)) == cert.tree.encode()
+    assert doc["version"] == __version__ == "0.11.0"
+    # the document's tree is base64 of one zlib stream of the node count and
+    # three bit planes, read here with the standard library alone
+    stream = zlib.decompress(base64.b64decode(doc["tree"], validate=True))
+    nodes = int.from_bytes(stream[:4], "big")
+    bits = "".join(f"{byte:08b}" for byte in stream[4:])
+    split = bits[:nodes]
+    empty = iter(bits[nodes:2 * nodes - split.count("1")])
+    rank = iter(bits[2 * nodes - split.count("1"):2 * nodes + split.count("1")])
+    codes = [str(1 + int(next(rank) + next(rank), 2)) if flag == "1"
+             else "." if next(empty) == "1" else "L" for flag in split]
+    assert "".join(codes) == cert.tree and len(bits) - 2 * nodes - split.count("1") < 8
     # certify splits each box along its widest dimension, rank 1
     assert set(cert.tree) <= set("1L")
     # the box count and completeness are derived from the tree and the claim

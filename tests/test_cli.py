@@ -15,7 +15,7 @@ import pytest
 
 from packings import BAD_PACKINGS
 from quadineq import __version__, cli
-from quadineq.certifier import _pack, verify_certificate
+from quadineq.certifier import MalformedCertificate, _pack, verify_certificate
 from quadineq.cli import main
 
 SQUARE_JSON = '{"points": [[0,0],[1,0],[1,1],[0,1]]}'
@@ -444,7 +444,7 @@ def test_check_cert_rejects_a_format_070_document(tmp_path, capsys):
 
 
 # the margin-0.2 document that format 0.9.0 wrote, 151 B with its newline;
-# its split digits name dimensions, where format 0.10.0's name width ranks
+# its split digits name dimensions, where later formats' name width ranks
 FORMAT_090_DOCUMENT = (
     '{"c_star":5.409768255835374e-06,"margin":0.2,"target":0.0,"tree":'
     '"eJw1yoEJADAIA8GZjD/G7z9PK7YXhEAE6gobiOge5i62o8q0wWfb/x0Hl7sSnw==",'
@@ -457,10 +457,31 @@ def test_check_cert_refuses_a_format_090_document_and_never_misreads_it(tmp_path
     path.write_text(FORMAT_090_DOCUMENT)
     code, out, err = run(capsys, ["check-cert", str(path)])
     assert code == 2 and out == ""
-    assert "malformed certificate" in err and "'0.9.0'" in err and "'0.10.0'" in err
-    # read as ranks, the same digits place other boxes, which miss their codes
+    assert "malformed certificate" in err and "'0.9.0'" in err and f"'{__version__}'" in err
+    # read as planes, its codes claim more nodes than they hold
     doc = {**json.loads(FORMAT_090_DOCUMENT), "version": __version__}
-    assert verify_certificate(doc) is False
+    with pytest.raises(MalformedCertificate, match="nodes need more bits"):
+        verify_certificate(doc)
+
+
+# the margin-0.2 document that format 0.10.0 wrote, 128 B with its newline:
+# its tree deflates one byte per code, where format 0.11.0's packs bit planes
+FORMAT_0100_DOCUMENT = (
+    '{"c_star":5.409768255835374e-06,"margin":0.2,"target":0.0,"tree":'
+    '"eJwzNEQHPoY+PhAMZML4UB4IQQGEBVMLAgCLLRJe","version":"0.10.0"}\n')
+
+
+def test_check_cert_refuses_a_format_0100_document_and_never_misreads_it(tmp_path, capsys):
+    assert len(FORMAT_0100_DOCUMENT.encode()) == 128
+    path = tmp_path / "format_0100.json"
+    path.write_text(FORMAT_0100_DOCUMENT)
+    code, out, err = run(capsys, ["check-cert", str(path)])
+    assert code == 2 and out == ""
+    assert "malformed certificate" in err and "'0.10.0'" in err and "'0.11.0'" in err
+    # read as planes, its codes claim more nodes than they hold
+    doc = {**json.loads(FORMAT_0100_DOCUMENT), "version": __version__}
+    with pytest.raises(MalformedCertificate, match="nodes need more bits"):
+        verify_certificate(doc)
 
 
 def test_check_cert_rejects_an_unknown_symmetry(tmp_path, capsys):

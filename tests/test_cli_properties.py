@@ -6,10 +6,12 @@ verifier answers or calls the document malformed, and accepts only a claim
 that `certify` could make; and whatever codes a tree holds, its packing
 unpacks to them."""
 
+import base64
 import contextlib
 import io
 import json
 import math
+import zlib
 
 import pytest
 
@@ -68,7 +70,10 @@ def test_eval_of_any_json_value_ends_with_an_exit_status(option, value):
 
 
 _CERT = certify(margin=0.2).to_json_dict()
-_TREES = st.text(alphabet="01234L.x", max_size=80)
+_CODES = "1234L."
+_TREES = st.text(alphabet=_CODES, max_size=80)
+# the inflated stream of the tree: its node count and bit planes
+_STREAM = zlib.decompress(base64.b64decode(_CERT["tree"]))
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -87,15 +92,22 @@ _LEAST = _least_both_bound(_CERT)
 def _edits(draw):
     """A field of the certificate document and a value to put there: the
     tree with one code replaced or any tree codes for the tree, each
-    packed, finite floats for the numbers (the claimed c_star among them),
-    any JSON value."""
+    packed, or its packed stream with one bit flipped, cut short or
+    extended, finite floats for the numbers (the claimed c_star among
+    them), any JSON value."""
     key = draw(st.sampled_from(sorted(_CERT)))
     special = st.nothing()
     if key == "tree":
         tree = _unpack(_CERT["tree"])
-        recode = st.tuples(st.integers(0, len(tree) - 1), st.sampled_from("01234L.x"))
+        recode = st.tuples(st.integers(0, len(tree) - 1), st.sampled_from(_CODES))
+        flip = st.integers(0, 8 * len(_STREAM) - 1).map(
+            lambda bit: (int.from_bytes(_STREAM, "big") ^ 1 << bit).to_bytes(len(_STREAM), "big"))
+        cut = st.integers(0, len(_STREAM) - 1).map(lambda end: _STREAM[:end])
+        extend = st.binary(min_size=1, max_size=2).map(lambda tail: _STREAM + tail)
+        streams = (flip | cut | extend).map(
+            lambda stream: base64.b64encode(zlib.compress(stream)).decode("ascii"))
         special = (recode.map(lambda at: tree[:at[0]] + at[1] + tree[at[0] + 1:])
-                   | _TREES).map(_pack)
+                   | _TREES).map(_pack) | streams
     elif key in ("margin", "target", "c_star"):
         special = _NUMBERS
     return key, draw(special | _JSON)
@@ -121,6 +133,6 @@ def test_check_cert_of_a_tampered_certificate_accepts_only_what_certify_claims(e
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(tree=st.text(alphabet="1234L.", max_size=2000))
+@given(tree=st.text(alphabet=_CODES, max_size=2000))
 def test_a_packed_tree_unpacks_to_its_codes(tree):
     assert _unpack(_pack(tree)) == tree
