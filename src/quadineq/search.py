@@ -19,23 +19,24 @@ depend on which rows share its batch.  Runs are deterministic per (seed,
 starts, margin, budget), and a schedule's results equal those of separate
 one-margin searches.
 
-Each pass evaluates one trial point per row: its reflection or, where
-that reflection failed on the pass before, its inside contraction, plus
-five vertices for a row whose contraction fails and shrinks.  So the
+Each pass steps every row once, in one objective call: by a trial point,
+its reflection or, where that reflection failed on the pass before, its
+inside contraction; or, where that contraction failed on the pass before,
+by the five vertices of its shrink, which follow the trial points.  So the
 objective computes only points that a row counts: on the 256-start,
 three-margin search at seed 0 (768 rows, budget 2000) it computes 917,001
-rows, the 916,233 counted evaluations plus the 768 starts, in 2,224 calls,
-1,995 of them passes of 438 rows on average (768 at most).  It reads only
-the lengths and areas of the edge residual, never a split angle.  The step
-avoids numpy's slow wrappers, and takes each row's lowest and highest value
-by elementwise chains over the six columns, not by a reduction over a
+rows, the 916,233 counted evaluations plus the 768 starts, in 1,997 calls:
+the starts, the initial simplices and 1,995 passes of 457 rows on average
+(1,075 at most).  It reads only the lengths and areas of the edge
+residual, never a split angle.  Each row's simplex is kept ranked by one
+stable sort per pass, so its lowest and highest values are its first and
+last columns.  The step avoids numpy's slow wrappers and reductions over a
 short axis.  Every value is bitwise what the plain formulas give, which
 tests/test_search.py checks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,14 +145,13 @@ def _initial_points(seed: int, starts: int, margin: float) -> np.ndarray:
     return points
 
 
-def _keep_best(best_x, best_f, simplex, values) -> np.ndarray:
-    """Record each row's lowest vertex where it beats the row's best so far
-    (the first such vertex on ties); returns every row's lowest value."""
-    low = functools.reduce(np.minimum, values.T)
-    improved = (low < best_f).nonzero()[0]
-    best_f[improved] = low[improved]
-    best_x[improved] = simplex[improved, values[improved].argmin(axis=1)]
-    return low
+def _rank(simplex: np.ndarray, values: np.ndarray) -> tuple:
+    """Each row's vertices and values, best first, by a stable argsort
+    applied through one flat gather."""
+    order = np.argsort(values, axis=1, kind="stable")
+    flat = (order + np.arange(0, order.size, _N_COORDS + 1)[:, None]).ravel()
+    return (simplex.reshape(-1, _N_COORDS).take(flat, axis=0).reshape(order.shape + (-1,)),
+            values.take(flat).reshape(order.shape))
 
 
 def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) -> tuple:
@@ -161,16 +161,24 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
     budget caps the objective evaluations each row may spend beyond its
     start point.  The loop works on the rows still descending: a row that
     converges or cannot afford another reflection is written back to its
-    slot and dropped from the batch, never while its contraction is
-    pending.  Returns each row's best point, best value, evaluation count
+    slot and dropped from the batch, never while its contraction or shrink
+    is pending.  Returns each row's best point, best value, evaluation count
     and iteration count.
+
+    Each row's simplex is ranked, best first, once after the initial simplex
+    and at the end of every pass, by a stable sort.  The objective is finite
+    on the feasible set (margins >= 1e-6), so column 0 holds the row's
+    lowest value, at its first such vertex, as a NaN-propagating elementwise
+    minimum over the columns would give (a NaN would sort last instead), and
+    column -1 its highest.  Column 0 is also the row's best point so far: a
+    step replaces only later columns, and on a tie the sort keeps the older
+    vertex first.
     """
     n = len(x0)
-    best_x, best_f = x0.copy(), f0.copy()
     evals = np.zeros(n, dtype=int)
     iters = np.zeros(n, dtype=int)
     if budget < _N_COORDS:
-        return best_x, best_f, evals, iters
+        return x0.copy(), f0.copy(), evals, iters
 
     # initial simplex: the start plus one perturbed vertex per coordinate
     steps = np.concatenate([np.repeat(0.12 * (1.0 - 4.0 * margin)[:, None], 4, axis=1),
@@ -183,59 +191,73 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
     values[:, 0] = f0
     values[:, 1:] = _objective(simplex[:, 1:, :])
     evals[:] = _N_COORDS
-    _keep_best(best_x, best_f, simplex, values)
+    simplex, values = _rank(simplex, values)
+    best_x, best_f = simplex[:, 0].copy(), values[:, 0].copy()
 
     # the batch: the rows still descending, by their slots in the outputs; a
     # budget of exactly _N_COORDS is spent on the initial simplex
     rows = np.arange(n if budget > _N_COORDS else 0)
-    simplex, values, margin = simplex[rows], values[rows], margin[rows]
-    bx, bf, ev, it = best_x[rows], best_f[rows], evals[rows], iters[rows]
-    # rows whose reflection failed, with its value, to contract on the next pass
+    simplex, values, margin, ev, it = (a[rows] for a in (simplex, values, margin, evals, iters))
+    # rows whose reflection failed, with its value, to contract on the next
+    # pass; rows whose contraction failed, to shrink on the next pass
     pending, f_fail = np.zeros(rows.size, dtype=bool), np.full(rows.size, np.inf)
+    shrink = np.zeros(rows.size, dtype=bool)
     while rows.size:
-        # rank each row's vertices, best first, through one flat gather
-        order = np.argsort(values, axis=1, kind="stable")
-        flat = (order + np.arange(0, order.size, _N_COORDS + 1)[:, None]).ravel()
-        simplex = simplex.reshape(-1, _N_COORDS).take(flat, axis=0).reshape(order.shape + (-1,))
-        values = values.take(flat).reshape(order.shape)
         # the vertices but the worst, summed in order: the same sums as
         # .mean(axis=1), without numpy's slow reduction over a short axis
         centroid = sum((simplex[:, k] for k in range(1, _N_COORDS)), simplex[:, 0]) / _N_COORDS
         worst = simplex[:, -1, :]
         f_worst = values[:, -1]
 
-        # one trial point per row: its reflection or, where the reflection
-        # failed on the pass before (the simplex has not moved since), its
-        # inside contraction; a failed contraction shrinks in the same pass
-        trial = _project(centroid + np.where(pending, -0.5, 1.0)[:, None] * (centroid - worst),
-                         margin)
-        f_trial = _objective(trial)
-        ev += 1
+        # one step per row, all in one objective call: a trial point, that
+        # is, its reflection or, where the reflection failed on the pass
+        # before (the simplex has not moved since), its inside contraction;
+        # or, where that contraction failed, its shrink toward its best
+        # vertex, whose five vertices follow every trial point
+        trial = centroid + np.where(pending, -0.5, 1.0)[:, None] * (centroid - worst)
+        shrinking = shrink.nonzero()[0]
+        if shrinking.size:
+            stepping = (~shrink).nonzero()[0]
+            best_vertex = simplex[shrinking, :1, :]
+            shrunk = best_vertex + 0.5 * (simplex[shrinking, 1:, :] - best_vertex)
+            points = _project(np.concatenate([trial[stepping], shrunk.reshape(-1, _N_COORDS)]),
+                              np.concatenate([margin[stepping],
+                                              margin[shrinking].repeat(_N_COORDS)]))
+            f_points = _objective(points)
+            # a shrinking row has no trial point: its +inf value accepts nothing
+            trial, f_trial = np.empty_like(trial), np.full(rows.size, np.inf)
+            trial[stepping], f_trial[stepping] = points[:stepping.size], f_points[:stepping.size]
+            simplex[shrinking, 1:, :] = points[stepping.size:].reshape(-1, _N_COORDS, _N_COORDS)
+            values[shrinking, 1:] = f_points[stepping.size:].reshape(-1, _N_COORDS)
+            ev += np.where(shrink, _N_COORDS, 1)
+        else:
+            trial = _project(trial, margin)
+            f_trial = _objective(trial)
+            ev += 1
         accept = np.where(pending, f_trial < np.minimum(f_worst, f_fail),
                           f_trial < values[:, -2])
-        need_shrink = pending & ~accept & (ev + _N_COORDS <= budget)
-        pending, f_fail = ~pending & ~accept & (ev + 1 <= budget), f_trial
-        simplex[accept, -1, :] = trial[accept]
-        values[accept, -1] = f_trial[accept]
-        if need_shrink.any():
-            best_vertex = simplex[need_shrink, :1, :]
-            shrunk = _project(best_vertex + 0.5 * (simplex[need_shrink, 1:, :] - best_vertex),
-                              margin[need_shrink])
-            simplex[need_shrink, 1:, :] = shrunk
-            values[need_shrink, 1:] = _objective(shrunk)
-            ev[need_shrink] += _N_COORDS
-        it += accept | need_shrink
+        failed = ~(accept | shrink)  # a trial point, rejected
+        shrink = pending & failed & (ev <= budget - _N_COORDS)
+        pending, f_fail = ~pending & failed & (ev < budget), f_trial
+        np.copyto(simplex[:, -1], trial, where=accept[:, None])
+        np.copyto(values[:, -1], f_trial, where=accept)
+        it += accept | shrink
 
-        low = _keep_best(bx, bf, simplex, values)
-        converged = functools.reduce(np.maximum, values.T) - low <= 1e-15 * (1.0 + np.abs(low))
-        done = (converged | (ev + 1 > budget)) & ~pending
+        simplex, values = _rank(simplex, values)
+        low = values[:, 0]
+        converged = values[:, -1] - low <= 1e-15 * (1.0 + np.abs(low))
+        done = (converged | (ev >= budget)) & ~(pending | shrink)
         if done.any():
             slots = rows[done]
-            best_x[slots], best_f[slots] = bx[done], bf[done]
+            best_x[slots], best_f[slots] = simplex[done, 0], low[done]
             evals[slots], iters[slots] = ev[done], it[done]
             keep = ~done
-            rows, simplex, values, margin, bx, bf, ev, it, pending, f_fail = (
-                a[keep] for a in (rows, simplex, values, margin, bx, bf, ev, it, pending, f_fail))
+            rows, simplex, values, margin, ev, it, pending, f_fail, shrink = (
+                a[keep] for a in (rows, simplex, values, margin, ev, it, pending, f_fail, shrink))
+    # a row that never beat its start reports the start itself: its simplex
+    # holds a re-projected copy, and the projection is not bitwise idempotent
+    unmoved = best_f == f0
+    best_x[unmoved] = x0[unmoved]
     return best_x, best_f, evals, iters
 
 

@@ -119,6 +119,48 @@ def test_a_flat_objective_reflects_contracts_and_shrinks_once(monkeypatch):
     assert evals.tolist() == [12] * 8 and iters.tolist() == [1] * 8
 
 
+def test_descent_calls_the_objective_once_per_pass(monkeypatch):
+    # a pass steps every row once: a trial point (its reflection or
+    # contraction) or a shrink (five vertices).  Run alone, a row makes one
+    # call per step after its initial simplex.  The rows are independent, so
+    # the batch runs as many passes as its longest row has steps, and it
+    # makes one call for its initial simplex plus one per pass
+    calls = []
+
+    def counting(x):
+        calls.append(x.size // 5)
+        return _objective(x)
+
+    monkeypatch.setattr(search, "_objective", counting)
+    margin = np.repeat([0.05, 0.0005], 8)
+    x0 = _project(_raw_rows(np.random.default_rng(8), len(margin)), margin)
+    f0 = _objective(x0)
+    passes, shrinks = [], 0
+    for k in range(len(x0)):
+        calls.clear()
+        _descend(x0[k:k + 1], f0[k:k + 1], margin[k:k + 1], 300)
+        assert calls[0] == 5 and set(calls[1:]) <= {1, 5}
+        passes.append(len(calls) - 1)
+        shrinks += calls.count(5) - 1
+    assert shrinks > 1  # the batch folds shrinks into its trial calls
+    calls.clear()
+    _, _, evals, _ = _descend(x0, f0, margin, 300)
+    assert len(calls) == 1 + max(passes)
+    assert sum(calls) == evals.sum()
+
+
+def test_a_row_that_never_beats_its_start_reports_the_start(monkeypatch):
+    # the simplex holds a re-projected copy of the start, which may differ
+    # from it in the last bit
+    monkeypatch.setattr(search, "_objective", lambda x: np.zeros(x.shape[:-1]))
+    margin = np.full(64, 0.05)
+    x0 = _project(_raw_rows(np.random.default_rng(5), 64), margin)
+    assert (_project(x0, margin) != x0).any()
+    for budget in (5, 100):
+        best_x, _, _, _ = _descend(x0, np.zeros(64), margin, budget)
+        assert _bits(best_x) == _bits(x0)
+
+
 def test_budget_of_one_simplex_reports_its_best_vertex():
     res = minimize_residual(5, starts=4, margin=0.05, budget=5)
     for t in res.trajectories:
