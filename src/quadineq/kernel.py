@@ -128,22 +128,12 @@ _MULT1_TERMS = {
 }
 
 
-# each expanded term's multiplicity-one group, or None
-_TERM_GROUPS = tuple(next((g for g, terms in _MULT1_TERMS.items() if t in terms), None)
-                     for t in _EXPANDED_TERMS)
-
-
-def _expanded_sums(m: QuadMetrics) -> tuple:
-    """The expanded residual and the raw multiplicity-one group sums by
-    group: each of the 30 products computed once, and added in table order
-    to the residual and to its group's sum, each sum starting from 0.0."""
-    total, groups = 0.0, dict.fromkeys(_MULT1_TERMS, 0.0)
-    for (coef, l1, l2, a1, a2), group in zip(_EXPANDED_TERMS, _TERM_GROUPS):
-        term = coef * getattr(m, l1) * getattr(m, l2) * getattr(m, a1) * getattr(m, a2)
-        total = total + term
-        if group is not None:
-            groups[group] = groups[group] + term
-    return total, groups
+def _sum_terms(m: QuadMetrics, terms):
+    total = 0.0
+    for coef, l1, l2, a1, a2 in terms:
+        total = total + coef * getattr(m, l1) * getattr(m, l2) \
+            * getattr(m, a1) * getattr(m, a2)
+    return total
 
 
 def lemma_form(K, sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
@@ -272,14 +262,13 @@ def forms(m: QuadMetrics) -> dict:
     remainder = (2.0 * sin_X * sin_Wp2 * sin_Y2 * sin_a3_2 * cos_b2_2
                  + 2.0 * sin_Y * sin_W2 * sin_X2 * sin_b3_2 * cos_a4_2 + tail)
     edge = residual(m, "edge")
-    expanded, groups = _expanded_sums(m)
     return {
         "edge": edge,
-        "expanded": expanded,
+        "expanded": residual(m, "expanded"),
         "lemma": lemma,
         "normalized-residual": edge / K,
         "mult1-x": x, "mult1-y": y, "mult1-w": w,
-        **{f"mult1-{g}-raw": raw for g, raw in groups.items()},
+        **{f"mult1-{g}-raw": _sum_terms(m, terms) for g, terms in _MULT1_TERMS.items()},
         "mult2-raw": (-2.0 * m.a * m.d * (m.A123 * m.A234 + m.A124 * m.A134)
                       - 2.0 * m.c * m.f * (m.A124 * m.A123 + m.A134 * m.A234)
                       + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234)),
@@ -316,7 +305,7 @@ def residual(m: QuadMetrics, path: str = "edge"):
     if path == "edge":
         return edge_form(vars(m), _double, _same)[1]
     if path == "expanded":
-        return _expanded_sums(m)[0]
+        return _sum_terms(m, _EXPANDED_TERMS)
     if path == "lemma":
         return lemma_form(abcdef(vars(m)), *_lemma_trig(m), np.square, _double)[-1]
     raise ValueError(f"unknown residual path {path!r}")

@@ -225,12 +225,16 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
                                               margin[shrinking].repeat(_N_COORDS)]))
             f_points = _objective(points)
             # a shrinking row has no trial point: its +inf value accepts nothing
-            trial, f_trial = np.empty_like(trial), np.full(rows.size, np.inf)
+            f_trial = np.full(rows.size, np.inf)
             trial[stepping], f_trial[stepping] = points[:stepping.size], f_points[:stepping.size]
             simplex[shrinking, 1:, :] = points[stepping.size:].reshape(-1, _N_COORDS, _N_COORDS)
             values[shrinking, 1:] = f_points[stepping.size:].reshape(-1, _N_COORDS)
             ev += np.where(shrink, _N_COORDS, 1)
         else:
+            # the same values without the gathers and scatters: 88% of the
+            # seed-0 benchmark op's passes shrink no row, and taking this
+            # branch on them makes the op 0.935x as long
+            # (BENCH_search_rank.json)
             trial = _project(trial, margin)
             f_trial = _objective(trial)
             ev += 1

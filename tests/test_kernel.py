@@ -244,23 +244,6 @@ def test_group_sums_recompose_expanded_residual():
     assert np.array_equal(f["expanded"], residual(m, "expanded"))
 
 
-def _sum_terms_reference(m, terms):
-    """The plain loop: the terms' products summed from 0.0 in table order."""
-    total = 0.0
-    for coef, l1, l2, a1, a2 in terms:
-        total = total + coef * getattr(m, l1) * getattr(m, l2) * getattr(m, a1) * getattr(m, a2)
-    return total
-
-
-def test_expanded_sums_are_bitwise_the_plain_loops():
-    # the table computes each product once for the residual and its group
-    m = metrics_from_frames(*sample_frames(61, 4096, margin=0.01))
-    f = forms(m)
-    assert f["expanded"].tobytes() == _sum_terms_reference(m, _EXPANDED_TERMS).tobytes()
-    for group, terms in _MULT1_TERMS.items():
-        assert f[f"mult1-{group}-raw"].tobytes() == _sum_terms_reference(m, terms).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # identity properties on random samples
 # ---------------------------------------------------------------------------
