@@ -19,10 +19,12 @@ depend on which rows share its batch.  Runs are deterministic per (seed,
 starts, margin, budget), and a schedule's results equal those of separate
 one-margin searches.
 
-Each pass steps every row once, in one objective call: by a trial point,
-its reflection or, where that reflection failed on the pass before, its
-inside contraction; or, where that contraction failed on the pass before,
-by the five vertices of its shrink, which follow the trial points.  So the
+Each pass steps every row once, in one projection and one objective call:
+by a trial point, its reflection or, where that reflection failed on the
+pass before, its inside contraction; or, where that contraction failed on
+the pass before, by the five vertices of its shrink.  The call's points
+open with one slot per row, holding its trial point or its first shrunk
+vertex, and the other four vertices of each shrink follow.  So the
 objective computes only points that a row counts: on the 256-start,
 three-margin search at seed 0 (768 rows, budget 2000) it computes 917,001
 rows, the 916,233 counted evaluations plus the 768 starts, in 1,997 calls:
@@ -213,31 +215,24 @@ def _descend(x0: np.ndarray, f0: np.ndarray, margin: np.ndarray, budget: int) ->
         # is, its reflection or, where the reflection failed on the pass
         # before (the simplex has not moved since), its inside contraction;
         # or, where that contraction failed, its shrink toward its best
-        # vertex, whose five vertices follow every trial point
+        # vertex.  The points open with one slot per row, holding its trial
+        # point or its first shrunk vertex; the other four shrunk vertices
+        # of each shrinking row follow the slots
         trial = centroid + np.where(pending, -0.5, 1.0)[:, None] * (centroid - worst)
         shrinking = shrink.nonzero()[0]
-        if shrinking.size:
-            stepping = (~shrink).nonzero()[0]
-            best_vertex = simplex[shrinking, :1, :]
-            shrunk = best_vertex + 0.5 * (simplex[shrinking, 1:, :] - best_vertex)
-            points = _project(np.concatenate([trial[stepping], shrunk.reshape(-1, _N_COORDS)]),
-                              np.concatenate([margin[stepping],
-                                              margin[shrinking].repeat(_N_COORDS)]))
-            f_points = _objective(points)
-            # a shrinking row has no trial point: its +inf value accepts nothing
-            f_trial = np.full(rows.size, np.inf)
-            trial[stepping], f_trial[stepping] = points[:stepping.size], f_points[:stepping.size]
-            simplex[shrinking, 1:, :] = points[stepping.size:].reshape(-1, _N_COORDS, _N_COORDS)
-            values[shrinking, 1:] = f_points[stepping.size:].reshape(-1, _N_COORDS)
-            ev += np.where(shrink, _N_COORDS, 1)
-        else:
-            # the same values without the gathers and scatters: 88% of the
-            # seed-0 benchmark op's passes shrink no row, and taking this
-            # branch on them makes the op 0.935x as long
-            # (BENCH_search_rank.json)
-            trial = _project(trial, margin)
-            f_trial = _objective(trial)
-            ev += 1
+        block = simplex[shrinking]
+        shrunk = block[:, :1] + 0.5 * (block[:, 1:] - block[:, :1])
+        trial[shrinking] = shrunk[:, 0]
+        points = _project(np.concatenate([trial, shrunk[:, 1:].reshape(-1, _N_COORDS)]),
+                          np.concatenate([margin, margin[shrinking].repeat(_N_COORDS - 1)]))
+        f_points = _objective(points)
+        trial, f_trial = points[:rows.size], f_points[:rows.size]
+        simplex[shrinking, 1], values[shrinking, 1] = trial[shrinking], f_trial[shrinking]
+        simplex[shrinking, 2:] = points[rows.size:].reshape(-1, _N_COORDS - 1, _N_COORDS)
+        values[shrinking, 2:] = f_points[rows.size:].reshape(-1, _N_COORDS - 1)
+        # a shrinking row has no trial point: its +inf value accepts nothing
+        f_trial[shrinking] = np.inf
+        ev += np.where(shrink, _N_COORDS, 1)
         accept = np.where(pending, f_trial < np.minimum(f_worst, f_fail),
                           f_trial < values[:, -2])
         failed = ~(accept | shrink)  # a trial point, rejected

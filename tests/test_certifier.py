@@ -1270,3 +1270,16 @@ def test_certificate_schema_fields(cert):
     rebuilt = Certificate.from_json_dict(json.loads(dumps(doc)))
     assert rebuilt.c_star == cert.c_star and rebuilt.tree == cert.tree
     assert len(rebuilt.leaves) == len(cert.leaves)
+
+
+@pytest.mark.parametrize("chunk, block", [(7, 3), (64, 1), (1000, 5)])
+def test_blocking_moves_no_bound(pinned, monkeypatch, chunk, block):
+    # `_evaluate` bounds each box on its own, so neither its lemma chunks nor
+    # its mean-value blocks move a bound; the replay retries 92 of 853 leaves
+    boxes = _decode(pinned.tree, pinned.margin)[0]
+    default = certifier._evaluate(boxes, pinned.margin, pinned.c_star).tobytes()
+    monkeypatch.setattr(certifier, "_EVAL_CHUNK", chunk)
+    monkeypatch.setattr(certifier, "_RETRY_BLOCK", block)
+    assert certifier._evaluate(boxes, pinned.margin, pinned.c_star).tobytes() == default
+    again = certify(0.15)
+    assert again.tree == pinned.tree and again.c_star == pinned.c_star
