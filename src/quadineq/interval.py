@@ -413,18 +413,20 @@ def _areas_core(p1, p2, p3, p4, sin_w) -> dict:
 def _frame_angles(box: FrameBox, sin_w: Interval, cos_w: Interval) -> dict:
     # split angles via atan2 of (opposite segment * sin w, adjacent
     # projection); the common positive factor 1/length cancels inside atan2,
-    # and every split angle provably lies in (0, pi)
+    # and every split angle provably lies in (0, pi).  Each p * sin w and
+    # p * cos w serves the two angles that face p, so it is formed once.
     p1, p2, p3, p4 = box.p1, box.p2, box.p3, box.p4
-    ang = {
-        "alpha1": iatan2(p2 * sin_w, p1 - p2 * cos_w),
-        "beta1": iatan2(p4 * sin_w, p1 + p4 * cos_w),
-        "alpha2": iatan2(p3 * sin_w, p2 + p3 * cos_w),
-        "beta2": iatan2(p1 * sin_w, p2 - p1 * cos_w),
-        "alpha3": iatan2(p4 * sin_w, p3 - p4 * cos_w),
-        "beta3": iatan2(p2 * sin_w, p3 + p2 * cos_w),
-        "alpha4": iatan2(p1 * sin_w, p4 + p1 * cos_w),
-        "beta4": iatan2(p3 * sin_w, p4 - p3 * cos_w),
-    }
+
+    def facing(p, minus, plus):
+        s, c = p * sin_w, p * cos_w
+        return iatan2(s, minus - c), iatan2(s, plus + c)
+
+    alpha1, beta3 = facing(p2, p1, p3)
+    alpha3, beta1 = facing(p4, p3, p1)
+    beta4, alpha2 = facing(p3, p4, p2)
+    beta2, alpha4 = facing(p1, p2, p4)
+    ang = {"alpha1": alpha1, "beta1": beta1, "alpha2": alpha2, "beta2": beta2,
+           "alpha3": alpha3, "beta3": beta3, "alpha4": alpha4, "beta4": beta4}
     return {name: iv.clamp(0.0, PI.hi) for name, iv in ang.items()}
 
 

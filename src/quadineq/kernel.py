@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +61,7 @@ _HYPOTHESIS_SLACK = 1e-12
 _AUDIT_CHUNK = 200_000
 # ... and evaluate them in blocks of this many rows ...
 _AUDIT_BLOCK = 8_192
-# ... dealt round-robin to this many workers: the calling thread and one pool
-# thread per further worker, at most one worker per usable CPU
+# ... mapped over a pool of this many threads, at most one per usable CPU
 _AUDIT_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
 
@@ -564,11 +564,12 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     Each chunk is evaluated in slices of _AUDIT_BLOCK rows: one
     metrics_from_frames call and one forms call per block, sized so
     that the block's temporaries stay in cache.  The blocks of a chunk are
-    dealt round-robin to up to _AUDIT_WORKERS workers, each with its own
-    accumulator, since numpy releases the interpreter lock for most of a
-    block's time; an audit of one block starts no thread.  A chunk is
-    released before the next one is drawn.  Maxima, minima and counts merge
-    exactly in any order, so the report does not depend on the block size
+    mapped over a pool of up to _AUDIT_WORKERS threads, since numpy
+    releases the interpreter lock for most of a block's time; each block
+    returns its own accumulator, and the caller merges them in block order.
+    An audit of one block maps over the builtin map and starts no thread.
+    A chunk is released before the next one is drawn.  Maxima, minima and
+    counts merge exactly, so the report does not depend on the block size
     or the number of workers.  The slower point-rejection strategy draws
     one configuration per derived seed.
     """
@@ -577,45 +578,29 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     margin = check_margin(margin)  # checked even where point-rejection ignores it
+    acc = _Accumulator()
     if strategy == "frame-uniform":
-        blocks = -(-min(samples, _AUDIT_CHUNK) // _AUDIT_BLOCK)
-        accs = [_Accumulator() for _ in range(min(_AUDIT_WORKERS, blocks))]
-        if len(accs) == 1:
-            _audit_chunks(accs, None, seed, samples, margin)
-        else:
-            with ThreadPoolExecutor(len(accs) - 1) as pool:
-                _audit_chunks(accs, pool, seed, samples, margin)
-        acc = accs[0]
-        for other in accs[1:]:
-            acc.merge(other)
+        workers = min(_AUDIT_WORKERS, -(-min(samples, _AUDIT_CHUNK) // _AUDIT_BLOCK))
+        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            done = part = 0
+            while done < samples:
+                n = min(_AUDIT_CHUNK, samples - done)
+                p, w = sample_frames([seed, part], n, margin)
+                blocks = ((p[lo:lo + _AUDIT_BLOCK], w[lo:lo + _AUDIT_BLOCK])
+                          for lo in range(0, n, _AUDIT_BLOCK))
+                for block in (pool.map if pool else map)(_block_checks, blocks):
+                    acc.merge(block)
+                del p, w  # before the next chunk is drawn
+                done += n
+                part += 1
     else:  # `sample` refuses a strategy outside geometry.STRATEGIES
-        acc = _Accumulator()
         for i in range(samples):
             _accumulate_checks(acc, metrics(sample([seed, i], strategy=strategy)))
     return _finalize(acc, seed=seed, samples=samples, tol=tol)
 
 
-def _audit_chunks(accs, pool, seed, samples: int, margin: float) -> None:
-    # worker k checks blocks k, k + len(accs), ... of every chunk into
-    # accs[k]; worker 0 is the calling thread, the others run on the pool
-    step = len(accs)
-    done = 0
-    part = 0
-    while done < samples:
-        n = min(_AUDIT_CHUNK, samples - done)
-        p, w = sample_frames([seed, part], n, margin)
-        starts = range(0, n, _AUDIT_BLOCK)
-        futures = [pool.submit(_audit_blocks, accs[k], p, w, starts[k::step])
-                   for k in range(1, step)]
-        _audit_blocks(accs[0], p, w, starts[::step])
-        for future in futures:
-            future.result()
-        del p, w  # before the next chunk is drawn
-        done += n
-        part += 1
-
-
-def _audit_blocks(acc: _Accumulator, p, w, starts) -> None:
-    for lo in starts:
-        hi = lo + _AUDIT_BLOCK
-        _accumulate_checks(acc, metrics_from_frames(p[lo:hi], w[lo:hi]))
+def _block_checks(frames) -> _Accumulator:
+    """The checks of one (p, w) block of frames, in an accumulator of its own."""
+    acc = _Accumulator()
+    _accumulate_checks(acc, metrics_from_frames(*frames))
+    return acc

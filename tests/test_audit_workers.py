@@ -1,8 +1,8 @@
-"""The frame-uniform audit deals the blocks of each chunk to several
-workers, each filling its own accumulator, and merges them at the end.  The
-report must not depend on the number of workers or the block size, a
-failing worker must fail the audit and leave no thread behind, and an audit
-of one block must start no thread at all."""
+"""The frame-uniform audit maps the blocks of each chunk over a thread pool;
+each block returns its own accumulator, and the caller merges them in block
+order.  The report must not depend on the number of workers, the block size
+or the chunk size, a failing block must fail the audit and leave no thread
+behind, and an audit of one block must start no thread at all."""
 
 import math
 import sys
@@ -18,7 +18,7 @@ from quadineq.kernel import _Accumulator, audit_samples
 
 def test_nan_row_report_does_not_depend_on_workers_or_blocks(monkeypatch):
     # row 13,500 lies in block 13 of 1,000 rows and block 1 of 8,192 rows,
-    # so worker 1 checks it whenever there are two or three workers
+    # so a pool thread checks it whenever there are two or three workers
     real = kernel.sample_frames
 
     def poisoned(seed, n, margin):
@@ -40,6 +40,35 @@ def test_nan_row_report_does_not_depend_on_workers_or_blocks(monkeypatch):
     failed = [c for c in reports[0]["checks"] if not c["pass"]]
     assert failed and all(c["nonfinite"] >= 1 for c in failed)
     assert {c["id"] for c in failed} >= {"residual-nonneg", "angular-core-nonneg"}
+
+
+def test_the_fold_across_chunks_does_not_depend_on_workers(monkeypatch):
+    # 40,001 samples in chunks of 10,000 are five draws, the last of one row,
+    # each cut into blocks of 3,000 and 1,000 rows; one NaN row sits in the
+    # third draw, so the fold must carry it across the chunk boundaries
+    real = kernel.sample_frames
+
+    def poisoned(seed, n, margin):
+        p, w = real(seed, n, margin)
+        if seed[1] == 2:
+            w[4_321] = math.nan
+        return p, w
+
+    monkeypatch.setattr(kernel, "sample_frames", poisoned)
+    monkeypatch.setattr(kernel, "_AUDIT_CHUNK", 10_000)
+    monkeypatch.setattr(kernel, "_AUDIT_BLOCK", 3_000)
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernel, "_AUDIT_WORKERS", workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reports.append(audit_samples(11, 40_001, margin=0.01).to_json_dict())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert reports[0]["samples"] == 40_001 and reports[0]["pass"] is False
+    # every check counts the row once; the sign resolution once per sign
+    assert {c["id"]: c["nonfinite"] for c in reports[0]["checks"]} == {
+        **{cid: 1 for cid, *_ in kernel._IDENTITIES + kernel._INEQUALITIES},
+        "mult2-sign-resolution": 2}
 
 
 def test_many_workers_on_a_short_switch_interval_give_the_same_report(monkeypatch):
@@ -100,18 +129,25 @@ def test_merge_with_empty_accumulators():
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_a_failing_worker_fails_the_audit_and_leaves_no_thread(monkeypatch, failing):
-    real = kernel._accumulate_checks
-    caller = threading.get_ident()
+    # `failing` picks the block of the one chunk that raises
+    real_frames, real_checks = kernel.sample_frames, kernel._block_checks
+    chunks = []
 
-    def fails_on_one_worker(acc, m):
-        if (threading.get_ident() == caller) == (failing == 0):
-            raise RuntimeError(f"worker {failing} failed")
-        real(acc, m)
+    def recorded(*args):
+        chunks.append(real_frames(*args))
+        return chunks[-1]
+
+    def fails_on_one_block(frames):
+        lo = failing * kernel._AUDIT_BLOCK
+        if np.array_equal(frames[1], chunks[-1][1][lo:lo + kernel._AUDIT_BLOCK]):
+            raise RuntimeError(f"block {failing} failed")
+        return real_checks(frames)
 
     monkeypatch.setattr(kernel, "_AUDIT_WORKERS", 2)
-    monkeypatch.setattr(kernel, "_accumulate_checks", fails_on_one_worker)
+    monkeypatch.setattr(kernel, "sample_frames", recorded)
+    monkeypatch.setattr(kernel, "_block_checks", fails_on_one_block)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"worker {failing} failed"):
+    with pytest.raises(RuntimeError, match=f"block {failing} failed"):
         audit_samples(2, 3 * kernel._AUDIT_BLOCK, margin=0.01)
     assert threading.active_count() == before
 
