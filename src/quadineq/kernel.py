@@ -20,10 +20,12 @@ angular expression; lemma_form writes both once.
 
 forms(m) evaluates every quantity the audit compares, each written once
 with its formula in the docstring, and computes each sine and cosine that
-they share once.  The edge and expanded residuals and the raw group sums use
-no trig at all, so each identity still compares two independent
-computations.  The audit is two tables, _IDENTITIES and _INEQUALITIES, that
-name the forms each check compares.
+they share once; it merges the five stages of _stages.  The edge and
+expanded residuals and the raw group sums use no trig at all, so each
+identity still compares two independent computations.  The audit is three
+tables, _IDENTITIES, _SIGN_FORMS and _INEQUALITIES, that name the forms each
+check compares; it walks the stages, runs each check as soon as its forms
+exist and drops each form that no later check reads.
 """
 
 from __future__ import annotations
@@ -57,9 +59,13 @@ INEQ_TOL = 1e-12
 # fall out of the filter through angle roundoff.
 _HYPOTHESIS_SLACK = 1e-12
 
-# frame-uniform audits draw this many rows per sample_frames call ...
+# frame-uniform audits draw this many rows per sample_frames call, each draw
+# one part of the sample stream ...
 _AUDIT_CHUNK = 200_000
-# ... and evaluate them in blocks of this many rows ...
+# ... and evaluate them in blocks of this many rows.  A block's temporaries
+# outgrow a 2 MB L2 cache whatever its size; a larger block makes fewer numpy
+# calls (1M-sample audits on a 2-core Xeon, 3 runs in one process: 1.50-1.59,
+# 1.10-1.14 and 0.91-0.98 s with 2,048-, 4,096- and 8,192-row blocks) ...
 _AUDIT_BLOCK = 8_192
 # ... mapped over a pool of this many threads, at most one per usable CPU
 _AUDIT_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -226,72 +232,94 @@ def forms(m: QuadMetrics) -> dict:
                        sin((gamma1 + gamma3)/2)
                    + 2 sin W cos(X/2) cos(Y/2) cos(gamma1/2) sin(gamma3/2)
 
-    Each of the 47 sines and cosines is evaluated once, first, while no other
-    array of m's size is alive (the first angle read computes the split
-    angles).  A trailing 2 halves an angle (sin_X2 = sin(X/2)); a letter
-    pair is a halved sum or difference (sin_a1b4 = sin((alpha1 - beta4)/2)).
+    The dict merges the five stages of _stages, which evaluate each of the
+    47 sines and cosines once.  A trailing 2 halves an angle (sin_X2 =
+    sin(X/2)); a letter pair is a halved sum or difference (sin_a1b4 =
+    sin((alpha1 - beta4)/2)).
     """
+    merged = {}
+    for stage in _stages(m, abcdef(vars(m))):
+        merged.update(stage)
+    return merged
+
+
+def _stages(m: QuadMetrics, K):
+    """The forms of forms(m) in five dicts, in this order:
+
+        1. the residual routes: edge, expanded, lemma, normalized-residual;
+        2. the multiplicity-one groups, raw and factored;
+        3. the multiplicity-two forms: mult2-raw, -closed, -plus, -minus;
+        4. the closed and definition forms and the cosine triple;
+        5. the sine bounds and the sign-case chain.
+
+    K is abcdef(vars(m)).  A stage evaluates the sines and cosines that it
+    alone reads where it reads them.  The 14 that lemma_form reads are
+    evaluated in the first stage, which keeps the 12 that the fourth and
+    fifth stages read again; the unscaled lemma parts, and angular-core
+    formed from them, are kept for the stages that read them.  A generator
+    holds its locals across a yield, so each one is deleted once no later
+    stage reads it, and a stage's forms live only as long as its caller
+    keeps them.
+    """
+    s, co = np.sin, np.cos
+    edge = residual(m, "edge")
+    expanded = residual(m, "expanded")
     (sin_X, sin_Y, sin_W, sin_X2, cos_X2, sin_Y2, cos_Y2, sin_W2, cos_W2,
      sin_Wp2, cos_Wp2, sin_g13, sin_a1b4, sin_b1a2) = trig = _lemma_trig(m)
-    s, co = np.sin, np.cos
+    x, y, w, even, odd, lemma = lemma_form(K, *trig, np.square, _double)
+    del trig, cos_W2, cos_Wp2
+    core = ((x + y) + w) - even
+    yield {"edge": edge, "expanded": expanded, "lemma": lemma,
+           "normalized-residual": edge / K}
+    del edge, expanded, lemma
+
+    yield {"mult1-x": K * x, "mult1-y": K * y, "mult1-w": K * w,
+           **{f"mult1-{g}-raw": _sum_terms(m, terms) for g, terms in _MULT1_TERMS.items()}}
+    del x, y, w
+
+    p1, p2 = 0.5 - even, -0.5 - odd
+    del even
+    sines = (-s(m.alpha1) * s(m.beta4) - s(m.alpha3) * s(m.beta2)
+             - s(m.alpha4) * s(m.beta3) - s(m.alpha2) * s(m.beta1)
+             + s(m.gamma1) * s(m.gamma3))
+    sg24 = s(m.gamma2) * s(m.gamma4)
+    yield {"mult2-raw": (-2.0 * m.a * m.d * (m.A123 * m.A234 + m.A124 * m.A134)
+                         - 2.0 * m.c * m.f * (m.A124 * m.A123 + m.A134 * m.A234)
+                         + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234)),
+           "mult2-closed": K * (p1 + p2),
+           "mult2-plus": 0.5 * K * (sines + sg24),
+           "mult2-minus": 0.5 * K * (sines - sg24)}
+    del sines, sg24
+
+    # cos is even and sin odd: cos(alpha1 - beta4) is cos u, and
+    # sin((alpha1 - beta4)/2) sin((beta1 - alpha2)/2) is exactly
+    # sin(u/2) sin(v/2)
+    d1, d4, d5 = co(m.alpha1 - m.beta4), co(m.alpha2 - m.beta1), co(m.gamma1 + m.gamma3)
+    yield {"p1-closed": p1,
+           "p2-closed": p2,
+           "p1-definition": 0.25 * (co(m.alpha1 + m.beta4) + co(m.alpha3 + m.beta2)
+                                    + co(m.alpha4 + m.beta3) + co(m.alpha2 + m.beta1)
+                                    + co(m.gamma1 - m.gamma3) + co(m.gamma2 - m.gamma4)),
+           "p2-definition": 0.25 * (-d1 - co(m.alpha3 - m.beta2) - co(m.alpha4 - m.beta3)
+                                    - d4 - d5 - co(m.gamma2 + m.gamma4)),
+           "cosine-triple-cos": d1 + d4 + d5,
+           "cosine-triple-sin": 1.0 + 4.0 * sin_a1b4 * sin_b1a2 * sin_g13}
+    del p1, p2, d1, d4, d5
+
     sin_WpY = s((m.Wp - m.Y) / 2)
     sin_WX = s((m.W - m.X) / 2)
     sin_XY = s((m.X + m.Y) / 2)
-    sin_a3_2, cos_b2_2 = s(m.alpha3 / 2), co(m.beta2 / 2)
-    sin_b3_2, cos_a4_2 = s(m.beta3 / 2), co(m.alpha4 / 2)
-    cos_g1_2, sin_g3_2 = co(m.gamma1 / 2), s(m.gamma3 / 2)
-    sa1, sa2, sa3, sa4 = (s(v) for v in (m.alpha1, m.alpha2, m.alpha3, m.alpha4))
-    sb1, sb2, sb3, sb4 = (s(v) for v in (m.beta1, m.beta2, m.beta3, m.beta4))
-    sg1, sg2, sg3, sg4 = (s(v) for v in (m.gamma1, m.gamma2, m.gamma3, m.gamma4))
-    pairs = ((m.alpha1, m.beta4), (m.alpha3, m.beta2),
-             (m.alpha4, m.beta3), (m.alpha2, m.beta1))
-    c1, c2, c3, c4 = (co(u + v) for u, v in pairs)
-    c5, c6 = co(m.gamma1 - m.gamma3), co(m.gamma2 - m.gamma4)
-    d1, d2, d3, d4 = (co(u - v) for u, v in pairs)
-    d5, d6 = co(m.gamma1 + m.gamma3), co(m.gamma2 + m.gamma4)
-
-    K = abcdef(vars(m))
-    x, y, w, even, odd, lemma = lemma_form(K, *trig, np.square, _double)
-    core = ((x + y) + w) - even  # from the unscaled parts, which the next line drops
-    x, y, w = K * x, K * y, K * w
-    p1, p2 = 0.5 - even, -0.5 - odd
-    del even
-    sines = -sa1 * sb4 - sa3 * sb2 - sa4 * sb3 - sa2 * sb1 + sg1 * sg3
     head = 2.0 * sin_WpY * sin_WX * sin_XY
-    tail = 2.0 * sin_W * cos_X2 * cos_Y2 * cos_g1_2 * sin_g3_2
-    remainder = (2.0 * sin_X * sin_Wp2 * sin_Y2 * sin_a3_2 * cos_b2_2
-                 + 2.0 * sin_Y * sin_W2 * sin_X2 * sin_b3_2 * cos_a4_2 + tail)
-    edge = residual(m, "edge")
-    return {
-        "edge": edge,
-        "expanded": residual(m, "expanded"),
-        "lemma": lemma,
-        "normalized-residual": edge / K,
-        "mult1-x": x, "mult1-y": y, "mult1-w": w,
-        **{f"mult1-{g}-raw": _sum_terms(m, terms) for g, terms in _MULT1_TERMS.items()},
-        "mult2-raw": (-2.0 * m.a * m.d * (m.A123 * m.A234 + m.A124 * m.A134)
-                      - 2.0 * m.c * m.f * (m.A124 * m.A123 + m.A134 * m.A234)
-                      + 2.0 * m.b * m.e * (m.A123 * m.A134 + m.A124 * m.A234)),
-        "mult2-closed": K * (p1 + p2),
-        "mult2-plus": 0.5 * K * (sines + sg2 * sg4),
-        "mult2-minus": 0.5 * K * (sines - sg2 * sg4),
-        "p1-closed": p1,
-        "p2-closed": p2,
-        "p1-definition": 0.25 * (c1 + c2 + c3 + c4 + c5 + c6),
-        "p2-definition": 0.25 * (-d1 - d2 - d3 - d4 - d5 - d6),
-        # cos is even and sin odd: cos(alpha1 - beta4) is cos u, and
-        # sin((alpha1 - beta4)/2) sin((beta1 - alpha2)/2) is exactly
-        # sin(u/2) sin(v/2)
-        "cosine-triple-cos": d1 + d4 + d5,
-        "cosine-triple-sin": 1.0 + 4.0 * sin_a1b4 * sin_b1a2 * sin_g13,
-        "sine-bound-1": sin_WpY - np.abs(sin_a1b4),
-        "sine-bound-2": sin_WX - np.abs(sin_b1a2),
-        "sine-bound-3": sin_g13 - sin_XY,
-        "angular-core": core,
-        "remainder": remainder,
-        "core-split": head + remainder,
-        "final-chain": head - odd + tail,
-    }
+    tail = 2.0 * sin_W * cos_X2 * cos_Y2 * co(m.gamma1 / 2) * s(m.gamma3 / 2)
+    remainder = (2.0 * sin_X * sin_Wp2 * sin_Y2 * s(m.alpha3 / 2) * co(m.beta2 / 2)
+                 + 2.0 * sin_Y * sin_W2 * sin_X2 * s(m.beta3 / 2) * co(m.alpha4 / 2) + tail)
+    yield {"sine-bound-1": sin_WpY - np.abs(sin_a1b4),
+           "sine-bound-2": sin_WX - np.abs(sin_b1a2),
+           "sine-bound-3": sin_g13 - sin_XY,
+           "angular-core": core,
+           "remainder": remainder,
+           "core-split": head + remainder,
+           "final-chain": head - odd + tail}
 
 
 def residual(m: QuadMetrics, path: str = "edge"):
@@ -479,16 +507,34 @@ _INEQUALITIES = (
 
 
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
-    f = forms(m)
+    """Fold every check of the three tables into acc.  The forms come stage
+    by stage; each check runs as soon as the forms it reads exist, and a
+    form is dropped once no check still waiting reads it."""
     K = abcdef(vars(m))
-    for cid, form, other, scaled in _IDENTITIES:
-        gap = np.abs(f[form] - f[other])
-        acc.err(cid, gap / K if scaled else gap)
-    for form in _SIGN_FORMS:
-        acc.err(form, np.abs(f["mult2-raw"] - f[form]) / K)
     within = np.atleast_1d(angle_sum_hypotheses(m))
-    for cid, form, filtered in _INEQUALITIES:
-        acc.slack(cid, f[form], within if filtered else None)
+    # (check id, the forms it reads, how it folds them): a gap between two
+    # forms, divided by K when how is True, or the slack of one form, in the
+    # rows that the mask how selects (all rows when it is None)
+    waiting = ([(cid, (form, other), scaled) for cid, form, other, scaled in _IDENTITIES]
+               + [(form, ("mult2-raw", form), True) for form in _SIGN_FORMS]
+               + [(cid, (form,), within if filtered else None)
+                  for cid, form, filtered in _INEQUALITIES])
+    live = {}
+    for stage in _stages(m, K):
+        live.update(stage)
+        del stage  # or the loop would hold this stage's forms through the next
+        later = []
+        for cid, reads, how in waiting:
+            if not live.keys() >= set(reads):
+                later.append((cid, reads, how))
+            elif len(reads) == 1:
+                acc.slack(cid, live[reads[0]], how)
+            else:
+                gap = np.abs(live[reads[0]] - live[reads[1]])
+                acc.err(cid, gap / K if how else gap)
+        waiting = later
+        read_later = {form for _, reads, _ in waiting for form in reads}
+        live = {form: value for form, value in live.items() if form in read_later}
 
 
 def _nonfinite(n: int) -> dict:
@@ -560,11 +606,12 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     """Audit over a seeded batch of random convex quadrilaterals.
 
     frame-uniform draws _AUDIT_CHUNK rows per sample_frames([seed, part])
-    call, so the sample stream depends only on seed, samples and margin.
-    Each chunk is evaluated in slices of _AUDIT_BLOCK rows: one
-    metrics_from_frames call and one forms call per block, sized so
-    that the block's temporaries stay in cache.  The blocks of a chunk are
-    mapped over a pool of up to _AUDIT_WORKERS threads, since numpy
+    call, so the sample stream depends on seed, samples, margin and
+    _AUDIT_CHUNK.  Each chunk is evaluated in slices of _AUDIT_BLOCK rows:
+    one metrics_from_frames call per block, whose forms are checked stage by
+    stage (_accumulate_checks); the block size trades the number of numpy
+    calls against the size of a block's temporaries.  The blocks of a chunk
+    are mapped over a pool of up to _AUDIT_WORKERS threads, since numpy
     releases the interpreter lock for most of a block's time; each block
     returns its own accumulator, and the caller merges them in block order.
     An audit of one block maps over the builtin map and starts no thread.

@@ -1,8 +1,9 @@
 """The frame-uniform audit maps the blocks of each chunk over a thread pool;
 each block returns its own accumulator, and the caller merges them in block
-order.  The report must not depend on the number of workers, the block size
-or the chunk size, a failing block must fail the audit and leave no thread
-behind, and an audit of one block must start no thread at all."""
+order.  The report must not depend on the number of workers or the block
+size; it does depend on the chunk size, since each chunk's draw is one part
+of the sample stream.  A failing block must fail the audit and leave no
+thread behind, and an audit of one block must start no thread at all."""
 
 import math
 import sys
