@@ -15,8 +15,8 @@ is '.', each split's rank), about a sixth of a byte per node at margin
 the tree, regenerates every box from it, recomputes every leaf bound, and
 catches tampering (an inflated c*, a leaf recoded as outside the domain, a
 root split recoded from the widest dimension to the narrowest); the
-tampered trees below are unpacked, edited and packed again, as a forger
-would.
+tampered trees below are read from the document, edited and written back,
+as a forger would, through the public Certificate API.
 
 A coarse margin keeps this demo quick; `quadineq certify --margin 0.1`
 reproduces the full desk-scale run.
@@ -24,10 +24,15 @@ reproduces the full desk-scale run.
 
 import json
 import time
+from dataclasses import replace
 
-from quadineq import certify, verify_certificate
-from quadineq.certifier import _pack, _unpack
+from quadineq import Certificate, certify, verify_certificate
 from quadineq.ioutil import dumps
+
+
+def forged(cert, tree):
+    """The document of cert with its tree swapped for tree."""
+    return json.loads(dumps(replace(cert, tree=tree).to_json_dict()))
 
 
 def main():
@@ -48,16 +53,13 @@ def main():
     tampered["c_star"] = 10.0 * tampered["c_star"] + 1.0
     print(f"inflated c*:          verified={verify_certificate(tampered)}")
 
-    gap = json.loads(dumps(cert.to_json_dict()))
-    tree = _unpack(gap["tree"])
+    tree = Certificate.from_json_dict(doc).tree
     leaf = tree.index("L")
-    gap["tree"] = _pack(tree[:leaf] + "." + tree[leaf + 1:])
+    gap = forged(cert, tree[:leaf] + "." + tree[leaf + 1:])
     print(f"leaf coded outside:   verified={verify_certificate(gap)}")
 
-    flipped = json.loads(dumps(cert.to_json_dict()))
-    tree = _unpack(flipped["tree"])
     # certify splits every box along its widest dimension, code '1'
-    flipped["tree"] = _pack("4" + tree[1:])
+    flipped = forged(cert, "4" + tree[1:])
     print(f"root split '{tree[0]}' recoded '4': "
           f"verified={verify_certificate(flipped)}")
 

@@ -24,8 +24,9 @@ they share once; it merges the five stages of _stages.  The edge and
 expanded residuals and the raw group sums use no trig at all, so each
 identity still compares two independent computations.  The audit is three
 tables, _IDENTITIES, _SIGN_FORMS and _INEQUALITIES, that name the forms each
-check compares; it walks the stages, runs each check as soon as its forms
-exist and drops each form that no later check reads.
+check compares.  Every check reads the forms of one stage, so the audit
+runs each stage's checks on that stage alone and drops the stage before the
+next one is evaluated.
 """
 
 from __future__ import annotations
@@ -507,34 +508,24 @@ _INEQUALITIES = (
 
 
 def _accumulate_checks(acc: _Accumulator, m: QuadMetrics) -> None:
-    """Fold every check of the three tables into acc.  The forms come stage
-    by stage; each check runs as soon as the forms it reads exist, and a
-    form is dropped once no check still waiting reads it."""
+    """Fold every check of the three tables into acc.  Every check reads the
+    forms of one stage of _stages, so each stage runs, in table order, the
+    checks whose forms it holds, and is dropped before the next stage is
+    evaluated."""
     K = abcdef(vars(m))
     within = np.atleast_1d(angle_sum_hypotheses(m))
-    # (check id, the forms it reads, how it folds them): a gap between two
-    # forms, divided by K when how is True, or the slack of one form, in the
-    # rows that the mask how selects (all rows when it is None)
-    waiting = ([(cid, (form, other), scaled) for cid, form, other, scaled in _IDENTITIES]
-               + [(form, ("mult2-raw", form), True) for form in _SIGN_FORMS]
-               + [(cid, (form,), within if filtered else None)
-                  for cid, form, filtered in _INEQUALITIES])
-    live = {}
     for stage in _stages(m, K):
-        live.update(stage)
+        for cid, form, other, scaled in _IDENTITIES:
+            if form in stage:
+                gap = np.abs(stage[form] - stage[other])
+                acc.err(cid, gap / K if scaled else gap)
+        for form in _SIGN_FORMS:
+            if form in stage:
+                acc.err(form, np.abs(stage["mult2-raw"] - stage[form]) / K)
+        for cid, form, filtered in _INEQUALITIES:
+            if form in stage:
+                acc.slack(cid, stage[form], within if filtered else None)
         del stage  # or the loop would hold this stage's forms through the next
-        later = []
-        for cid, reads, how in waiting:
-            if not live.keys() >= set(reads):
-                later.append((cid, reads, how))
-            elif len(reads) == 1:
-                acc.slack(cid, live[reads[0]], how)
-            else:
-                gap = np.abs(live[reads[0]] - live[reads[1]])
-                acc.err(cid, gap / K if how else gap)
-        waiting = later
-        read_later = {form for _, reads, _ in waiting for form in reads}
-        live = {form: value for form, value in live.items() if form in read_later}
 
 
 def _nonfinite(n: int) -> dict:

@@ -1,7 +1,9 @@
-"""The audit walks the forms of a block stage by stage: each check runs as
-soon as the forms it reads exist, and a form is dropped once no later check
-reads it.  The fold must be the one over the whole forms(m) dict, check for
-check, and one block of 8,192 rows must stay within its memory bound."""
+"""The audit walks the forms of a block stage by stage: every check reads
+the forms of one stage, so each stage runs its own checks and is dropped
+before the next one is evaluated.  The stages must split forms(m), each
+check must read one stage only, the fold must be the one over the whole
+forms(m) dict, check for check, and one block of 8,192 rows must stay
+within its memory bound."""
 
 import math
 import tracemalloc
@@ -36,6 +38,23 @@ def one_dict_fold(m) -> _Accumulator:
     for cid, form, filtered in _INEQUALITIES:
         acc.slack(cid, f[form], within if filtered else None)
     return acc
+
+
+def test_every_check_reads_the_forms_of_one_stage():
+    m = metrics_from_frames(*sample_frames([3, 0], 16, 0.01))
+    stages = [list(stage) for stage in kernel._stages(m, abcdef(vars(m)))]
+    assert len(stages) == 5
+    merged = [form for stage in stages for form in stage]
+    assert len(set(merged)) == len(merged), "two stages yield the same form"
+    assert merged == list(forms(m))
+    stage_of = {form: n for n, stage in enumerate(stages, 1) for form in stage}
+    reads = ([(cid, (form, other)) for cid, form, other, _ in _IDENTITIES]
+             + [(form, ("mult2-raw", form)) for form in _SIGN_FORMS]
+             + [(cid, (form,)) for cid, form, _ in _INEQUALITIES])
+    for cid, read in reads:
+        homes = {form: stage_of.get(form) for form in read}
+        assert len(set(homes.values())) == 1 and None not in homes.values(), \
+            f"{cid} does not read the forms of one stage: {homes}"
 
 
 def test_the_staged_fold_is_the_one_dict_fold():
