@@ -36,12 +36,12 @@ halves cover every point of its box in the domain.
 
 The search runs level by level from the whole domain: each box whose
 certified residual lower bound misses the target is bisected along the
-widest dimension of its clipped box, ties broken toward p2 (`_split_dims`),
-and the halves form the next level.  As a box is split exactly when its
-bound misses the target, a completed run builds the same tree in any
-visiting order.  When the box budget or `_MAX_DEPTH` stops a run, unsplit
-boxes whose bounds miss the target stay leaves, so the claimed bound falls
-below the target.
+widest dimension of its clipped box, ties broken toward p2 (code '1', which
+`_coded_dims` resolves as in the replay), and the halves form the next
+level.  As a box is split exactly when its bound misses the target, a
+completed run builds the same tree in any visiting order.  When the box
+budget or `_MAX_DEPTH` stops a run, unsplit boxes whose bounds miss the
+target stay leaves, so the claimed bound falls below the target.
 
 Whether a box splits depends on its bound, but the halves it would get do
 not, so the levels near the root, which are small, are bounded ahead:
@@ -448,15 +448,9 @@ def _split_order(boxes: np.ndarray) -> np.ndarray:
     return 1 + np.argsort(-widths, axis=1, kind="stable")
 
 
-def _split_dims(boxes: np.ndarray) -> np.ndarray:
-    """The dimension `certify` bisects each box (shape (n, 5, 2)) along: the
-    widest, rank 1 of `_split_order`."""
-    return _split_order(boxes)[:, 0]
-
-
-def _coded_dims(boxes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The dimension each split code (uint8, '1'-'4') names on its clipped
-    box (shape (n, 5, 2)): the one of that width rank in `_split_order`."""
+def _coded_dims(boxes: np.ndarray, codes) -> np.ndarray:
+    """The dimension each split code (uint8 '1'-'4', one per box or one for
+    all) names on its clipped box (shape (n, 5, 2)): its width rank's one."""
     return _split_order(boxes)[np.arange(len(boxes)), codes - _DIGIT0 - 1]
 
 
@@ -542,7 +536,7 @@ def _speculate(level: np.ndarray, margin: float, depth: int, budget: int,
     while rows < share * _LOOKAHEAD and depth + len(spec) <= _MAX_DEPTH and spec[-1][1].any():
         boxes, feasible = spec[-1]
         parents = boxes[feasible]
-        children = _clipped(_bisect(parents, _split_dims(parents)), margin)
+        children = _clipped(_bisect(parents, _coded_dims(parents, _DIGIT0 + 1)), margin)
         rows += int(np.count_nonzero(children[1]))
         if rows > budget:
             break
@@ -592,10 +586,9 @@ def certify(margin: float, target: float = 0.0,
                 # out of boxes or depth: the rest stay leaves of a partial
                 # result, and their bounds, below the target, bound c_star
                 split[pending[room:]] = False
-            dims = _split_dims(boxes[split])
             code = np.full(len(rows), _EMPTY, dtype=np.uint8)
             code[feasible] = _LEAF
-            code[split] = _DIGIT0 + 1  # the rank of the widest, `dims`
+            code[split] = _DIGIT0 + 1  # the rank of the widest
             codes.append(code.tobytes())
             leaf_bounds.append(bounds[feasible & ~split])
             depth += 1
@@ -605,7 +598,7 @@ def certify(margin: float, target: float = 0.0,
             # the split boxes' children, two per feasible box before them
             parents = (np.cumsum(all_feasible) - 1)[rows[split]]
             rows = np.stack([2 * parents, 2 * parents + 1], axis=1).ravel()
-        level = _bisect(boxes[split], dims)
+        level = _bisect(boxes[split], _coded_dims(boxes[split], code[split]))
 
     return Certificate(margin=margin, target=target,
                        c_star=float(np.min(np.concatenate(leaf_bounds))),

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,7 +345,7 @@ def normalized_residual(m: QuadMetrics, path: str = "edge"):
 
 
 def angle_sum_hypotheses(m: QuadMetrics):
-    """Mask of samples with gamma2+gamma3 <= pi and gamma3+gamma4 <= pi."""
+    """Mask of gamma2+gamma3 <= pi and gamma3+gamma4 <= pi, exactly Y >= 0 and X >= 0."""
     bound = np.pi + _HYPOTHESIS_SLACK
     return (m.gamma2 + m.gamma3 <= bound) & (m.gamma3 + m.gamma4 <= bound)
 
@@ -602,14 +601,13 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     one metrics_from_frames call per block, whose forms are checked stage by
     stage (_accumulate_checks); the block size trades the number of numpy
     calls against the size of a block's temporaries.  The blocks of a chunk
-    are mapped over a pool of up to _AUDIT_WORKERS threads, since numpy
-    releases the interpreter lock for most of a block's time; each block
-    returns its own accumulator, and the caller merges them in block order.
-    An audit of one block maps over the builtin map and starts no thread.
-    A chunk is released before the next one is drawn.  Maxima, minima and
-    counts merge exactly, so the report does not depend on the block size
-    or the number of workers.  The slower point-rejection strategy draws
-    one configuration per derived seed.
+    are mapped over one pool of _AUDIT_WORKERS threads, which starts a
+    thread only when none of its own is idle, since numpy releases the
+    interpreter lock for most of a block's time; each block returns its own
+    accumulator, merged in block order.  A chunk is released before the next
+    one is drawn.  Maxima, minima and counts merge exactly, so the report
+    does not depend on the block size or the number of workers.  The slower
+    point-rejection strategy draws one configuration per derived seed.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -618,19 +616,15 @@ def audit_samples(seed: int, samples: int, tol: float = IDENTITY_TOL,
     margin = check_margin(margin)  # checked even where point-rejection ignores it
     acc = _Accumulator()
     if strategy == "frame-uniform":
-        workers = min(_AUDIT_WORKERS, -(-min(samples, _AUDIT_CHUNK) // _AUDIT_BLOCK))
-        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            done = part = 0
-            while done < samples:
+        with ThreadPoolExecutor(_AUDIT_WORKERS) as pool:
+            for part, done in enumerate(range(0, samples, _AUDIT_CHUNK)):
                 n = min(_AUDIT_CHUNK, samples - done)
                 p, w = sample_frames([seed, part], n, margin)
                 blocks = ((p[lo:lo + _AUDIT_BLOCK], w[lo:lo + _AUDIT_BLOCK])
                           for lo in range(0, n, _AUDIT_BLOCK))
-                for block in (pool.map if pool else map)(_block_checks, blocks):
+                for block in pool.map(_block_checks, blocks):
                     acc.merge(block)
                 del p, w  # before the next chunk is drawn
-                done += n
-                part += 1
     else:  # `sample` refuses a strategy outside geometry.STRATEGIES
         for i in range(samples):
             _accumulate_checks(acc, metrics(sample([seed, i], strategy=strategy)))

@@ -2,8 +2,10 @@
 each block returns its own accumulator, and the caller merges them in block
 order.  The report must not depend on the number of workers or the block
 size; it does depend on the chunk size, since each chunk's draw is one part
-of the sample stream.  A failing block must fail the audit and leave no
-thread behind, and an audit of one block must start no thread at all."""
+of the sample stream.  Every frame-uniform audit, one of a single block
+too, maps over one pool of _AUDIT_WORKERS threads; a failing block must fail
+the audit and leave no thread behind.  Certify, check-cert, search and eval
+run no frame-uniform audit and build no pool."""
 
 import math
 import sys
@@ -153,16 +155,31 @@ def test_a_failing_worker_fails_the_audit_and_leaves_no_thread(monkeypatch, fail
     assert threading.active_count() == before
 
 
-def test_audits_of_one_block_start_no_thread(monkeypatch, tmp_path, capsys):
-    # a 5,000-sample audit is one block and eval audits its one
-    # configuration; certify, check-cert and search report the proved sign
-    # and run no audit at all
-    def no_pool(*args, **kwargs):
-        raise AssertionError("an audit of one block built a thread pool")
+def test_an_audit_of_one_block_maps_over_one_pool_of_audit_workers(monkeypatch):
+    # a 5,000-sample audit is one block: it takes the same path as a larger
+    # one, one pool of _AUDIT_WORKERS threads, and leaves no thread behind
+    real = kernel.ThreadPoolExecutor
+    built = []
+
+    def recorded(workers):
+        built.append(workers)
+        return real(workers)
 
     monkeypatch.setattr(kernel, "_AUDIT_WORKERS", 2)
-    monkeypatch.setattr(kernel, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(kernel, "ThreadPoolExecutor", recorded)
+    before = threading.active_count()
     assert audit_samples(3, 5_000, margin=0.01).passed()
+    assert built == [2]
+    assert threading.active_count() == before
+
+
+def test_certify_check_cert_search_and_eval_build_no_pool(monkeypatch, tmp_path, capsys):
+    # eval audits its one configuration; certify, check-cert and search
+    # report the proved sign and run no audit at all
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a command other than audit built a thread pool")
+
+    monkeypatch.setattr(kernel, "ThreadPoolExecutor", no_pool)
     cert = tmp_path / "cert.json"
     assert cli.main(["certify", "--margin", "0.2", "--out", str(cert)]) == 0
     assert cli.main(["check-cert", str(cert)]) == 0

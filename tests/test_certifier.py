@@ -20,7 +20,6 @@ from quadineq.certifier import (
     _decode,
     _gauge_clip,
     _pack,
-    _split_dims,
     _unpack,
     certify,
     verify_certificate,
@@ -1133,7 +1132,7 @@ def test_soundness_spot_check(cert):
 
 def _split(box):
     boxes = np.array([box])
-    dims = _split_dims(boxes)
+    dims = certifier._coded_dims(boxes, ord("1"))
     return dims[0], _bisect(boxes, dims)
 
 
@@ -1182,7 +1181,7 @@ def test_split_order_ranks_p2_p3_p4_and_w_by_width_ties_to_the_lower():
         assert np.all(ranked[:, :-1] >= ranked[:, 1:])
         same = ranked[:, :-1] == ranked[:, 1:]
         assert np.all(order[:, :-1][same] < order[:, 1:][same])
-        assert np.array_equal(order[:, 0], _split_dims(boxes))
+        assert np.array_equal(order[:, 0], certifier._coded_dims(boxes, ord("1")))
         assert np.array_equal(order[:, 0], 1 + np.argmax(widths, axis=1))
         tied += np.count_nonzero(same.any(axis=1))
         rows += len(boxes)
